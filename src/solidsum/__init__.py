@@ -52,10 +52,11 @@ from .geometry import (
 )
 from .lattice import (
     ConeSumTerm,
+    DampedLevels,
     DampedSumResult,
     alpha_polytope_direct,
     damped_direct_sum,
-    damped_transform_sum,
+    damped_transform_levels,
     extrapolate_eps,
 )
 from .macdonald import (

@@ -21,9 +21,9 @@ import numpy as np
 from scipy.special import gammainc
 
 from .errors import BadEpsilon, DegenerateCone, NotPointed, ScheduleTooShort, UnsupportedDimension
-from .geometry import Cone, Polytope, SimpleCone, half_spaces, triangulate_cone
+from .geometry import Cone, Polytope, SimpleCone, cone_halfplanes_2d, half_spaces, triangulate_cone
 from .numerics import gauss_legendre_panels
-from .transforms import mass_one_constant
+from .transforms import clip_cutoff, mass_one_constant
 
 EXACT_2D = "exact2d"
 MC_BALL = "mc_ball"
@@ -176,17 +176,6 @@ def polygon_area(poly: np.ndarray) -> float:
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
-def _cone_halfplanes_2d(apex, g1, g2):
-    """H-representation {a_i . x <= b_i} of the planar cone spanned by g1, g2."""
-    cross = g1[0] * g2[1] - g1[1] * g2[0]
-    sgn = 1.0 if cross > 0 else -1.0
-    n1 = np.array([-g1[1], g1[0]])
-    n2 = np.array([-g2[1], g2[0]])
-    A = np.stack([-sgn * n1, sgn * n2])
-    b = A @ np.asarray(apex, dtype=float)
-    return A, b
-
-
 def solid_angle_exact_2d_l1(cone) -> SolidAngleEstimate:
     """l^1 solid angle of a planar cone at its apex by diamond clipping.
 
@@ -195,7 +184,7 @@ def solid_angle_exact_2d_l1(cone) -> SolidAngleEstimate:
     """
     _, g1, g2 = _two_generators(cone)
     _check_pointed_2d(g1, g2)
-    A, _ = _cone_halfplanes_2d(np.zeros(2), g1, g2)
+    A, _ = cone_halfplanes_2d(np.zeros(2), g1, g2)
     poly = _DIAMOND
     for row in A:
         poly = clip_polygon_halfplane(poly, row, 0.0)
@@ -273,10 +262,6 @@ def _lp_cdf(u, p: float, c: float, eps: float):
     return 0.5 * (1.0 + np.sign(u) * g)
 
 
-def _clip_cutoff(p: float, c: float, eps: float) -> float:
-    return (eps * 45.0 / c) ** (1.0 / p)
-
-
 def _polygon_of(body, x: np.ndarray, cut: float) -> np.ndarray:
     """Convex polygon of body intersected with the quadrature box around x."""
     box = np.array([
@@ -288,7 +273,7 @@ def _polygon_of(body, x: np.ndarray, cut: float) -> np.ndarray:
     if isinstance(body, Polytope):
         A, b = half_spaces(body)
     elif isinstance(body, SimpleCone):
-        A, b = _cone_halfplanes_2d(body.apex, body.generators[0], body.generators[1])
+        A, b = cone_halfplanes_2d(body.apex, body.generators[0], body.generators[1])
     else:
         raise TypeError(f"unsupported body type {type(body).__name__}")
     poly = box
@@ -361,7 +346,7 @@ def soft_indicator(body, x, p: float, eps: float) -> float:
             return float(_lp_cdf(a - x[0], p, c, eps))
         raise TypeError(f"unsupported body type {type(body).__name__}")
     if x.size == 2:
-        cut = _clip_cutoff(p, c, eps)
+        cut = clip_cutoff(p, c, eps)
         poly = _polygon_of(body, x, cut)
         return _strip_integral(poly, x, p, c, eps)
     raise UnsupportedDimension("soft_indicator quadrature supports dim <= 2")

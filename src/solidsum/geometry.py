@@ -231,6 +231,17 @@ def half_spaces(P: Polytope):
     return A[keep], b[keep]
 
 
+def cone_halfplanes_2d(apex, g1, g2):
+    """H-representation {a_i . x <= b_i} of the planar cone spanned by g1, g2."""
+    cross = g1[0] * g2[1] - g1[1] * g2[0]
+    sgn = 1.0 if cross > 0 else -1.0
+    n1 = np.array([-g1[1], g1[0]])
+    n2 = np.array([-g2[1], g2[0]])
+    A = np.stack([-sgn * n1, sgn * n2])
+    b = A @ np.asarray(apex, dtype=float)
+    return A, b
+
+
 def contains(P: Polytope, x, t: float = 1.0, tol: float = BOUNDARY_TOL) -> bool:
     """Membership of x in the closed dilate t*P (boundary band included)."""
     A, b = half_spaces(P)

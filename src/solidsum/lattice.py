@@ -1,13 +1,17 @@
 """Damped Poisson-summation lattice sums over cones and polytopes.
 
-Every evaluator works at a fixed damping level eps and truncates the lattice
-to the sup-norm box ||m||_inf <= R; limits eps -> 0 are always taken
-explicitly through ``extrapolate_eps``.  Transform-space sums accumulate
+Every evaluator truncates the lattice to a sup-norm box ||m||_inf <= R(eps);
+limits eps -> 0 are always taken explicitly through ``extrapolate_eps``.
+Transform-space sums
 
     sum_m sum_terms coef * cone_transform(cone, m + s) * phi_hat(m + s)
 
-and direct-space sums accumulate (1_body * phi_eps)(m) * exp(2*pi*i*<s, m>).
-The bilinear pairing is used throughout; nothing is conjugated.
+are evaluated for every level of the damping schedule in one pass over the
+largest box: only the separable factor phi_hat depends on eps, so the summed
+cone-rational factor r(m) is formed once and contracted, one axis at a time,
+with per-level 1-D phi_hat tables that vanish outside each level's own box.
+Direct-space sums accumulate (1_body * phi_eps)(m) * exp(2*pi*i*<s, m>) at one
+eps.  The bilinear pairing is used throughout; nothing is conjugated.
 """
 
 from __future__ import annotations
@@ -18,15 +22,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .angles import _clip_cutoff, _cone_halfplanes_2d, soft_indicator
+from .angles import soft_indicator
 from .errors import ConvergenceDomain, PoleHit, UnsupportedDimension
-from .geometry import Polytope, SimpleCone, half_spaces, lattice_points
+from .geometry import Polytope, SimpleCone, cone_halfplanes_2d, half_spaces, lattice_points
 from .numerics import Estimate, richardson_limit
 from .oracle import point_weight
-from .transforms import DampedSumConfig, phi_hat_1d_grid
+from .transforms import DampedSumConfig, clip_cutoff, phi_hat_1d_grid
 
 POLE_GUARD = 1e-10     # minimum |<w_j, m+s>| over the enumerated box
-CHUNK_LIMIT = 300_000  # full-box vectorization threshold before slab chunking
+CHUNK_LIMIT = 300_000  # points per chunk of the box (slabs along the first axis)
 
 TWO_PI_I = 2j * math.pi
 
@@ -50,43 +54,79 @@ class DampedSumResult:
     gross: float = 0.0
 
 
-@lru_cache(maxsize=256)
-def _phi_tables(cfg: DampedSumConfig, eps: float, s_tuple: tuple, R: int):
-    """Per-coordinate transform values phi_hat_1d(m_k + s_k), m_k in [-R, R]."""
-    ms = np.arange(-R, R + 1)
-    tables = []
-    for sk in s_tuple:
-        z = ms + sk
-        if cfg.p == 2.0:
-            tables.append(np.exp(-math.pi * eps * z * z))
-        else:
-            tables.append(phi_hat_1d_grid(cfg, eps, z))
-    return tuple(tables)
+@dataclass(frozen=True)
+class DampedLevels:
+    """Transform-space sums at every level of ``cfg.eps_schedule``, in schedule
+    order: truncated values, the magnitude on each level's outer shell, and
+    the gross magnitude sums (cancellation scales, as in DampedSumResult)."""
+
+    value: np.ndarray
+    tail: np.ndarray
+    gross: np.ndarray
 
 
-def _box_chunks(R: int, d: int):
-    """Lattice box in deterministic chunks (slabs along the first axis when
-    the full box would be large)."""
-    ms = np.arange(-R, R + 1)
-    if (2 * R + 1) ** d <= CHUNK_LIMIT or d == 1:
-        yield np.stack(np.meshgrid(*([ms] * d), indexing="ij"), axis=-1).reshape(-1, d)
-        return
-    rest = np.stack(np.meshgrid(*([ms] * (d - 1)), indexing="ij"), axis=-1).reshape(-1, d - 1)
-    for i0 in ms:
-        col = np.full((rest.shape[0], 1), i0, dtype=rest.dtype)
-        yield np.hstack([col, rest])
+@lru_cache(maxsize=16)
+def _level_tables(cfg: DampedSumConfig, s_tuple: tuple):
+    """Per-axis 1-D tables over the largest box ms, one row per eps level, zero
+    outside that level's radius R: phi_hat_1d(m_k + s_k), and magnitude rows
+    for the gross sums followed by magnitude rows for the shell tails.  Cached
+    because macdonald_sum makes one call per vertex at the same s, and for
+    p != 2 the tables come from quadrature."""
+    radii = np.array([cfg.radius_for(e) for e in cfg.eps_schedule])[:, None]
+    ms = np.arange(-radii.max(), radii.max() + 1)
+    inside = np.abs(ms) <= radii
+    tables, mag_tables = [], []
+    for a, sk in enumerate(s_tuple):
+        table = np.zeros(inside.shape, dtype=complex)
+        for row, eps, mask in zip(table, cfg.eps_schedule, inside):
+            z = ms[mask] + sk
+            row[mask] = np.exp(-math.pi * eps * z * z) if cfg.p == 2.0 else phi_hat_1d_grid(cfg, eps, z)
+        mag = np.abs(table)
+        interior = np.where(np.abs(ms) < radii, mag, 0.0)
+        edge = np.where(np.abs(ms) == radii, mag, 0.0)
+        # the shell ||m||_inf = R split by the first axis k with |m_k| = R:
+        # interior before k, edge at k, the whole box after k
+        shell = [interior if a < k else edge if a == k else mag for k in range(len(s_tuple))]
+        tables.append(table)
+        mag_tables.append(np.vstack([mag] + shell))
+    for t in tables + mag_tables:
+        t.setflags(write=False)
+    return ms, tables, mag_tables
 
 
-def damped_transform_sum(terms, s, cfg: DampedSumConfig, eps: float) -> DampedSumResult:
-    """Truncated transform-space sum of signed cone terms at damping eps.
+def _contract(x: np.ndarray, tables) -> np.ndarray:
+    """sum_m x[m] * prod_k tables[k][l, m_k] for every row l, one axis at a time
+    (x has one axis per table)."""
+    y = tables[0] @ x.reshape(x.shape[0], -1)
+    for t in tables[1:]:
+        y = np.matmul(t[:, None, :], y.reshape(t.shape[0], t.shape[1], -1))[:, 0, :]
+    return y[:, 0]
 
-    Raises PoleHit when some enumerated m + s comes within 1e-10 of a
-    denominator zero; the caller should perturb s or pick another direction.
+
+def _box_chunks(ms: np.ndarray, d: int):
+    """The box ms^d in deterministic slabs along the first axis, each of at
+    most CHUNK_LIMIT points (or one row): yields (i0, i1, M) where M lists the
+    points with first index in [i0, i1) in lexicographic order."""
+    step = max(1, CHUNK_LIMIT // ms.size ** (d - 1))
+    for i0 in range(0, ms.size, step):
+        i1 = min(i0 + step, ms.size)
+        yield i0, i1, np.stack(np.meshgrid(ms[i0:i1], *([ms] * (d - 1)), indexing="ij"),
+                               axis=-1).reshape(-1, d)
+
+
+def damped_transform_levels(terms, s, cfg: DampedSumConfig) -> DampedLevels:
+    """Truncated transform-space sum of signed cone terms at every eps level.
+
+    One pass over the largest box forms r(m) = sum_terms coef * cone term and
+    sum_terms |cone term|; each level's value, gross and shell tail follow by
+    contracting them with that level's phi_hat tables.  Raises PoleHit when
+    some m + s in the largest box comes within 1e-10 of a denominator zero;
+    the caller should perturb s or pick another direction.
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     d = s.size
-    R = cfg.radius_for(eps)
-    tables = _phi_tables(cfg, float(eps), tuple(complex(v) for v in s), R)
+    ms, tables, mag_tables = _level_tables(cfg, tuple(complex(v) for v in s))
+    n_levels = len(cfg.eps_schedule)
     pref = (-TWO_PI_I) ** (-d)
 
     prepared = []
@@ -98,35 +138,36 @@ def damped_transform_sum(terms, s, cfg: DampedSumConfig, eps: float) -> DampedSu
         apex = cone.apex if np.max(np.abs(cone.apex)) > 1e-15 else None
         prepared.append((amp, cone.generators, apex))
 
-    total = 0j
-    tail = 0.0
-    gross = 0.0
-    for M in _box_chunks(R, d):
-        Z = M + s
-        phi_vals = tables[0][M[:, 0] + R].copy()
-        for k in range(1, d):
-            phi_vals *= tables[k][M[:, k] + R]
-        shell = np.max(np.abs(M), axis=1) == R
-        any_shell = bool(shell.any())
+    value = np.zeros(n_levels, dtype=complex)
+    mags_sum = np.zeros((d + 1) * n_levels)
+    for i0, i1, M in _box_chunks(ms, d):
+        Z = M.T + s[:, None]  # one row per axis: products along contiguous rows
+        r = np.zeros(M.shape[0], dtype=complex)
+        r_abs = np.zeros(M.shape[0])
         for amp, W, apex in prepared:
-            denoms = Z @ W.T
+            denoms = W @ Z
             mags = np.abs(denoms)
-            row = int(np.argmin(np.min(mags, axis=1)))
-            if mags[row].min() <= POLE_GUARD:
-                j = int(np.argmin(mags[row]))
+            if mags.min() <= POLE_GUARD:
+                row = int(np.argmin(mags.min(axis=0)))
+                j = int(np.argmin(mags[:, row]))
                 m_bad = tuple(int(v) for v in M[row])
                 raise PoleHit(
-                    f"pole at m={m_bad}: |<w_{j}, m+s>| = {mags[row, j]:.3e}",
+                    f"pole at m={m_bad}: |<w_{j}, m+s>| = {mags[j, row]:.3e}",
                     generator_index=j, lattice_point=m_bad,
                 )
-            contrib = amp * phi_vals / np.prod(denoms, axis=1)
+            contrib = amp / np.prod(denoms, axis=0)
+            del denoms, mags
             if apex is not None:
-                contrib = contrib * np.exp(TWO_PI_I * (Z @ apex))
-            total += contrib.sum()
-            gross += float(np.abs(contrib).sum())
-            if any_shell:
-                tail += float(np.abs(contrib[shell]).sum())
-    return DampedSumResult(complex(total), tail, gross)
+                contrib *= np.exp(TWO_PI_I * (apex @ Z))
+            r += contrib
+            r_abs += np.abs(contrib)
+        del M, Z
+        grid = (i1 - i0,) + (ms.size,) * (d - 1)
+        value += _contract(r.reshape(grid), [tables[0][:, i0:i1]] + tables[1:])
+        mags_sum += _contract(r_abs.reshape(grid), [mag_tables[0][:, i0:i1]] + mag_tables[1:])
+    gross = mags_sum[:n_levels]
+    tail = mags_sum[n_levels:].reshape(d, n_levels).sum(axis=0)
+    return DampedLevels(value, tail, gross)
 
 
 def _body_halfspaces(body, d: int):
@@ -138,7 +179,7 @@ def _body_halfspaces(body, d: int):
             sgn = -1.0 if g > 0 else 1.0
             return np.array([[sgn]]), np.array([sgn * float(body.apex[0])])
         if d == 2:
-            return _cone_halfplanes_2d(body.apex, body.generators[0], body.generators[1])
+            return cone_halfplanes_2d(body.apex, body.generators[0], body.generators[1])
         raise UnsupportedDimension("direct sums over cones support dim <= 2")
     raise TypeError(f"unsupported body type {type(body).__name__}")
 
@@ -156,13 +197,13 @@ def damped_direct_sum(body, s, cfg: DampedSumConfig, eps: float) -> DampedSumRes
         if np.max(pairing) >= 0.0:
             raise ConvergenceDomain("-Im(s) is not interior to the polar cone")
     A, b = _body_halfspaces(body, d)
-    cut = _clip_cutoff(cfg.p, cfg.c, eps)
+    cut = clip_cutoff(cfg.p, cfg.c, eps)
     R = cfg.radius_for(eps)
 
     total = 0j
     tail = 0.0
     gross = 0.0
-    for M in _box_chunks(R, d):
+    for _, _, M in _box_chunks(np.arange(-R, R + 1), d):
         margins = b[None, :] - M @ A.T
         weights = np.full(M.shape[0], np.nan)
         weights[np.min(margins, axis=1) >= cut] = 1.0

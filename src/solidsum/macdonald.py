@@ -31,7 +31,7 @@ from .geometry import (
     vertex_simple_cones,
     vertex_tangent_cone,
 )
-from .lattice import ConeSumTerm, alpha_polytope_direct, damped_transform_sum, extrapolate_eps
+from .lattice import ConeSumTerm, alpha_polytope_direct, damped_transform_levels, extrapolate_eps
 from .numerics import Estimate, polynomial_fit_intercept, richardson_extrapolants, richardson_limit
 from .oracle import discrete_volume
 from .transforms import DampedSumConfig
@@ -113,7 +113,10 @@ def macdonald_sum(P: Polytope, t: float, s, cfg: DampedSumConfig | None = None) 
     Convergence is judged on the vertex-summed totals: individual cone sums
     need not converge at real s, but their sum equals a finite direct-space
     sum and does.  Per-vertex partials are the same linear extrapolation
-    applied vertex by vertex, so they add up to the value exactly.
+    applied vertex by vertex, so they add up to the value exactly.  The error
+    adds the rounding floor 3e-15 * gross to the Richardson estimate: every
+    eps level comes from one lattice pass, so the levels share their rounding
+    and the extrapolant differences do not show it.
     """
     cfg = cfg or DampedSumConfig()
     s = np.atleast_1d(np.asarray(s, dtype=complex))
@@ -122,10 +125,9 @@ def macdonald_sum(P: Polytope, t: float, s, cfg: DampedSumConfig | None = None) 
     per_eps = np.empty((len(vertex_terms), len(eps)), dtype=complex)
     gross = np.zeros(len(eps))
     for i, (_, terms) in enumerate(vertex_terms):
-        for k, e in enumerate(eps):
-            res = damped_transform_sum(terms, s, cfg, e)
-            per_eps[i, k] = res.value
-            gross[k] += res.gross
+        levels = damped_transform_levels(terms, s, cfg)
+        per_eps[i] = levels.value
+        gross += levels.gross
     noise = 3e-15 * float(gross.max())
     total_est = richardson_limit(eps, per_eps.sum(axis=0), noise_floor=noise)
     partials = []
@@ -136,7 +138,7 @@ def macdonald_sum(P: Polytope, t: float, s, cfg: DampedSumConfig | None = None) 
         total += partial
     return MacdonaldEvaluation(
         t=float(t), s=tuple(complex(v) for v in s),
-        value=complex(total), error=float(total_est.error), per_vertex=tuple(partials),
+        value=complex(total), error=float(total_est.error + noise), per_vertex=tuple(partials),
     )
 
 
@@ -185,7 +187,8 @@ def macdonald_volume(P: Polytope, t: float, limit_cfg: LimitConfig | None = None
     extra degree supplies the truncation part of the error estimate.  The
     alternative order ("sigma_then_eps") fits in sigma at each fixed eps and
     extrapolates the intercepts; it exists for limit-interchange experiments.
-    Raises ImaginaryResidue when the intercept keeps a significant imaginary
+    The error also carries the rounding floor 3e-15 * gross, as in
+    macdonald_sum.  Raises ImaginaryResidue when the intercept keeps a significant imaginary
     part and PoorFit when residuals dwarf every accounted error source.
     """
     if limit_order not in ("eps_then_sigma", "sigma_then_eps"):
@@ -218,10 +221,9 @@ def macdonald_volume(P: Polytope, t: float, limit_cfg: LimitConfig | None = None
     grid = np.empty((len(sigmas), len(eps)), dtype=complex)
     gross = 0.0
     for j, sig in enumerate(sigmas):
-        for k, e in enumerate(eps):
-            res = damped_transform_sum(terms, sig * x, cfg, e)
-            grid[j, k] = res.value
-            gross = max(gross, res.gross)
+        levels = damped_transform_levels(terms, sig * x, cfg)
+        grid[j] = levels.value
+        gross = max(gross, float(levels.gross.max()))
     noise = 3e-15 * gross
     degree = lc.fit_degree if lc.fit_degree is not None else d + 1
     next_degree = min(degree + 1, len(sigmas) - 1)
@@ -252,7 +254,7 @@ def macdonald_volume(P: Polytope, t: float, limit_cfg: LimitConfig | None = None
         raise PoorFit(f"fit residual {rms:.2e} exceeds 10x accounted errors ({point_err:.2e}, {fit_err:.2e})")
     if abs(c0.imag) > 1e-6 * (1.0 + abs(c0.real)):
         raise ImaginaryResidue(f"imaginary part {c0.imag:.2e} at the intercept")
-    return Estimate(float(c0.real), float(fit_err + point_err + abs(c0.imag)), "sigma_fit")
+    return Estimate(float(c0.real), float(fit_err + point_err + abs(c0.imag) + noise), "sigma_fit")
 
 
 # ----------------------------- verifiers ------------------------------------
@@ -271,13 +273,11 @@ def verify_cone_reciprocity(cone: SimpleCone, shift, s, cfg: DampedSumConfig | N
     plus = [ConeSumTerm(1.0, cone.shifted(cone.apex + shift))]
     minus = [ConeSumTerm(1.0, cone.shifted(cone.apex - shift))]
 
-    per_eps = []
-    for e in cfg.eps_schedule:
-        lv = damped_transform_sum(plus, -s, cfg, e).value
-        rv = damped_transform_sum(minus, s, cfg, e).value
-        per_eps.append((e, abs(lv - sign * rv)))
-    lhs = extrapolate_eps(lambda e: damped_transform_sum(plus, -s, cfg, e).value, cfg)
-    rhs = extrapolate_eps(lambda e: damped_transform_sum(minus, s, cfg, e).value, cfg)
+    lv = damped_transform_levels(plus, -s, cfg).value
+    rv = damped_transform_levels(minus, s, cfg).value
+    per_eps = [(e, float(abs(a - sign * b))) for e, a, b in zip(cfg.eps_schedule, lv, rv)]
+    lhs = extrapolate_eps(dict(zip(cfg.eps_schedule, lv)), cfg)
+    rhs = extrapolate_eps(dict(zip(cfg.eps_schedule, rv)), cfg)
     residual = abs(lhs.value - sign * rhs.value)
     return IdentityReport(
         identity="cone_reciprocity",

@@ -87,10 +87,16 @@ def phi(cfg: DampedSumConfig, eps: float, t) -> float:
     return float(eps ** (-d / cfg.p) * math.exp(-(cfg.c / eps) * np.sum(np.abs(t) ** cfg.p)))
 
 
+def clip_cutoff(p: float, c: float, eps: float) -> float:
+    """Distance beyond which the 1-D damping density eps^(-1/p) exp(-(c/eps)|x|^p)
+    has dropped by the factor e^-45."""
+    return (eps * 45.0 / c) ** (1.0 / p)
+
+
 def _quad_window(cfg: DampedSumConfig, eps: float, im_max: float) -> float:
     """Window half-width where the 1-D integrand drops below the tail target."""
     c = cfg.c
-    L = (eps * 45.0 / c) ** (1.0 / cfg.p)
+    L = clip_cutoff(cfg.p, c, eps)
     for _ in range(8):
         L = (eps * (45.0 + 2.0 * math.pi * im_max * L) / c) ** (1.0 / cfg.p)
     return min(cfg.quad_halfwidth, max(L, 1e-3))

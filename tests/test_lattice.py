@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import solidsum as ss
-from solidsum.lattice import ConeSumTerm, damped_direct_sum, damped_transform_sum
+from solidsum import lattice
+from solidsum.lattice import ConeSumTerm, DampedSumResult, damped_direct_sum, damped_transform_levels
+from solidsum.transforms import phi_hat_1d_grid
 
 SQRT3 = math.sqrt(3.0)
 
@@ -14,53 +16,150 @@ def quadrant_terms(quadrant):
     return [ConeSumTerm(1.0, quadrant)]
 
 
+def one_level(terms, s, eps, **cfg_kw):
+    """Engine sum at the single damping level eps, as a DampedSumResult."""
+    lev = damped_transform_levels(terms, s, ss.DampedSumConfig(eps_schedule=(eps,), **cfg_kw))
+    return DampedSumResult(complex(lev.value[0]), float(lev.tail[0]), float(lev.gross[0]))
+
+
 class TestTransformSum:
     def test_matches_direct_space(self, quadrant, quadrant_terms):
         cfg = ss.DampedSumConfig()
         s = np.array([0.3 + 0.2j, -0.1 + 0.4j])
         for eps in (0.5, 0.1, 0.05, 0.0125):
-            a = damped_transform_sum(quadrant_terms, s, cfg, eps)
+            a = one_level(quadrant_terms, s, eps)
             b = damped_direct_sum(quadrant, s, cfg, eps)
             assert abs(a.value - b.value) < 1e-6
 
     def test_opposite_coefficients_cancel(self, quadrant):
-        cfg = ss.DampedSumConfig()
         terms = [ConeSumTerm(1.0, quadrant), ConeSumTerm(-1.0, quadrant)]
-        r = damped_transform_sum(terms, np.array([0.2 + 0.1j, 0.3 + 0.1j]), cfg, 0.1)
+        r = one_level(terms, np.array([0.2 + 0.1j, 0.3 + 0.1j]), 0.1)
         assert r.value == 0j
 
     def test_large_eps_tail_negligible(self, quadrant_terms):
-        cfg = ss.DampedSumConfig()
-        r = damped_transform_sum(quadrant_terms, np.array([0.2 + 0.1j, 0.3 - 0.2j]), cfg, 10.0)
+        r = one_level(quadrant_terms, np.array([0.2 + 0.1j, 0.3 - 0.2j]), 10.0)
         assert r.tail < 1e-12
 
     def test_pole_hit_reports_lattice_point(self, quadrant_terms):
-        cfg = ss.DampedSumConfig()
         with pytest.raises(ss.PoleHit) as exc:
-            damped_transform_sum(quadrant_terms, np.array([0.0 + 0j, 0.3 + 0j]), cfg, 0.1)
+            one_level(quadrant_terms, np.array([0.0 + 0j, 0.3 + 0j]), 0.1)
         assert exc.value.lattice_point is not None
 
     def test_reflection_symmetry(self, triangle):
         # value at -s equals (-1)^d times the value at s with apexes negated
-        cfg = ss.DampedSumConfig()
         s = np.array([0.22 + 0.13j, 0.37 - 0.08j])
         cones = [ss.vertex_simple_cones(triangle, i)[0] for i in range(3)]
         terms = [ConeSumTerm(1.0, c) for c in cones]
         reflected = [ConeSumTerm(1.0, c.shifted(-c.apex)) for c in cones]
         for eps in (0.25, 0.0625):
-            a = damped_transform_sum(terms, -s, cfg, eps)
-            b = damped_transform_sum(reflected, s, cfg, eps)
+            a = one_level(terms, -s, eps)
+            b = one_level(reflected, s, eps)
             assert abs(a.value - b.value) < 1e-13  # (-1)^2 = 1
 
     def test_truncation_tail_shrinks_in_radius(self, quadrant_terms):
         s = np.array([0.2 + 0.1j, 0.3 + 0.1j])
         tails = []
         for R in (10, 16, 22):
-            cfg = ss.DampedSumConfig(truncation_radius=R)
-            tails.append(damped_transform_sum(quadrant_terms, s, cfg, 0.05).tail)
+            tails.append(one_level(quadrant_terms, s, 0.05, truncation_radius=R).tail)
         assert tails[1] < 0.5 * tails[0]
         assert tails[2] < 0.5 * tails[1]
 
+
+
+def per_level_reference(terms, s, cfg):
+    """Each eps level summed on its own: that level's box, term by term, with
+    the shell tail taken over the points with ||m||_inf = R."""
+    s = np.atleast_1d(np.asarray(s, dtype=complex))
+    d = s.size
+    pref = (-2j * math.pi) ** (-d)
+    out = []
+    for eps in cfg.eps_schedule:
+        R = cfg.radius_for(eps)
+        ms = np.arange(-R, R + 1)
+        M = np.stack(np.meshgrid(*([ms] * d), indexing="ij"), axis=-1).reshape(-1, d)
+        Z = M + s
+        phi_vals = np.ones(M.shape[0], dtype=complex)
+        for k in range(d):
+            z = ms + s[k]
+            table = np.exp(-math.pi * eps * z * z) if cfg.p == 2.0 else phi_hat_1d_grid(cfg, eps, z)
+            phi_vals *= table[M[:, k] + R]
+        shell = np.max(np.abs(M), axis=1) == R
+        value, tail, gross = 0j, 0.0, 0.0
+        for term in terms:
+            cone = term.cone
+            denoms = Z @ cone.generators.T
+            mags = np.abs(denoms)
+            row = int(np.argmin(np.min(mags, axis=1)))
+            if mags[row].min() <= 1e-10:
+                raise ss.PoleHit("pole", lattice_point=tuple(int(v) for v in M[row]))
+            contrib = (complex(term.coefficient) * pref * abs(cone.det) * phi_vals
+                       / np.prod(denoms, axis=1) * np.exp(2j * math.pi * (Z @ cone.apex)))
+            value += contrib.sum()
+            gross += float(np.abs(contrib).sum())
+            tail += float(np.abs(contrib[shell]).sum())
+        out.append((value, tail, gross))
+    return out
+
+
+def shifted_vertex_terms(P, t):
+    """Vertex cones of t*P with varied complex coefficients."""
+    return [ConeSumTerm(1.0 - 0.4j * i, c.shifted(t * P.vertices[i]))
+            for i in range(P.n_vertices) for c in ss.vertex_simple_cones(P, i)]
+
+
+def segment_terms():
+    return [ConeSumTerm(1.0, ss.simple_cone([0.31], [[1.0]])),
+            ConeSumTerm(-0.5 + 0.2j, ss.simple_cone([1.7], [[-2.0]]))]
+
+
+ENGINE_CASES = {
+    # (dim, config, chunk limit); the default schedule has radii 30 (six
+    # levels), 39, 55, 77 and 109
+    "1d-default": (1, {}, None),
+    "2d-default": (2, {}, None),
+    "2d-fixed-R": (2, {"truncation_radius": 12}, None),
+    "2d-p1.5": (2, {"p": 1.5, "eps_schedule": (0.05, 0.02, 0.01)}, None),
+    "3d-fixed-R": (3, {"eps_schedule": (0.5, 0.25, 0.125, 0.0625), "truncation_radius": 8}, None),
+    # radii 30, 30, 34: the 69^3 box is split into two slabs
+    "3d-mixed-chunked": (3, {"eps_schedule": (0.05, 0.02, 0.01)}, None),
+    # slabs of three rows, with shell tails far above rounding
+    "3d-fixed-R-slabs": (3, {"eps_schedule": (0.5, 0.25, 0.125, 0.0625), "truncation_radius": 8}, 1000),
+}
+
+
+class TestLevelsEngine:
+    @pytest.mark.parametrize("case", list(ENGINE_CASES))
+    def test_matches_per_level_reference(self, case, triangle, tetrahedron, monkeypatch):
+        d, cfg_kw, chunk_limit = ENGINE_CASES[case]
+        if chunk_limit is not None:
+            monkeypatch.setattr(lattice, "CHUNK_LIMIT", chunk_limit)
+        cfg = ss.DampedSumConfig(**cfg_kw)
+        terms = {1: segment_terms(), 2: shifted_vertex_terms(triangle, 1.37),
+                 3: shifted_vertex_terms(tetrahedron, 1.3)}[d]
+        s = np.array([0.21 + 0.13j, 0.37 - 0.08j, 0.11 + 0.05j][:d])
+        lev = damped_transform_levels(terms, s, cfg)
+        ref = per_level_reference(terms, s, cfg)
+        assert lev.value.shape == lev.tail.shape == lev.gross.shape == (len(cfg.eps_schedule),)
+        for k, (value, tail, gross) in enumerate(ref):
+            assert abs(lev.value[k] - value) <= 3e-15 * gross
+            assert lev.gross[k] == pytest.approx(gross, rel=1e-12)
+            assert lev.tail[k] == pytest.approx(tail, rel=1e-12, abs=1e-300)
+
+    def test_pole_in_largest_box_only(self):
+        # <w_0, m+s> vanishes at the single lattice point (41, -29), which lies
+        # outside the boxes of radius 30 and 39 but inside those of 55, 77, 109
+        r2 = math.sqrt(2.0)
+        cone = ss.simple_cone([0.0, 0.0], [[1.0, r2], [1.0, -math.sqrt(3.0)]])
+        s = np.array([-41.0 - r2 * (0.2 - 29.0), 0.2], dtype=complex)
+        terms = [ConeSumTerm(1.0, cone)]
+        cfg = ss.DampedSumConfig()
+        with pytest.raises(ss.PoleHit) as want:
+            per_level_reference(terms, s, cfg)
+        with pytest.raises(ss.PoleHit) as got:
+            damped_transform_levels(terms, s, cfg)
+        assert want.value.lattice_point == (41, -29)
+        assert got.value.lattice_point == want.value.lattice_point
+        assert got.value.generator_index == 0
 
 class TestDirectSum:
     def test_geometric_series_closed_form(self, quadrant, quadrant_terms):
@@ -74,7 +173,7 @@ class TestDirectSum:
             lambda e: damped_direct_sum(quadrant, s, cfg, e).value, cfg)
         assert abs(est.value - closed) < 1e-6
         est_t = ss.extrapolate_eps(
-            lambda e: damped_transform_sum(quadrant_terms, s, cfg, e).value, cfg)
+            lambda e: one_level(quadrant_terms, s, e).value, cfg)
         assert abs(est_t.value - closed) < 1e-6
 
     def test_real_argument_outside_convergence_domain(self, quadrant):

@@ -27,13 +27,13 @@ class TestMacdonaldSum:
     def test_zero_dilation_collapses_exponentials(self, triangle):
         # t = 0 puts every apex at the origin; cross-check against a direct
         # engine call on the same cones
-        from solidsum.lattice import damped_transform_sum
+        from solidsum.lattice import damped_transform_levels
         cfg = ss.DampedSumConfig()
         s = np.array([0.27 + 0.13j, 0.41 - 0.22j])
         terms = [ss.ConeSumTerm(1.0, c.shifted([0.0, 0.0])) for c in vertex_cones(triangle)]
         ev = ss.macdonald_sum(triangle, 0.0, s, cfg)
         ref = ss.extrapolate_eps(
-            lambda e: damped_transform_sum(terms, s, cfg, e).value, cfg)
+            lambda e: damped_transform_levels(terms, s, ss.DampedSumConfig(eps_schedule=(e,))).value[0], cfg)
         assert abs(ev.value - ref.value) < 1e-13
 
     def test_pole_hit_at_zero(self, square):
@@ -100,16 +100,16 @@ class TestMacdonaldVolume:
     def test_triangulation_independence(self):
         # two different simplicial splits of the cone over a square must give
         # identical damped sums
-        from solidsum.lattice import damped_transform_sum
-        cfg = ss.DampedSumConfig(truncation_radius=12)
+        from solidsum.lattice import damped_transform_levels
+        cfg = ss.DampedSumConfig(eps_schedule=(0.1,), truncation_radius=12)
         s = np.array([0.27 + 0.11j, 0.19 - 0.07j, 0.33 + 0.21j])
         e1, e2, e13, e23 = [1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]
         split_a = [ss.simple_cone([0, 0, 0], [e1, e2, e13]),
                    ss.simple_cone([0, 0, 0], [e2, e13, e23])]
         split_b = ss.triangulate_cone([0, 0, 0], np.array([e1, e2, e13, e23], dtype=float))
-        va = sum(damped_transform_sum([ss.ConeSumTerm(1.0, c)], s, cfg, 0.1).value
+        va = sum(damped_transform_levels([ss.ConeSumTerm(1.0, c)], s, cfg).value[0]
                  for c in split_a)
-        vb = sum(damped_transform_sum([ss.ConeSumTerm(1.0, c)], s, cfg, 0.1).value
+        vb = sum(damped_transform_levels([ss.ConeSumTerm(1.0, c)], s, cfg).value[0]
                  for c in split_b)
         assert abs(va - vb) < 1e-12
 
@@ -137,6 +137,36 @@ class TestConeReciprocity:
         # rhs stored with the parity sign already applied
         assert abs(rep.lhs - rep.rhs) == rep.residual
 
+
+
+class TestEngineCalls:
+    """Each damped sum is one engine pass covering every eps level."""
+
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        from solidsum import macdonald
+        calls = []
+        engine = macdonald.damped_transform_levels
+
+        def counting(terms, s, cfg):
+            calls.append(len(cfg.eps_schedule))
+            return engine(terms, s, cfg)
+
+        monkeypatch.setattr(macdonald, "damped_transform_levels", counting)
+        return calls
+
+    def test_volume_one_call_per_sigma(self, square, engine_calls):
+        sigmas = tuple(np.geomspace(0.02, 0.0005, 7))
+        ss.macdonald_volume(square, 1.0, ss.LimitConfig(sigma_schedule=sigmas))
+        assert engine_calls == [10] * len(sigmas)
+
+    def test_sum_one_call_per_vertex(self, triangle, engine_calls):
+        ss.macdonald_sum(triangle, 1.37, np.array([0.21 + 0.1j, 0.33 - 0.05j]))
+        assert engine_calls == [10] * triangle.n_vertices
+
+    def test_reciprocity_one_call_per_side(self, quadrant, engine_calls):
+        ss.verify_cone_reciprocity(quadrant, [0.5, math.sqrt(2.0)], np.array([0.31 + 0.17j, 0.23 - 0.11j]))
+        assert engine_calls == [10, 10]
 
 class TestBrion:
     def test_square_complex_s(self, square):
