@@ -75,7 +75,7 @@ from .macdonald import (
     verify_macdonald,
 )
 from .numerics import Estimate
-from .oracle import OracleResult, alpha_oracle, discrete_volume, point_weight
+from .oracle import OracleResult, discrete_volume, point_weight
 from .transforms import (
     DampedSumConfig,
     cone_transform,

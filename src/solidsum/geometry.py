@@ -1,7 +1,9 @@
 """Polytopes, vertex tangent cones, cone triangulation, faces, lattice points.
 
-Polytopes are stored by their vertices (V-representation); half-space data is
-derived on demand from the convex hull for dim <= 3.  All objects are immutable
+Polytopes are stored by their vertices (V-representation).  Each polytope
+builds its convex hull at most once, on first use, and derives its facet
+inequalities (H-representation) from it once; both are cached on the polytope,
+the inequalities as read-only arrays.  All objects are otherwise immutable
 after construction and every operation is a pure function.
 """
 
@@ -11,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -46,6 +49,15 @@ class Polytope:
     @property
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
+
+    @cached_property
+    def _hull(self) -> ConvexHull:
+        """Convex hull of the vertices (dim >= 2), built on first use."""
+        return ConvexHull(self.vertices)
+
+    @cached_property
+    def _half_spaces(self) -> tuple:
+        return _facet_inequalities(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,13 +221,20 @@ def dilate(P: Polytope, t: float) -> Polytope:
 # ----------------------------- half-spaces ---------------------------------
 
 def half_spaces(P: Polytope):
-    """Facet inequalities A x <= b with unit rows of A (derived from the hull)."""
+    """Facet inequalities A x <= b with unit rows of A (derived from the hull).
+
+    Computed once per polytope and cached on it; the returned arrays are
+    read-only and shared by every caller.
+    """
+    return P._half_spaces
+
+
+def _facet_inequalities(P: Polytope) -> tuple:
     V = P.vertices
     if P.dim == 1:
         lo, hi = float(V[:, 0].min()), float(V[:, 0].max())
-        return np.array([[-1.0], [1.0]]), np.array([-lo, hi])
-    hull = ConvexHull(V)
-    eqs = hull.equations  # rows [a | c] with a x + c <= 0
+        return _readonly(np.array([[-1.0], [1.0]])), _readonly(np.array([-lo, hi]))
+    eqs = P._hull.equations  # rows [a | c] with a x + c <= 0
     A = eqs[:, :-1]
     b = -eqs[:, -1]
     norms = np.linalg.norm(A, axis=1)
@@ -228,7 +247,7 @@ def half_spaces(P: Polytope):
         if key not in seen:
             seen.add(key)
             keep.append(i)
-    return A[keep], b[keep]
+    return _readonly(A[keep]), _readonly(b[keep])
 
 
 def cone_halfplanes_2d(apex, g1, g2):
@@ -251,14 +270,13 @@ def contains(P: Polytope, x, t: float = 1.0, tol: float = BOUNDARY_TOL) -> bool:
 
 # ----------------------------- adjacency -----------------------------------
 
-def _hull_cycle_2d(V: np.ndarray) -> list:
-    hull = ConvexHull(V)
-    return [int(i) for i in hull.vertices]  # counterclockwise cycle
+def _hull_cycle_2d(P: Polytope) -> list:
+    return [int(i) for i in P._hull.vertices]  # counterclockwise cycle
 
 
 def _facet_groups_3d(P: Polytope):
     """Merged (non-simplicial) facets of a 3-polytope: list of (vertex set, normal, offset)."""
-    hull = ConvexHull(P.vertices)
+    hull = P._hull
     groups = {}
     for simplex, eq in zip(hull.simplices, hull.equations):
         n = eq[:-1] / np.linalg.norm(eq[:-1])
@@ -289,7 +307,7 @@ def edges(P: Polytope) -> list:
     if P.dim == 1:
         return [(0, 1)] if P.n_vertices == 2 else []
     if P.dim == 2:
-        cyc = _hull_cycle_2d(P.vertices)
+        cyc = _hull_cycle_2d(P)
         return sorted(tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))) for i in range(len(cyc)))
     if P.dim == 3:
         out = set()

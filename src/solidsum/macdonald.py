@@ -40,6 +40,7 @@ DIRECTION_POLE_TOL = 1e-8
 SIGMA_POINTS = 7
 SIGMA_SPAN = 30.0
 SIGMA_PHASE_BUDGET = 0.3   # max phase (radians) of the fastest term at sigma_max
+GRAM_MARGIN = 1e-9         # Brianchon-Gram sample points this close to a facet plane are redrawn
 
 
 @dataclass(frozen=True)
@@ -95,14 +96,18 @@ def sqrt3_triangle() -> Polytope:
 
 # ----------------------------- core evaluators ------------------------------
 
-def _vertex_terms(P: Polytope, t: float):
+def _vertex_cones(P: Polytope) -> list:
+    """Simple cones of each vertex's tangent cone, in vertex order."""
+    return [vertex_simple_cones(P, i) for i in range(P.n_vertices)]
+
+
+def _vertex_terms(P: Polytope, t: float, vertex_cones: list):
     """Per-vertex signed simple-cone terms for the dilate t*P (apex t*v,
     generators unchanged: cones at the origin are dilation invariant)."""
     out = []
-    for i in range(P.n_vertices):
-        cones = vertex_simple_cones(P, i)
-        apex = t * P.vertices[i]
-        out.append((P.vertices[i], [ConeSumTerm(1.0, c.shifted(apex)) for c in cones]))
+    for v, cones in zip(P.vertices, vertex_cones):
+        apex = t * v
+        out.append((v, [ConeSumTerm(1.0, c.shifted(apex)) for c in cones]))
     return out
 
 
@@ -121,7 +126,7 @@ def macdonald_sum(P: Polytope, t: float, s, cfg: DampedSumConfig | None = None) 
     cfg = cfg or DampedSumConfig()
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     eps = list(cfg.eps_schedule)
-    vertex_terms = _vertex_terms(P, t)
+    vertex_terms = _vertex_terms(P, t, _vertex_cones(P))
     per_eps = np.empty((len(vertex_terms), len(eps)), dtype=complex)
     gross = np.zeros(len(eps))
     for i, (_, terms) in enumerate(vertex_terms):
@@ -196,7 +201,8 @@ def macdonald_volume(P: Polytope, t: float, limit_cfg: LimitConfig | None = None
     cfg = cfg or DampedSumConfig()
     lc = limit_cfg or LimitConfig()
     d = P.dim
-    all_cones = [c for i in range(P.n_vertices) for c in vertex_simple_cones(P, i)]
+    vertex_cones = _vertex_cones(P)
+    all_cones = [c for cones in vertex_cones for c in cones]
     R = cfg.radius_for(min(cfg.eps_schedule))
 
     candidates = []
@@ -216,7 +222,7 @@ def macdonald_volume(P: Polytope, t: float, limit_cfg: LimitConfig | None = None
         raise PoleHit("no certified generic direction found")
     x, sigmas = chosen
 
-    terms = [term for _, vterms in _vertex_terms(P, t) for term in vterms]
+    terms = [term for _, vterms in _vertex_terms(P, t, vertex_cones) for term in vterms]
     eps = list(cfg.eps_schedule)
     grid = np.empty((len(sigmas), len(eps)), dtype=complex)
     gross = 0.0
@@ -333,7 +339,13 @@ def conjecture_check(P: Polytope, cfg: DampedSumConfig | None = None,
 
 def brianchon_gram_check(P: Polytope, n_points: int = 100, seed: int = 0) -> GramCheckResult:
     """Exact indicator identity 1_P(x) = sum_F (-1)^dim(F) 1_{K_F}(x) at random
-    points; points within 1e-9 of any facet plane are resampled."""
+    points; points within GRAM_MARGIN of any facet plane are resampled.
+
+    All points are drawn in one batch, which is the same random stream as
+    drawing them one by one.  If a drawn point needs resampling, the points
+    from it on are drawn again one at a time from the same stream position,
+    so the sampled points never depend on the batching.
+    """
     A, b = half_spaces(P)
     face_list = faces(P)
     actives = [face_tangent_cone_active_facets(P, f) for f in face_list]
@@ -343,16 +355,27 @@ def brianchon_gram_check(P: Polytope, n_points: int = 100, seed: int = 0) -> Gra
     halfwidth = np.maximum(0.5 * (hi - lo), 1.0)
     rng = np.random.default_rng(seed)
 
-    failures = []
-    for _ in range(n_points):
-        while True:
-            x = center + (rng.random(P.dim) * 4.0 - 2.0) * halfwidth
-            if np.min(np.abs(A @ x - b)) > 1e-9:
-                break
-        lhs = int(np.all(A @ x <= b))
-        rhs = sum(f.sign * int(np.all(A[act] @ x <= b[act])) for f, act in zip(face_list, actives))
-        if lhs != rhs:
-            failures.append((tuple(float(v) for v in x), lhs, int(rhs)))
+    def draw(shape):
+        return center + (rng.random(shape) * 4.0 - 2.0) * halfwidth
+
+    state = rng.bit_generator.state
+    X = draw((n_points, P.dim))
+    near = np.flatnonzero(np.min(np.abs(X @ A.T - b), axis=1) <= GRAM_MARGIN)
+    if near.size:
+        first = int(near[0])
+        rng.bit_generator.state = state
+        X = list(draw((first, P.dim)))
+        while len(X) < n_points:
+            x = draw(P.dim)
+            if np.min(np.abs(A @ x - b)) > GRAM_MARGIN:
+                X.append(x)
+        X = np.array(X)
+
+    inside = X @ A.T <= b
+    lhs = np.all(inside, axis=1).astype(int)
+    rhs = sum(f.sign * np.all(inside[:, act], axis=1).astype(int) for f, act in zip(face_list, actives))
+    failures = [(tuple(float(v) for v in X[i]), int(lhs[i]), int(rhs[i]))
+                for i in np.flatnonzero(lhs != rhs)]
     return GramCheckResult(
         passed=not failures, n_points=n_points,
         n_failures=len(failures), counterexamples=tuple(failures[:5]),

@@ -16,7 +16,6 @@ import numpy as np
 from .angles import sample_lp_ball, solid_angle_exact_2d, solid_angle_exact_2d_l1
 from .errors import UnsupportedCombination
 from .geometry import Polytope, half_spaces, lattice_points, vertex_simple_cones
-from .numerics import Estimate
 
 INCIDENCE_TOL = 1e-9
 
@@ -40,6 +39,16 @@ def _mc_halfspace_cone_angle(A_tight: np.ndarray, p: float, n_samples: int,
     return frac, (se if se > 0 else 1.0 / n_samples)
 
 
+def _check_method(P: Polytope, p: float, method: str) -> bool:
+    """Validate a weighting method; True when planar vertex angles are exact."""
+    exact_ok = P.dim <= 2 and p in (1.0, 2.0)
+    if method == "exact2d" and not exact_ok:
+        raise UnsupportedCombination(f"exact weights need dim <= 2 and p in {{1,2}}, got dim={P.dim}, p={p}")
+    if method not in ("auto", "exact2d", "mc"):
+        raise ValueError(f"unknown method {method!r}")
+    return exact_ok and method != "mc"
+
+
 def point_weight(P: Polytope, t: float, m, p: float = 2.0, method: str = "auto",
                  n_samples: int = 20_000, seed: int = 0) -> tuple:
     """Solid angle of the dilate t*P at a point, with its standard error.
@@ -48,12 +57,7 @@ def point_weight(P: Polytope, t: float, m, p: float = 2.0, method: str = "auto",
     tight facet gives 1/2, and a vertex gets its tangent-cone angle (exact in
     the plane for p in {1, 2}, Monte Carlo otherwise).
     """
-    exact_ok = P.dim <= 2 and p in (1.0, 2.0)
-    if method == "exact2d" and not exact_ok:
-        raise UnsupportedCombination(f"exact weights need dim <= 2 and p in {{1,2}}, got dim={P.dim}, p={p}")
-    if method not in ("auto", "exact2d", "mc"):
-        raise ValueError(f"unknown method {method!r}")
-    use_exact = exact_ok and method != "mc"
+    use_exact = _check_method(P, p, method)
 
     m = np.asarray(m, dtype=float)
     A, b = half_spaces(P)
@@ -82,38 +86,45 @@ def point_weight(P: Polytope, t: float, m, p: float = 2.0, method: str = "auto",
     return _mc_halfspace_cone_angle(A[tight], p, n_samples, entropy)
 
 
+def lattice_weights(P: Polytope, t: float, p: float = 2.0, method: str = "auto",
+                    n_samples: int = 20_000, seed: int = 0) -> tuple:
+    """Lattice points of the dilate t*P with their solid-angle weights and
+    standard errors, as arrays ``(points, weights, std_errors)``.
+
+    The facet slacks of all points come from one matrix product, which
+    settles every point with at most one tight facet (weight 1 or 1/2, no
+    error).  Only points with two or more tight facets (vertices, and in 3-D
+    edge points) go through ``point_weight``, with the same per-point seeds.
+    """
+    _check_method(P, p, method)
+    pts = lattice_points(P, t)
+    A, b = half_spaces(P)
+    slack = t * b - pts @ A.T
+    n_tight = np.count_nonzero(np.abs(slack) <= INCIDENCE_TOL, axis=1)
+    weights = np.where(n_tight == 0, 1.0, 0.5)
+    weights[np.min(slack, axis=1) < -INCIDENCE_TOL] = 0.0
+    std_errors = np.zeros(len(pts))
+    for i in np.flatnonzero((n_tight >= 2) & (weights > 0.0)):
+        weights[i], std_errors[i] = point_weight(P, t, pts[i], p=p, method=method,
+                                                 n_samples=n_samples, seed=seed)
+    return pts, weights, std_errors
+
+
+def _ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right sum (the order of a scalar loop, unlike numpy's pairwise sum)."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
 def discrete_volume(P: Polytope, t: float, p: float = 2.0, method: str = "auto",
                     n_samples: int = 20_000, seed: int = 0,
                     keep_weights: bool = False) -> OracleResult:
     """Solid-angle weighted lattice-point count of the dilate t*P."""
-    pts = lattice_points(P, t)
-    total = 0.0
-    var = 0.0
-    weights = []
-    for m in pts:
-        w, se = point_weight(P, t, m, p=p, method=method, n_samples=n_samples, seed=seed)
-        total += w
-        var += se * se
-        if keep_weights:
-            weights.append((tuple(int(v) for v in m), w))
+    pts, weights, std_errors = lattice_weights(P, t, p=p, method=method,
+                                               n_samples=n_samples, seed=seed)
     return OracleResult(
-        value=total,
-        std_error=math.sqrt(var),
+        value=_ordered_sum(weights),
+        std_error=math.sqrt(_ordered_sum(std_errors * std_errors)),
         n_lattice_points=len(pts),
-        per_point_weights=tuple(weights) if keep_weights else None,
+        per_point_weights=(tuple(zip(map(tuple, pts.tolist()), weights.tolist()))
+                           if keep_weights else None),
     )
-
-
-def alpha_oracle(P: Polytope, s, p: float = 2.0, method: str = "auto",
-                 n_samples: int = 20_000, seed: int = 0):
-    """Phase-weighted oracle sum_m omega_P(m) exp(2*pi*i*<s, m>) over P's
-    lattice points; ground truth for the Brion identity's polytope side."""
-    s = np.atleast_1d(np.asarray(s, dtype=complex))
-    total = 0j
-    var = 0.0
-    for m in lattice_points(P, 1.0):
-        w, se = point_weight(P, 1.0, m, p=p, method=method, n_samples=n_samples, seed=seed)
-        phase = np.exp(2j * math.pi * complex(np.dot(m.astype(float), s)))
-        total += w * phase
-        var += (se * abs(phase)) ** 2
-    return Estimate(complex(total), math.sqrt(var), "oracle")

@@ -196,3 +196,38 @@ def test_simple_cone_det_validation():
         ss.simple_cone([0, 0], [[1, 1], [2, 2]])
     c = ss.simple_cone([0, 0], [[0, 1], [SQRT3, -1]])
     assert abs(abs(c.det) - SQRT3) < 1e-12
+
+
+class TestHalfSpaceCache:
+    def test_arrays_read_only_and_shared(self, triangle, tetrahedron, golden_segment):
+        for P in (triangle, tetrahedron, golden_segment):
+            A, b = half_spaces(P)
+            assert not A.flags.writeable and not b.flags.writeable
+            with pytest.raises(ValueError):
+                A[0, 0] = 0.0
+            with pytest.raises(ValueError):
+                b[0] = 0.0
+            A2, b2 = half_spaces(P)
+            assert A2 is A and b2 is b
+
+    @pytest.mark.parametrize("fixture, t", [("square", 3.0), ("triangle", 150.25), ("tetrahedron", 2.0)])
+    def test_one_hull_per_polytope(self, fixture, t, request, monkeypatch):
+        import solidsum.geometry as geometry
+        P = request.getfixturevalue(fixture)
+        builds = []
+        real = geometry.ConvexHull
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "ConvexHull", counting)
+        for _ in range(2):
+            half_spaces(P)
+            ss.lattice_points(P, t)
+            ss.discrete_volume(P, t, n_samples=500)
+            ss.brianchon_gram_check(P, n_points=20)
+        assert len(builds) == 1
+        # a dilate is a new polytope with its own hull
+        half_spaces(ss.dilate(P, 2.0))
+        assert len(builds) == 2

@@ -257,6 +257,97 @@ class TestBrianchonGram:
         assert res.n_failures == 0
 
 
+IRRATIONAL_POLYGON = [(0.1, -0.3), (math.pi, 0.2), (2.2, math.e), (-0.7, 1.9)]
+CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+
+
+def gram_reference(P, n_points, seed, margin, active_facets):
+    """brianchon_gram_check as a per-point loop: draw, redraw near a facet
+    plane, then evaluate the indicator identity at the one point."""
+    from solidsum.geometry import half_spaces
+    A, b = half_spaces(P)
+    face_list = ss.faces(P)
+    actives = [active_facets(P, f) for f in face_list]
+    lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
+    center = 0.5 * (lo + hi)
+    halfwidth = np.maximum(0.5 * (hi - lo), 1.0)
+    rng = np.random.default_rng(seed)
+    failures = []
+    for _ in range(n_points):
+        while True:
+            x = center + (rng.random(P.dim) * 4.0 - 2.0) * halfwidth
+            if np.min(np.abs(A @ x - b)) > margin:
+                break
+        lhs = int(np.all(A @ x <= b))
+        rhs = sum(f.sign * int(np.all(A[act] @ x <= b[act])) for f, act in zip(face_list, actives))
+        if lhs != rhs:
+            failures.append((tuple(float(v) for v in x), lhs, int(rhs)))
+    return len(failures), tuple(failures[:5])
+
+
+def drop_one_vertex_facet(P, face):
+    """A wrong active set (vertex cones lose their last facet), so that the
+    identity fails at many points and the comparison sees the sampled points."""
+    from solidsum.geometry import face_tangent_cone_active_facets
+    act = face_tangent_cone_active_facets(P, face)
+    return act[:-1] if face.dim == 0 else act
+
+
+class TestBatchedGramCheck:
+    @pytest.fixture(params=["tetrahedron", "cube", "polygon"])
+    def polytope(self, request):
+        if request.param == "cube":
+            return ss.load_polytope(3, CUBE)
+        if request.param == "polygon":
+            return ss.load_polytope(2, IRRATIONAL_POLYGON)
+        return request.getfixturevalue(request.param)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_per_point_loop(self, polytope, seed, monkeypatch):
+        import solidsum.macdonald as macdonald
+        from solidsum.geometry import face_tangent_cone_active_facets
+        res = ss.brianchon_gram_check(polytope, 300, seed)
+        want = gram_reference(polytope, 300, seed, macdonald.GRAM_MARGIN, face_tangent_cone_active_facets)
+        assert (res.n_failures, res.counterexamples) == want == (0, ())
+        monkeypatch.setattr(macdonald, "face_tangent_cone_active_facets", drop_one_vertex_facet)
+        res = ss.brianchon_gram_check(polytope, 300, seed)
+        want = gram_reference(polytope, 300, seed, macdonald.GRAM_MARGIN, drop_one_vertex_facet)
+        assert want[0] > 0
+        assert (res.n_failures, res.counterexamples) == want
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_resampling_fallback(self, polytope, seed, monkeypatch):
+        import solidsum.macdonald as macdonald
+        # a wide margin rejects many draws, including some of the first few
+        monkeypatch.setattr(macdonald, "GRAM_MARGIN", 0.3)
+        monkeypatch.setattr(macdonald, "face_tangent_cone_active_facets", drop_one_vertex_facet)
+        res = ss.brianchon_gram_check(polytope, 300, seed)
+        want = gram_reference(polytope, 300, seed, 0.3, drop_one_vertex_facet)
+        assert want[0] > 0
+        assert (res.n_failures, res.counterexamples) == want
+        assert res.n_points == 300
+
+    def test_zero_points(self, tetrahedron):
+        res = ss.brianchon_gram_check(tetrahedron, 0)
+        assert (res.passed, res.n_points, res.n_failures) == (True, 0, 0)
+
+
+class TestVertexConesBuiltOnce:
+    def test_macdonald_volume(self, triangle, monkeypatch):
+        import solidsum.macdonald as macdonald
+        calls = []
+        real = macdonald.vertex_simple_cones
+
+        def counting(P, i):
+            calls.append(i)
+            return real(P, i)
+
+        monkeypatch.setattr(macdonald, "vertex_simple_cones", counting)
+        est = ss.macdonald_volume(triangle, 1.0)
+        assert sorted(calls) == [0, 1, 2]
+        assert abs(est.value - 11.0 / 12.0) <= est.error
+
+
 class TestTriangleExample:
     def test_full_report(self):
         rep = ss.triangle_example((0.5, 1.0))

@@ -66,19 +66,111 @@ class TestDiscreteVolume:
 
 
 class TestAlphaOracle:
+    """The phase-weighted oracle sum is ``alpha_polytope_direct``."""
+
     def test_phase_collapse_at_zero(self, triangle):
-        a = ss.alpha_oracle(triangle, np.zeros(2))
+        a = ss.alpha_polytope_direct(triangle, np.zeros(2))
         b = ss.discrete_volume(triangle, 1.0)
         assert a.value == pytest.approx(b.value, abs=1e-12)
         assert abs(a.value.imag) < 1e-15
 
     def test_triangle_real_s(self, triangle):
         s = np.array([0.17, 0.29])
-        got = ss.alpha_oracle(triangle, s)
+        got = ss.alpha_polytope_direct(triangle, s)
         want = (0.25 + (1 / 6) * np.exp(2j * math.pi * s[1])
                 + 0.5 * np.exp(2j * math.pi * s[0]))
         assert abs(got.value - want) < 1e-12
 
     def test_empty(self):
         P = ss.load_polytope(2, [(0.2, 0.2), (0.8, 0.2), (0.8, 0.8), (0.2, 0.8)])
-        assert ss.alpha_oracle(P, np.array([0.4 + 0.2j, 0.1 + 0j])).value == 0j
+        assert ss.alpha_polytope_direct(P, np.array([0.4 + 0.2j, 0.1 + 0j])).value == 0j
+
+
+# ----------------------------- bulk weights vs the per-point loop -----------
+
+IRRATIONAL = [(0.1, -0.3), (math.pi, 0.2), (2.2, math.e), (-0.7, 1.9)]
+
+
+def loop_reference(P, t, **kw):
+    """discrete_volume as a scalar loop of point_weight over the lattice points."""
+    total, var, weights = 0.0, 0.0, []
+    for m in ss.lattice_points(P, t):
+        w, se = ss.point_weight(P, t, m, **kw)
+        total += w
+        var += se * se
+        weights.append((tuple(int(v) for v in m), w))
+    return total, math.sqrt(var), tuple(weights)
+
+
+def assert_matches_loop(P, t, **kw):
+    res = ss.discrete_volume(P, t, keep_weights=True, **kw)
+    value, std_error, weights = loop_reference(P, t, **kw)
+    assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert res.std_error == pytest.approx(std_error, rel=1e-12, abs=0.0)
+    assert res.per_point_weights == weights
+    assert res.n_lattice_points == len(weights)
+    return res
+
+
+class TestBulkWeights:
+    @pytest.mark.parametrize("t", [3.0, 4.5, 7.0, 150.25])
+    def test_square(self, square, t):
+        assert_matches_loop(square, t)
+
+    # 2 + 1/sqrt3 puts (1, 2) on the hypotenuse; sqrt3 makes (3, 0) a vertex
+    @pytest.mark.parametrize("t", [1.0, 4.0, 2.0 + 1.0 / SQRT3, SQRT3, 150.5])
+    def test_triangle(self, triangle, t):
+        res = assert_matches_loop(triangle, t)
+        assert res.std_error == 0.0
+
+    def test_triangle_boundary_weights(self, triangle):
+        on_edge = dict(ss.discrete_volume(triangle, 2.0 + 1.0 / SQRT3, keep_weights=True).per_point_weights)
+        assert on_edge[(1, 2)] == 0.5
+        at_vertex = dict(ss.discrete_volume(triangle, SQRT3, keep_weights=True).per_point_weights)
+        assert at_vertex[(3, 0)] == pytest.approx(1 / 12, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [1.0, 2.5, 7.3])
+    def test_irrational_polygon(self, t):
+        assert_matches_loop(ss.load_polytope(2, IRRATIONAL), t)
+
+    def test_l1_exact(self, triangle):
+        assert_matches_loop(triangle, 5.0, p=1.0, method="exact2d")
+
+    def test_planar_mc(self, triangle):
+        res = assert_matches_loop(triangle, 3.0, method="mc", n_samples=2000, seed=4)
+        assert res.std_error > 0.0
+
+    def test_simplex_mc(self, tetrahedron):
+        res = assert_matches_loop(tetrahedron, 6.0, seed=11)
+        assert res.std_error > 0.0
+
+    def test_empty_dilate(self):
+        P = ss.load_polytope(2, [(0.2, 0.2), (0.8, 0.2), (0.8, 0.8), (0.2, 0.8)])
+        res = ss.discrete_volume(P, 1.0, keep_weights=True)
+        assert (res.value, res.std_error, res.n_lattice_points) == (0.0, 0.0, 0)
+        assert res.per_point_weights == ()
+
+    def test_exact2d_3d_raises_without_corner_points(self):
+        # no lattice point at all, so no point_weight call raises it
+        P = ss.load_polytope(3, [(0.2, 0.2, 0.2), (0.8, 0.2, 0.2), (0.2, 0.8, 0.2), (0.2, 0.2, 0.8)])
+        with pytest.raises(ss.UnsupportedCombination):
+            ss.discrete_volume(P, 1.0, method="exact2d")
+        with pytest.raises(ValueError):
+            ss.discrete_volume(P, 1.0, method="exact")
+
+    def test_point_weight_only_at_corners(self, square, tetrahedron, monkeypatch):
+        import solidsum.oracle as oracle
+        calls = []
+        real = oracle.point_weight
+
+        def counting(P, t, m, **kw):
+            calls.append(tuple(int(v) for v in m))
+            return real(P, t, m, **kw)
+
+        monkeypatch.setattr(oracle, "point_weight", counting)
+        ss.discrete_volume(square, 150.0)
+        assert sorted(calls) == [(0, 0), (0, 150), (150, 0), (150, 150)]
+        calls.clear()
+        # the 4 vertices and the 6 * (t - 1) edge points of the 3-simplex
+        ss.discrete_volume(tetrahedron, 3.0, n_samples=500)
+        assert len(calls) == 4 + 6 * 2
