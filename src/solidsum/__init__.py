@@ -51,7 +51,6 @@ from .geometry import (
     vertex_tangent_cone,
 )
 from .lattice import (
-    ConeSumTerm,
     DampedLevels,
     DampedSumResult,
     alpha_polytope_direct,

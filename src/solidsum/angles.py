@@ -29,7 +29,7 @@ EXACT_2D = "exact2d"
 MC_BALL = "mc_ball"
 GAUSSIAN_LIMIT = "gaussian_limit"
 
-N_CHUNKS = 16   # fixed sample partition; results do not depend on worker count
+N_CHUNKS = 16   # fixed sample partition; it fixes the random stream, so changing it changes every MC value
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,9 @@ def solid_angle_mc(body, x, p: float = 2.0, epsilon: float | None = None,
                    n_samples: int = 100_000, seed: int = 0) -> SolidAngleEstimate:
     """Fraction of a small l^p ball at x that lies in the body (geometric MC).
 
-    Deterministic for a given seed: samples are drawn in 16 fixed chunks with
-    seeds spawned from ``seed``, so the result is independent of any worker
-    count used to process the chunks.
+    Deterministic for a given seed: samples are drawn in N_CHUNKS = 16 fixed
+    chunks with seeds spawned from ``seed``.  The partition fixes the random
+    stream, so changing it changes every Monte Carlo value.
     """
     if epsilon is None:
         epsilon = _default_ball_radius(body, x)

@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -100,7 +99,8 @@ def _jsonable(obj):
 
 
 def _emit(args, payload, csv_rows=None, csv_header=None) -> None:
-    if args.format == "csv" and csv_rows is not None:
+    """Write JSON, or CSV when the command passes rows and ``--format csv``."""
+    if csv_rows is not None and args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(csv_header)
@@ -130,56 +130,61 @@ def _load(args):
     return polytope_from_json(args.polytope)
 
 
-def _add_common(sub, polytope=True, needs_cfg=True, limit=False):
-    if polytope:
-        sub.add_argument("--polytope", required=True, help="path to a polytope JSON file")
-    sub.add_argument("--p", type=float, default=2.0, help="l^p norm parameter (default 2)")
-    sub.add_argument("--seed", type=int, default=0, help="RNG seed for Monte Carlo paths")
-    sub.add_argument("--samples", type=int, default=20_000, help="Monte Carlo sample count")
-    sub.add_argument("--output", default=None, help="output file (default: stdout)")
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
-    sub.add_argument("--threads", type=int,
-                     default=int(os.environ.get("SOLIDSUM_THREADS", "1")),
-                     help="worker hint; results are identical for any value")
-    if needs_cfg:
-        sub.add_argument("--eps0", type=float, default=0.5, help="largest damping level (default 0.5)")
-        sub.add_argument("--eps-levels", type=int, default=10,
-                         help="number of damping levels, halved each step (default 10)")
-        sub.add_argument("--radius", type=int, default=None,
-                         help="sup-norm lattice cutoff R (default: auto from eps)")
-    if limit:
-        sub.add_argument("--direction", default=None, help="generic direction, e.g. '1,1'")
-        sub.add_argument("--sigma", default=None, help="sigma schedule, comma separated")
-        sub.add_argument("--fit-degree", type=int, default=None, help="limit-fit degree (default dim+1)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command; each registers only the flags its handler
+    reads, through the shared flag groups below."""
     parser = argparse.ArgumentParser(
         prog="solidsum",
         description="Generalized l^p solid-angle sums over real convex polytopes",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("solid-angle", help="solid angle of a point with respect to a polytope")
-    _add_common(sp, needs_cfg=False)
+    def group(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    def command(name, parents, summary):
+        # no prefix matching: a flag a command does not take must be an error,
+        # not an abbreviation of another flag (brianchon-gram --p -> --polytope)
+        return subs.add_parser(name, parents=parents + [out], help=summary, allow_abbrev=False)
+
+    out = group()
+    out.add_argument("--output", default=None, help="output file (default: stdout)")
+    poly = group()
+    poly.add_argument("--polytope", required=True, help="path to a polytope JSON file")
+    norm = group()
+    norm.add_argument("--p", type=float, default=2.0, help="l^p norm parameter (default 2)")
+    seed = group()
+    seed.add_argument("--seed", type=int, default=0, help="RNG seed for Monte Carlo paths")
+    mc = group(norm, seed)
+    mc.add_argument("--samples", type=int, default=20_000, help="Monte Carlo sample count")
+    damped = group(norm)
+    damped.add_argument("--eps0", type=float, default=0.5, help="largest damping level (default 0.5)")
+    damped.add_argument("--eps-levels", type=int, default=10,
+                        help="number of damping levels, halved each step (default 10)")
+    damped.add_argument("--radius", type=int, default=None,
+                        help="sup-norm lattice cutoff R (default: auto from eps)")
+    limit = group()
+    limit.add_argument("--direction", default=None, help="generic direction, e.g. '1,1'")
+    limit.add_argument("--sigma", default=None, help="sigma schedule, comma separated")
+    limit.add_argument("--fit-degree", type=int, default=None, help="limit-fit degree (default dim+1)")
+
+    sp = command("solid-angle", [poly, mc], "solid angle of a point with respect to a polytope")
     sp.add_argument("--x", required=True, help="evaluation point, e.g. '0,0'")
 
-    sp = subs.add_parser("alpha", help="solid-angle generating sum over the polytope's lattice points")
-    _add_common(sp, needs_cfg=False)
+    sp = command("alpha", [poly, mc], "solid-angle generating sum over the polytope's lattice points")
     sp.add_argument("--s", required=True, help="complex argument, components 're+imi'")
 
-    sp = subs.add_parser("macdonald", help="dilation solid-angle sum (with --s) or its s->0 limit")
-    _add_common(sp, limit=True)
+    sp = command("macdonald", [poly, damped, limit],
+                 "dilation solid-angle sum (with --s) or its s->0 limit")
     sp.add_argument("--t", required=True, type=float, help="dilation factor")
     sp.add_argument("--s", default=None, help="complex argument; omit to take the s->0 limit")
 
-    sp = subs.add_parser("macdonald-series", help="discrete volume over a range of dilations")
-    _add_common(sp, limit=True)
+    sp = command("macdonald-series", [poly, damped, limit], "discrete volume over a range of dilations")
     sp.add_argument("--t", default=None, help="comma-separated dilations")
     sp.add_argument("--t-range", default=None, help="start:stop:step")
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
 
-    sp = subs.add_parser("verify-reciprocity", help="cone reciprocity residual")
-    _add_common(sp, polytope=False)
+    sp = command("verify-reciprocity", [damped], "cone reciprocity residual")
     sp.add_argument("--apex", default=None, help="cone apex (default origin)")
     sp.add_argument("--generators", default=None,
                     help="semicolon-separated generator rows, e.g. '1,0;0,1' (default identity)")
@@ -187,31 +192,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", required=True)
     sp.add_argument("--tolerance", type=float, default=1e-5)
 
-    sp = subs.add_parser("verify-brion", help="Brion identity residual")
-    _add_common(sp, limit=False)
+    sp = command("verify-brion", [poly, damped], "Brion identity residual")
     sp.add_argument("--s", required=True)
     sp.add_argument("--tolerance", type=float, default=1e-4)
 
-    sp = subs.add_parser("verify-macdonald", help="dilation reciprocity residual")
-    _add_common(sp)
+    sp = command("verify-macdonald", [poly, damped], "dilation reciprocity residual")
     sp.add_argument("--t", required=True, type=float)
     sp.add_argument("--s", required=True)
     sp.add_argument("--tolerance", type=float, default=1e-5)
 
-    sp = subs.add_parser("brianchon-gram", help="indicator identity spot check")
-    _add_common(sp, needs_cfg=False)
+    sp = command("brianchon-gram", [poly, seed], "indicator identity spot check")
     sp.add_argument("--n-points", type=int, default=100)
 
-    sp = subs.add_parser("conjecture", help="discrete volume at t = 0")
-    _add_common(sp, limit=True)
+    sp = command("conjecture", [poly, damped, limit], "discrete volume at t = 0")
     sp.add_argument("--tolerance", type=float, default=1e-3)
 
-    sp = subs.add_parser("triangle-example", help="sqrt(3)-triangle fixture report")
-    _add_common(sp, polytope=False, limit=True)
+    sp = command("triangle-example", [damped, limit], "sqrt(3)-triangle fixture report")
     sp.add_argument("--t", default="0.5,1.0,1.5", help="comma-separated dilations")
 
-    sp = subs.add_parser("oracle", help="brute-force discrete volume")
-    _add_common(sp, needs_cfg=False)
+    sp = command("oracle", [poly, mc], "brute-force discrete volume")
     sp.add_argument("--t", required=True, type=float)
     sp.add_argument("--method", choices=["auto", "exact2d", "mc"], default="auto")
     sp.add_argument("--keep-weights", action="store_true")

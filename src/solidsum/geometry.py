@@ -2,9 +2,10 @@
 
 Polytopes are stored by their vertices (V-representation).  Each polytope
 builds its convex hull at most once, on first use, and derives its facet
-inequalities (H-representation) from it once; both are cached on the polytope,
-the inequalities as read-only arrays.  All objects are otherwise immutable
-after construction and every operation is a pure function.
+inequalities (H-representation) and its triangulated vertex cones from it
+once; all are cached on the polytope, the inequalities as read-only arrays and
+the cones as tuples.  All objects are otherwise immutable after construction
+and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -58,6 +59,12 @@ class Polytope:
     @cached_property
     def _half_spaces(self) -> tuple:
         return _facet_inequalities(self)
+
+    @cached_property
+    def _vertex_cones(self) -> tuple:
+        """Per vertex, its tangent cone fan-triangulated into simple cones."""
+        cones = (vertex_tangent_cone(self, i) for i in range(self.n_vertices))
+        return tuple(tuple(triangulate_cone(c.apex, c.generators)) for c in cones)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,10 +416,15 @@ def _cyclic_generator_order(gens: np.ndarray) -> list:
     return order
 
 
-def vertex_simple_cones(P: Polytope, v_index: int) -> list:
-    """Tangent cone at a vertex, fan-triangulated into simple cones."""
-    cone = vertex_tangent_cone(P, v_index)
-    return triangulate_cone(cone.apex, cone.generators)
+def vertex_simple_cones(P: Polytope, v_index: int) -> tuple:
+    """Tangent cone at a vertex, fan-triangulated into simple cones.
+
+    All vertices are triangulated once per polytope, on first use, and the
+    cones are cached on it; every call returns the same tuple.
+    """
+    if not 0 <= v_index < P.n_vertices:
+        raise BadIndex(f"vertex index {v_index} out of range [0, {P.n_vertices})")
+    return P._vertex_cones[v_index]
 
 
 def normalize_generator(w) -> np.ndarray:

@@ -4,7 +4,7 @@ Every evaluator truncates the lattice to a sup-norm box ||m||_inf <= R(eps);
 limits eps -> 0 are always taken explicitly through ``extrapolate_eps``.
 Transform-space sums
 
-    sum_m sum_terms coef * cone_transform(cone, m + s) * phi_hat(m + s)
+    sum_m sum_cones cone_transform(cone, m + s) * phi_hat(m + s)
 
 are evaluated for every level of the damping schedule in one pass over the
 largest box: only the separable factor phi_hat depends on eps, so the summed
@@ -33,14 +33,6 @@ POLE_GUARD = 1e-10     # minimum |<w_j, m+s>| over the enumerated box
 CHUNK_LIMIT = 300_000  # points per chunk of the box (slabs along the first axis)
 
 TWO_PI_I = 2j * math.pi
-
-
-@dataclass(frozen=True)
-class ConeSumTerm:
-    """Signed simple cone fed to the transform-space engine."""
-
-    coefficient: complex
-    cone: SimpleCone
 
 
 @dataclass(frozen=True)
@@ -115,10 +107,11 @@ def _box_chunks(ms: np.ndarray, d: int):
 
 
 def damped_transform_levels(terms, s, cfg: DampedSumConfig) -> DampedLevels:
-    """Truncated transform-space sum of signed cone terms at every eps level.
+    """Truncated transform-space sum of simple cones at every eps level.
 
-    One pass over the largest box forms r(m) = sum_terms coef * cone term and
-    sum_terms |cone term|; each level's value, gross and shell tail follow by
+    ``terms`` are the SimpleCones, each entering with weight 1.  One pass over
+    the largest box forms r(m) = sum of the cone terms and the sum of their
+    magnitudes; each level's value, gross and shell tail follow by
     contracting them with that level's phi_hat tables.  Raises PoleHit when
     some m + s in the largest box comes within 1e-10 of a denominator zero;
     the caller should perturb s or pick another direction.
@@ -130,11 +123,10 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig) -> DampedLevels:
     pref = (-TWO_PI_I) ** (-d)
 
     prepared = []
-    for term in terms:
-        cone = term.cone
+    for cone in terms:
         if cone.dim != d:
             raise ValueError(f"cone dimension {cone.dim} != len(s) = {d}")
-        amp = complex(term.coefficient) * pref * abs(cone.det)
+        amp = pref * abs(cone.det)
         apex = cone.apex if np.max(np.abs(cone.apex)) > 1e-15 else None
         prepared.append((amp, cone.generators, apex))
 

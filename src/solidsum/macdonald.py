@@ -31,7 +31,7 @@ from .geometry import (
     vertex_simple_cones,
     vertex_tangent_cone,
 )
-from .lattice import ConeSumTerm, alpha_polytope_direct, damped_transform_levels, extrapolate_eps
+from .lattice import alpha_polytope_direct, damped_transform_levels, extrapolate_eps
 from .numerics import Estimate, polynomial_fit_intercept, richardson_extrapolants, richardson_limit
 from .oracle import discrete_volume
 from .transforms import DampedSumConfig
@@ -96,19 +96,11 @@ def sqrt3_triangle() -> Polytope:
 
 # ----------------------------- core evaluators ------------------------------
 
-def _vertex_cones(P: Polytope) -> list:
-    """Simple cones of each vertex's tangent cone, in vertex order."""
-    return [vertex_simple_cones(P, i) for i in range(P.n_vertices)]
-
-
-def _vertex_terms(P: Polytope, t: float, vertex_cones: list):
-    """Per-vertex signed simple-cone terms for the dilate t*P (apex t*v,
-    generators unchanged: cones at the origin are dilation invariant)."""
-    out = []
-    for v, cones in zip(P.vertices, vertex_cones):
-        apex = t * v
-        out.append((v, [ConeSumTerm(1.0, c.shifted(apex)) for c in cones]))
-    return out
+def _vertex_terms(P: Polytope, t: float):
+    """Per-vertex simple cones of the dilate t*P (apex t*v, generators
+    unchanged: cones at the origin are dilation invariant)."""
+    return [(v, [c.shifted(t * v) for c in vertex_simple_cones(P, i)])
+            for i, v in enumerate(P.vertices)]
 
 
 def macdonald_sum(P: Polytope, t: float, s, cfg: DampedSumConfig | None = None) -> MacdonaldEvaluation:
@@ -126,7 +118,7 @@ def macdonald_sum(P: Polytope, t: float, s, cfg: DampedSumConfig | None = None) 
     cfg = cfg or DampedSumConfig()
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     eps = list(cfg.eps_schedule)
-    vertex_terms = _vertex_terms(P, t, _vertex_cones(P))
+    vertex_terms = _vertex_terms(P, t)
     per_eps = np.empty((len(vertex_terms), len(eps)), dtype=complex)
     gross = np.zeros(len(eps))
     for i, (_, terms) in enumerate(vertex_terms):
@@ -181,28 +173,22 @@ def _fallback_directions(d: int, n: int = 20):
 
 
 def macdonald_volume(P: Polytope, t: float, limit_cfg: LimitConfig | None = None,
-                     cfg: DampedSumConfig | None = None,
-                     limit_order: str = "eps_then_sigma") -> Estimate:
+                     cfg: DampedSumConfig | None = None) -> Estimate:
     """Solid-angle discrete volume of the dilate t*P: the s -> 0 limit of
     macdonald_sum along a certified generic direction.
 
-    Evaluates the damped vertex-cone sum on a (sigma, eps) grid.  In the
-    default order each sigma is extrapolated to eps -> 0 first and a
-    polynomial of the configured degree is fitted in sigma; fitting with one
-    extra degree supplies the truncation part of the error estimate.  The
-    alternative order ("sigma_then_eps") fits in sigma at each fixed eps and
-    extrapolates the intercepts; it exists for limit-interchange experiments.
-    The error also carries the rounding floor 3e-15 * gross, as in
-    macdonald_sum.  Raises ImaginaryResidue when the intercept keeps a significant imaginary
-    part and PoorFit when residuals dwarf every accounted error source.
+    Evaluates the damped vertex-cone sum on a (sigma, eps) grid.  Each sigma
+    is extrapolated to eps -> 0 first and a polynomial of the configured
+    degree is fitted in sigma; fitting with one extra degree supplies the
+    truncation part of the error estimate.  The error also carries the
+    rounding floor 3e-15 * gross, as in macdonald_sum.  Raises
+    ImaginaryResidue when the intercept keeps a significant imaginary part and
+    PoorFit when residuals dwarf every accounted error source.
     """
-    if limit_order not in ("eps_then_sigma", "sigma_then_eps"):
-        raise ValueError(f"unknown limit_order {limit_order!r}")
     cfg = cfg or DampedSumConfig()
     lc = limit_cfg or LimitConfig()
     d = P.dim
-    vertex_cones = _vertex_cones(P)
-    all_cones = [c for cones in vertex_cones for c in cones]
+    terms = [c for _, cones in _vertex_terms(P, t) for c in cones]
     R = cfg.radius_for(min(cfg.eps_schedule))
 
     candidates = []
@@ -215,14 +201,13 @@ def macdonald_volume(P: Polytope, t: float, limit_cfg: LimitConfig | None = None
     chosen = None
     for x in candidates:
         sigmas = lc.sigma_schedule or _auto_sigma_schedule(P, t, x)
-        if certify_direction(all_cones, x, sigmas, R) > DIRECTION_POLE_TOL:
+        if certify_direction(terms, x, sigmas, R) > DIRECTION_POLE_TOL:
             chosen = (x, tuple(float(v) for v in sigmas))
             break
     if chosen is None:
         raise PoleHit("no certified generic direction found")
     x, sigmas = chosen
 
-    terms = [term for _, vterms in _vertex_terms(P, t, vertex_cones) for term in vterms]
     eps = list(cfg.eps_schedule)
     grid = np.empty((len(sigmas), len(eps)), dtype=complex)
     gross = 0.0
@@ -234,26 +219,11 @@ def macdonald_volume(P: Polytope, t: float, limit_cfg: LimitConfig | None = None
     degree = lc.fit_degree if lc.fit_degree is not None else d + 1
     next_degree = min(degree + 1, len(sigmas) - 1)
 
-    if limit_order == "eps_then_sigma":
-        ests = [richardson_limit(eps, grid[j], noise_floor=noise) for j in range(len(sigmas))]
-        values = np.array([est.value for est in ests])
-        point_err = max(est.error for est in ests)
-        c0, rms = polynomial_fit_intercept(sigmas, values, degree)
-        c0_next, _ = polynomial_fit_intercept(sigmas, values, next_degree)
-    else:
-        intercepts = []
-        residuals = []
-        alt = []
-        for k in range(len(eps)):
-            ck, rk = polynomial_fit_intercept(sigmas, grid[:, k], degree)
-            intercepts.append(ck)
-            residuals.append(rk)
-            alt.append(polynomial_fit_intercept(sigmas, grid[:, k], next_degree)[0])
-        est = richardson_limit(eps, intercepts, noise_floor=noise)
-        c0 = est.value
-        c0_next = richardson_limit(eps, alt, noise_floor=noise).value
-        point_err = est.error
-        rms = residuals[-1]
+    ests = [richardson_limit(eps, grid[j], noise_floor=noise) for j in range(len(sigmas))]
+    values = np.array([est.value for est in ests])
+    point_err = max(est.error for est in ests)
+    c0, rms = polynomial_fit_intercept(sigmas, values, degree)
+    c0_next, _ = polynomial_fit_intercept(sigmas, values, next_degree)
     fit_err = abs(c0_next - c0)
 
     if rms > 10.0 * (point_err + fit_err + 1e-14):
@@ -276,8 +246,8 @@ def verify_cone_reciprocity(cone: SimpleCone, shift, s, cfg: DampedSumConfig | N
     d = cone.dim
     shift = np.asarray(shift, dtype=float)
     sign = (-1.0) ** d
-    plus = [ConeSumTerm(1.0, cone.shifted(cone.apex + shift))]
-    minus = [ConeSumTerm(1.0, cone.shifted(cone.apex - shift))]
+    plus = [cone.shifted(cone.apex + shift)]
+    minus = [cone.shifted(cone.apex - shift)]
 
     lv = damped_transform_levels(plus, -s, cfg).value
     rv = damped_transform_levels(minus, s, cfg).value

@@ -133,16 +133,15 @@ def phi_hat_1d_grid(cfg: DampedSumConfig, eps: float, z_values: np.ndarray) -> n
 
 def phi_hat(cfg: DampedSumConfig, eps: float, z) -> complex:
     """Transform of the damping function at a complex point (phi_hat(0) = 1)."""
+    if cfg.p != 2.0:
+        return phi_hat_quadrature(cfg, eps, z)
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if cfg.p == 2.0:
-        return complex(np.exp(-math.pi * eps * np.sum(z * z)))
-    factors = [phi_hat_1d_grid(cfg, eps, zk)[0] for zk in z]
-    return complex(np.prod(factors))
+    return complex(np.exp(-math.pi * eps * np.sum(z * z)))
 
 
 def phi_hat_quadrature(cfg: DampedSumConfig, eps: float, z) -> complex:
-    """Quadrature-path transform regardless of p (cross-check for the p = 2
-    closed form)."""
+    """Transform by 1-D quadrature for any p: phi_hat's path for p != 2, and a
+    cross-check of its p = 2 closed form."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     factors = [phi_hat_1d_grid(cfg, eps, zk)[0] for zk in z]
     return complex(np.prod(factors))

@@ -1,9 +1,11 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
+from solidsum import cli
 from solidsum.cli import parse_complex_vector, run
 
 SQRT3 = math.sqrt(3.0)
@@ -94,7 +96,7 @@ def test_bit_identical_reruns(square_path, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["alpha", "--polytope", square_path, "--s", "0.3+0.2i,0.1+0.1i", "--seed", "5"]
     assert run(argv + ["--output", str(a)]) == 0
-    assert run(argv + ["--output", str(b), "--threads", "4"]) == 0
+    assert run(argv + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -129,10 +131,62 @@ def test_input_errors_exit_two(square_path):
     assert run(["macdonald-series", "--polytope", square_path]) == 2
 
 
-def test_threads_env_var_fallback(square_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("SOLIDSUM_THREADS", "7")
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert run(["oracle", "--polytope", square_path, "--t", "1", "--output", str(a)]) == 0
-    monkeypatch.setenv("SOLIDSUM_THREADS", "2")
-    assert run(["oracle", "--polytope", square_path, "--t", "1", "--output", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+class RecordingNamespace(argparse.Namespace):
+    """Namespace that records every attribute a handler reads."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_registered_flag_is_read(square_path, triangle_path, tmp_path):
+    # the cheapest argv per command that still reaches every flag it reads
+    s2 = "0.3+0.1i,0.2-0.2i"
+    argvs = {
+        "solid-angle": ["--polytope", square_path, "--x", "0,0"],
+        "alpha": ["--polytope", square_path, "--s", s2],
+        "macdonald": ["--polytope", square_path, "--t", "1"],
+        "macdonald-series": ["--polytope", square_path, "--t", "1"],
+        "verify-reciprocity": ["--s", s2],
+        "verify-brion": ["--polytope", triangle_path, "--s", s2],
+        "verify-macdonald": ["--polytope", triangle_path, "--t", "1.37", "--s", s2],
+        "brianchon-gram": ["--polytope", square_path, "--n-points", "10"],
+        "conjecture": ["--polytope", triangle_path],
+        "triangle-example": ["--t", "0.5"],
+        "oracle": ["--polytope", square_path, "--t", "2"],
+    }
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(argvs) == set(cli._COMMANDS)
+    out = tmp_path / "out"
+    unread = {}
+    for command, sub in subparsers.choices.items():
+        argv = [command, *argvs[command], "--output", str(out)]
+        ns = RecordingNamespace()
+        ns._read = set()
+        parser.parse_args(argv, namespace=ns)
+        ns._read.clear()
+        cli._COMMANDS[command](ns)
+        registered = {a.dest for a in sub._actions if a.option_strings and a.dest != "help"}
+        if "format" in registered:
+            # reading --format is not enough: csv must actually change the output
+            cli._COMMANDS[command](parser.parse_args(argv + ["--format", "csv"]))
+            if out.read_text().startswith(("{", "[")):
+                ns._read.discard("format")
+        if registered - ns._read:
+            unread[command] = sorted(registered - ns._read)
+    assert unread == {}
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--t", "1", "--format", "csv"],
+    ["macdonald", "--t", "1", "--seed", "3"],
+    ["verify-brion", "--s", "0.3+0.2i,0.1+0.1i", "--samples", "10"],
+    ["brianchon-gram", "--p", "1"],
+])
+def test_removed_flags_are_input_errors(argv, square_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--polytope", square_path])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

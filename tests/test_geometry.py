@@ -85,8 +85,11 @@ class TestTangentCones:
         assert np.allclose(sorted(map(tuple, c.generators)), [(0, 1), (1, 0)])
 
     def test_bad_index(self, triangle):
-        with pytest.raises(ss.BadIndex):
-            ss.vertex_tangent_cone(triangle, 7)
+        for i in (7, 3, -1):
+            with pytest.raises(ss.BadIndex):
+                ss.vertex_tangent_cone(triangle, i)
+            with pytest.raises(ss.BadIndex):
+                ss.vertex_simple_cones(triangle, i)
 
     def test_canonical_determinants(self, triangle):
         dets = []

@@ -5,7 +5,7 @@ import pytest
 
 import solidsum as ss
 from solidsum import lattice
-from solidsum.lattice import ConeSumTerm, DampedSumResult, damped_direct_sum, damped_transform_levels
+from solidsum.lattice import DampedSumResult, damped_direct_sum, damped_transform_levels
 from solidsum.transforms import phi_hat_1d_grid
 
 SQRT3 = math.sqrt(3.0)
@@ -13,7 +13,7 @@ SQRT3 = math.sqrt(3.0)
 
 @pytest.fixture
 def quadrant_terms(quadrant):
-    return [ConeSumTerm(1.0, quadrant)]
+    return [quadrant]
 
 
 def one_level(terms, s, eps, **cfg_kw):
@@ -31,11 +31,6 @@ class TestTransformSum:
             b = damped_direct_sum(quadrant, s, cfg, eps)
             assert abs(a.value - b.value) < 1e-6
 
-    def test_opposite_coefficients_cancel(self, quadrant):
-        terms = [ConeSumTerm(1.0, quadrant), ConeSumTerm(-1.0, quadrant)]
-        r = one_level(terms, np.array([0.2 + 0.1j, 0.3 + 0.1j]), 0.1)
-        assert r.value == 0j
-
     def test_large_eps_tail_negligible(self, quadrant_terms):
         r = one_level(quadrant_terms, np.array([0.2 + 0.1j, 0.3 - 0.2j]), 10.0)
         assert r.tail < 1e-12
@@ -49,10 +44,9 @@ class TestTransformSum:
         # value at -s equals (-1)^d times the value at s with apexes negated
         s = np.array([0.22 + 0.13j, 0.37 - 0.08j])
         cones = [ss.vertex_simple_cones(triangle, i)[0] for i in range(3)]
-        terms = [ConeSumTerm(1.0, c) for c in cones]
-        reflected = [ConeSumTerm(1.0, c.shifted(-c.apex)) for c in cones]
+        reflected = [c.shifted(-c.apex) for c in cones]
         for eps in (0.25, 0.0625):
-            a = one_level(terms, -s, eps)
+            a = one_level(cones, -s, eps)
             b = one_level(reflected, s, eps)
             assert abs(a.value - b.value) < 1e-13  # (-1)^2 = 1
 
@@ -85,14 +79,13 @@ def per_level_reference(terms, s, cfg):
             phi_vals *= table[M[:, k] + R]
         shell = np.max(np.abs(M), axis=1) == R
         value, tail, gross = 0j, 0.0, 0.0
-        for term in terms:
-            cone = term.cone
+        for cone in terms:
             denoms = Z @ cone.generators.T
             mags = np.abs(denoms)
             row = int(np.argmin(np.min(mags, axis=1)))
             if mags[row].min() <= 1e-10:
                 raise ss.PoleHit("pole", lattice_point=tuple(int(v) for v in M[row]))
-            contrib = (complex(term.coefficient) * pref * abs(cone.det) * phi_vals
+            contrib = (pref * abs(cone.det) * phi_vals
                        / np.prod(denoms, axis=1) * np.exp(2j * math.pi * (Z @ cone.apex)))
             value += contrib.sum()
             gross += float(np.abs(contrib).sum())
@@ -102,14 +95,13 @@ def per_level_reference(terms, s, cfg):
 
 
 def shifted_vertex_terms(P, t):
-    """Vertex cones of t*P with varied complex coefficients."""
-    return [ConeSumTerm(1.0 - 0.4j * i, c.shifted(t * P.vertices[i]))
+    """Vertex cones of t*P."""
+    return [c.shifted(t * P.vertices[i])
             for i in range(P.n_vertices) for c in ss.vertex_simple_cones(P, i)]
 
 
 def segment_terms():
-    return [ConeSumTerm(1.0, ss.simple_cone([0.31], [[1.0]])),
-            ConeSumTerm(-0.5 + 0.2j, ss.simple_cone([1.7], [[-2.0]]))]
+    return [ss.simple_cone([0.31], [[1.0]]), ss.simple_cone([1.7], [[-2.0]])]
 
 
 ENGINE_CASES = {
@@ -151,7 +143,7 @@ class TestLevelsEngine:
         r2 = math.sqrt(2.0)
         cone = ss.simple_cone([0.0, 0.0], [[1.0, r2], [1.0, -math.sqrt(3.0)]])
         s = np.array([-41.0 - r2 * (0.2 - 29.0), 0.2], dtype=complex)
-        terms = [ConeSumTerm(1.0, cone)]
+        terms = [cone]
         cfg = ss.DampedSumConfig()
         with pytest.raises(ss.PoleHit) as want:
             per_level_reference(terms, s, cfg)

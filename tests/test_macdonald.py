@@ -30,7 +30,7 @@ class TestMacdonaldSum:
         from solidsum.lattice import damped_transform_levels
         cfg = ss.DampedSumConfig()
         s = np.array([0.27 + 0.13j, 0.41 - 0.22j])
-        terms = [ss.ConeSumTerm(1.0, c.shifted([0.0, 0.0])) for c in vertex_cones(triangle)]
+        terms = [c.shifted([0.0, 0.0]) for c in vertex_cones(triangle)]
         ev = ss.macdonald_sum(triangle, 0.0, s, cfg)
         ref = ss.extrapolate_eps(
             lambda e: damped_transform_levels(terms, s, ss.DampedSumConfig(eps_schedule=(e,))).value[0], cfg)
@@ -79,17 +79,6 @@ class TestMacdonaldVolume:
         est = ss.macdonald_volume(square, 1.0, lc)
         assert abs(est.value - 1.0) < 1e-2
 
-    def test_limit_order_interchange(self, square, triangle):
-        # both limit orders must land on the same value on healthy inputs
-        for P, want in ((square, 4.0), (triangle, 11.0 / 12.0)):
-            t = 2.0 if want == 4.0 else 1.0
-            a = ss.macdonald_volume(P, t, limit_order="eps_then_sigma")
-            b = ss.macdonald_volume(P, t, limit_order="sigma_then_eps")
-            assert abs(a.value - want) < 1e-2
-            assert abs(b.value - want) < 1e-2
-        with pytest.raises(ValueError):
-            ss.macdonald_volume(square, 1.0, limit_order="bogus")
-
     def test_three_simplex_matches_oracle(self, tetrahedron):
         cfg = ss.DampedSumConfig(eps_schedule=tuple(0.5 * 0.5 ** k for k in range(6)),
                                  truncation_radius=30)
@@ -107,10 +96,8 @@ class TestMacdonaldVolume:
         split_a = [ss.simple_cone([0, 0, 0], [e1, e2, e13]),
                    ss.simple_cone([0, 0, 0], [e2, e13, e23])]
         split_b = ss.triangulate_cone([0, 0, 0], np.array([e1, e2, e13, e23], dtype=float))
-        va = sum(damped_transform_levels([ss.ConeSumTerm(1.0, c)], s, cfg).value[0]
-                 for c in split_a)
-        vb = sum(damped_transform_levels([ss.ConeSumTerm(1.0, c)], s, cfg).value[0]
-                 for c in split_b)
+        va = sum(damped_transform_levels([c], s, cfg).value[0] for c in split_a)
+        vb = sum(damped_transform_levels([c], s, cfg).value[0] for c in split_b)
         assert abs(va - vb) < 1e-12
 
 
@@ -333,19 +320,26 @@ class TestBatchedGramCheck:
 
 
 class TestVertexConesBuiltOnce:
-    def test_macdonald_volume(self, triangle, monkeypatch):
-        import solidsum.macdonald as macdonald
-        calls = []
-        real = macdonald.vertex_simple_cones
+    def test_macdonald_volume(self, square, triangle, monkeypatch):
+        # one triangulation per vertex per polytope, shared with
+        # verify_macdonald and discrete_volume
+        from solidsum import geometry
+        apexes = []
+        real = geometry.triangulate_cone
 
-        def counting(P, i):
-            calls.append(i)
-            return real(P, i)
+        def counting(apex, generators):
+            apexes.append(tuple(apex))
+            return real(apex, generators)
 
-        monkeypatch.setattr(macdonald, "vertex_simple_cones", counting)
-        est = ss.macdonald_volume(triangle, 1.0)
-        assert sorted(calls) == [0, 1, 2]
-        assert abs(est.value - 11.0 / 12.0) <= est.error
+        monkeypatch.setattr(geometry, "triangulate_cone", counting)
+        for P, want in ((square, 1.0), (triangle, 11.0 / 12.0)):
+            apexes.clear()
+            est = ss.macdonald_volume(P, 1.0)
+            ss.verify_macdonald(P, 1.37, np.array([0.21 + 0.1j, 0.33 - 0.05j]))
+            ss.discrete_volume(P, 1.0)
+            assert sorted(apexes) == sorted(map(tuple, P.vertices))
+            assert abs(est.value - want) <= est.error
+            assert ss.vertex_simple_cones(P, 0) is ss.vertex_simple_cones(P, 0)
 
 
 class TestTriangleExample:
