@@ -56,7 +56,6 @@ from .lattice import (
     alpha_polytope_direct,
     damped_direct_sum,
     damped_transform_levels,
-    extrapolate_eps,
 )
 from .macdonald import (
     GramCheckResult,
@@ -73,7 +72,7 @@ from .macdonald import (
     verify_cone_reciprocity,
     verify_macdonald,
 )
-from .numerics import Estimate
+from .numerics import Estimate, richardson_limit
 from .oracle import OracleResult, discrete_volume, point_weight
 from .transforms import (
     DampedSumConfig,

@@ -119,14 +119,12 @@ def solid_angle_mc(body, x, p: float = 2.0, epsilon: float | None = None,
 # ----------------------------- exact 2-D ------------------------------------
 
 def _two_generators(cone):
-    if isinstance(cone, (SimpleCone, Cone)):
-        apex, gens = cone.apex, cone.generators
-    else:
-        apex, gens = cone
-        gens = np.atleast_2d(np.asarray(gens, dtype=float))
+    if not isinstance(cone, (SimpleCone, Cone)):
+        raise TypeError(f"unsupported cone type {type(cone).__name__}")
+    gens = cone.generators
     if gens.shape != (2, 2):
         raise DegenerateCone(f"expected 2 generators in the plane, got shape {gens.shape}")
-    return np.asarray(apex, dtype=float), gens[0], gens[1]
+    return gens[0], gens[1]
 
 
 def _check_pointed_2d(g1, g2) -> None:
@@ -141,7 +139,7 @@ def _check_pointed_2d(g1, g2) -> None:
 
 def solid_angle_exact_2d(cone) -> SolidAngleEstimate:
     """Planar angle between the two generators divided by 2*pi (p = 2)."""
-    _, g1, g2 = _two_generators(cone)
+    g1, g2 = _two_generators(cone)
     _check_pointed_2d(g1, g2)
     cross = g1[0] * g2[1] - g1[1] * g2[0]
     angle = math.atan2(abs(cross), float(np.dot(g1, g2)))
@@ -182,7 +180,7 @@ def solid_angle_exact_2d_l1(cone) -> SolidAngleEstimate:
     The unit cross-polytope {|x|+|y| <= 1} has area 2, so the angle equals
     area(diamond intersect cone-at-origin) / 2.
     """
-    _, g1, g2 = _two_generators(cone)
+    g1, g2 = _two_generators(cone)
     _check_pointed_2d(g1, g2)
     A, _ = cone_halfplanes_2d(np.zeros(2), g1, g2)
     poly = _DIAMOND

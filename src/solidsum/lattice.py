@@ -1,7 +1,7 @@
 """Damped Poisson-summation lattice sums over cones and polytopes.
 
 Every evaluator truncates the lattice to a sup-norm box ||m||_inf <= R(eps);
-limits eps -> 0 are always taken explicitly through ``extrapolate_eps``.
+limits eps -> 0 are always taken explicitly by ``numerics.richardson_limit``.
 Transform-space sums
 
     sum_m sum_cones cone_transform(cone, m + s) * phi_hat(m + s)
@@ -25,7 +25,7 @@ import numpy as np
 from .angles import soft_indicator
 from .errors import ConvergenceDomain, PoleHit, UnsupportedDimension
 from .geometry import Polytope, SimpleCone, cone_halfplanes_2d, half_spaces
-from .numerics import Estimate, richardson_limit
+from .numerics import Estimate
 from .oracle import lattice_weights
 from .transforms import DampedSumConfig, clip_cutoff, phi_hat_1d_grid
 
@@ -209,23 +209,6 @@ def damped_direct_sum(body, s, cfg: DampedSumConfig, eps: float) -> DampedSumRes
         shell = np.max(np.abs(M), axis=1) == R
         tail += float(np.abs(contrib[shell]).sum())
     return DampedSumResult(complex(total), tail, gross)
-
-
-def extrapolate_eps(evaluate, cfg: DampedSumConfig) -> Estimate:
-    """eps -> 0 limit of a damped evaluation over cfg.eps_schedule.
-
-    ``evaluate`` is either a callable eps -> complex or a mapping
-    {eps: complex}.  Richardson with a leading O(eps) error model; the error
-    estimate is the difference of the last two extrapolants.
-    """
-    if callable(evaluate):
-        eps = list(cfg.eps_schedule)
-        vals = [complex(evaluate(e)) for e in eps]
-    else:
-        items = sorted(evaluate.items(), key=lambda kv: -kv[0])
-        eps = [k for k, _ in items]
-        vals = [complex(v) for _, v in items]
-    return richardson_limit(eps, vals)
 
 
 def alpha_polytope_direct(P: Polytope, s, p: float = 2.0,

@@ -31,12 +31,11 @@ from .geometry import (
     vertex_simple_cones,
     vertex_tangent_cone,
 )
-from .lattice import alpha_polytope_direct, damped_transform_levels, extrapolate_eps
+from .lattice import alpha_polytope_direct, damped_transform_levels
 from .numerics import Estimate, polynomial_fit_intercept, richardson_extrapolants, richardson_limit
 from .oracle import discrete_volume
 from .transforms import DampedSumConfig
 
-DIRECTION_POLE_TOL = 1e-8
 SIGMA_POINTS = 7
 SIGMA_SPAN = 30.0
 SIGMA_PHASE_BUDGET = 0.3   # max phase (radians) of the fastest term at sigma_max
@@ -48,8 +47,8 @@ class LimitConfig:
     """Controls the s -> 0 limit: direction, sigma schedule, fit degree.
 
     Fields left at None are derived from the polytope: direction defaults to
-    the all-ones vector (with seeded rational fallbacks until the pole-distance
-    certificate passes), the sigma schedule is scaled so the fastest phase
+    the all-ones vector (with seeded rational fallbacks until no sigma raises
+    PoleHit), the sigma schedule is scaled so the fastest phase
     stays within SIGMA_PHASE_BUDGET at its largest point, and the fit degree
     defaults to dim + 1.
     """
@@ -145,25 +144,6 @@ def _auto_sigma_schedule(P: Polytope, t: float, direction: np.ndarray) -> tuple:
     return tuple(np.geomspace(smax, smax / SIGMA_SPAN, SIGMA_POINTS))
 
 
-def certify_direction(cones, direction, sigmas, R: int) -> float:
-    """Min over the lattice box, sigma schedule, and generators of
-    |<w_j, m + sigma*x>|; the direction is generic when this stays positive."""
-    x = np.asarray(direction, dtype=float)
-    d = x.size
-    ms = np.arange(-R, R + 1, dtype=float)
-    best = math.inf
-    for cone in cones:
-        for w in cone.generators:
-            vals = w[0] * ms
-            for k in range(1, d):
-                vals = vals[..., None] + w[k] * ms
-            vals = vals.ravel()
-            a = float(np.dot(w, x))
-            for sig in sigmas:
-                best = min(best, float(np.min(np.abs(vals + sig * a))))
-    return best
-
-
 def _fallback_directions(d: int, n: int = 20):
     rng = np.random.default_rng(2024)
     for _ in range(n):
@@ -177,53 +157,51 @@ def macdonald_volume(P: Polytope, t: float, limit_cfg: LimitConfig | None = None
     """Solid-angle discrete volume of the dilate t*P: the s -> 0 limit of
     macdonald_sum along a certified generic direction.
 
-    Evaluates the damped vertex-cone sum on a (sigma, eps) grid.  Each sigma
-    is extrapolated to eps -> 0 first and a polynomial of the configured
-    degree is fitted in sigma; fitting with one extra degree supplies the
-    truncation part of the error estimate.  The error also carries the
-    rounding floor 3e-15 * gross, as in macdonald_sum.  Raises
-    ImaginaryResidue when the intercept keeps a significant imaginary part and
-    PoorFit when residuals dwarf every accounted error source.
+    Evaluates the damped vertex-cone sum on a (sigma, eps) grid.  A candidate
+    direction is certified by the engine itself: a PoleHit at any sigma
+    rejects it and the next candidate is tried.  Each sigma is extrapolated
+    to eps -> 0 first and a polynomial of the configured degree is fitted in
+    sigma; fitting with one extra degree supplies the truncation part of the
+    error estimate, so the schedule needs at least degree + 2 distinct sigmas
+    (ValueError otherwise, as for a direction of the wrong length).  The
+    error also carries the rounding floor 3e-15 * gross, as in macdonald_sum.
+    Raises ImaginaryResidue when the intercept keeps a significant imaginary
+    part and PoorFit when residuals dwarf every accounted error source.
     """
     cfg = cfg or DampedSumConfig()
     lc = limit_cfg or LimitConfig()
     d = P.dim
+    degree = lc.fit_degree if lc.fit_degree is not None else d + 1
+    n_sigmas = len(set(lc.sigma_schedule)) if lc.sigma_schedule else SIGMA_POINTS
+    if n_sigmas < degree + 2:
+        raise ValueError(f"a degree-{degree} fit needs at least {degree + 2} distinct sigmas, got {n_sigmas}")
+    if lc.direction is not None and len(lc.direction) != d:
+        raise ValueError(f"direction has {len(lc.direction)} components, the polytope has dimension {d}")
     terms = [c for _, cones in _vertex_terms(P, t) for c in cones]
-    R = cfg.radius_for(min(cfg.eps_schedule))
-
-    candidates = []
-    if lc.direction is not None:
-        candidates.append(np.asarray(lc.direction, dtype=float))
-    else:
-        candidates.append(np.ones(d))
-    candidates.extend(_fallback_directions(d))
-
-    chosen = None
-    for x in candidates:
-        sigmas = lc.sigma_schedule or _auto_sigma_schedule(P, t, x)
-        if certify_direction(terms, x, sigmas, R) > DIRECTION_POLE_TOL:
-            chosen = (x, tuple(float(v) for v in sigmas))
-            break
-    if chosen is None:
-        raise PoleHit("no certified generic direction found")
-    x, sigmas = chosen
+    first = np.ones(d) if lc.direction is None else np.asarray(lc.direction, dtype=float)
 
     eps = list(cfg.eps_schedule)
-    grid = np.empty((len(sigmas), len(eps)), dtype=complex)
-    gross = 0.0
-    for j, sig in enumerate(sigmas):
-        levels = damped_transform_levels(terms, sig * x, cfg)
-        grid[j] = levels.value
-        gross = max(gross, float(levels.gross.max()))
+    for x in [first, *_fallback_directions(d)]:
+        sigmas = tuple(float(v) for v in lc.sigma_schedule or _auto_sigma_schedule(P, t, x))
+        grid = np.empty((len(sigmas), len(eps)), dtype=complex)
+        gross = 0.0
+        try:
+            for j, sig in enumerate(sigmas):
+                levels = damped_transform_levels(terms, sig * x, cfg)
+                grid[j] = levels.value
+                gross = max(gross, float(levels.gross.max()))
+        except PoleHit:
+            continue
+        break
+    else:
+        raise PoleHit("no certified generic direction found")
     noise = 3e-15 * gross
-    degree = lc.fit_degree if lc.fit_degree is not None else d + 1
-    next_degree = min(degree + 1, len(sigmas) - 1)
 
     ests = [richardson_limit(eps, grid[j], noise_floor=noise) for j in range(len(sigmas))]
     values = np.array([est.value for est in ests])
     point_err = max(est.error for est in ests)
     c0, rms = polynomial_fit_intercept(sigmas, values, degree)
-    c0_next, _ = polynomial_fit_intercept(sigmas, values, next_degree)
+    c0_next, _ = polynomial_fit_intercept(sigmas, values, degree + 1)
     fit_err = abs(c0_next - c0)
 
     if rms > 10.0 * (point_err + fit_err + 1e-14):
@@ -252,8 +230,8 @@ def verify_cone_reciprocity(cone: SimpleCone, shift, s, cfg: DampedSumConfig | N
     lv = damped_transform_levels(plus, -s, cfg).value
     rv = damped_transform_levels(minus, s, cfg).value
     per_eps = [(e, float(abs(a - sign * b))) for e, a, b in zip(cfg.eps_schedule, lv, rv)]
-    lhs = extrapolate_eps(dict(zip(cfg.eps_schedule, lv)), cfg)
-    rhs = extrapolate_eps(dict(zip(cfg.eps_schedule, rv)), cfg)
+    lhs = richardson_limit(cfg.eps_schedule, lv)
+    rhs = richardson_limit(cfg.eps_schedule, rv)
     residual = abs(lhs.value - sign * rhs.value)
     return IdentityReport(
         identity="cone_reciprocity",

@@ -46,6 +46,11 @@ class TestExact2D:
         with pytest.raises(ss.DegenerateCone):
             ss.solid_angle_exact_2d(ss.Cone(np.zeros(2), np.array([[1.0, 0.0], [2.0, 0.0]])))
 
+    @pytest.mark.parametrize("angle", [ss.solid_angle_exact_2d, ss.solid_angle_exact_2d_l1])
+    def test_bare_tuple_rejected(self, angle):
+        with pytest.raises(TypeError):
+            angle((np.zeros(2), np.eye(2)))
+
     def test_complementarity(self):
         # four cones around the origin partition the plane: angles sum to 1
         rng = np.random.default_rng(5)

@@ -129,6 +129,8 @@ def test_input_errors_exit_two(square_path):
     assert run(["oracle", "--polytope", "no-such-file.json", "--t", "1"]) == 2
     assert run(["alpha", "--polytope", square_path, "--s", "bogus"]) == 2
     assert run(["macdonald-series", "--polytope", square_path]) == 2
+    assert run(["macdonald", "--polytope", square_path, "--t", "1", "--direction", "1,1,1"]) == 2
+    assert run(["macdonald", "--polytope", square_path, "--t", "1", "--sigma", "0.01,0.005,0.002,0.001"]) == 2
 
 
 class RecordingNamespace(argparse.Namespace):

@@ -32,8 +32,9 @@ class TestMacdonaldSum:
         s = np.array([0.27 + 0.13j, 0.41 - 0.22j])
         terms = [c.shifted([0.0, 0.0]) for c in vertex_cones(triangle)]
         ev = ss.macdonald_sum(triangle, 0.0, s, cfg)
-        ref = ss.extrapolate_eps(
-            lambda e: damped_transform_levels(terms, s, ss.DampedSumConfig(eps_schedule=(e,))).value[0], cfg)
+        ref = ss.richardson_limit(cfg.eps_schedule, [
+            damped_transform_levels(terms, s, ss.DampedSumConfig(eps_schedule=(e,))).value[0]
+            for e in cfg.eps_schedule])
         assert abs(ev.value - ref.value) < 1e-13
 
     def test_pole_hit_at_zero(self, square):
@@ -78,6 +79,28 @@ class TestMacdonaldVolume:
         lc = ss.LimitConfig(sigma_schedule=tuple(np.geomspace(0.02, 0.0005, 7)))
         est = ss.macdonald_volume(square, 1.0, lc)
         assert abs(est.value - 1.0) < 1e-2
+
+    def test_short_sigma_schedule_rejected(self, square):
+        # a degree-3 fit through 4 points interpolates them and reports no
+        # fit error; 5 distinct points are the fewest that leave one to spare
+        with pytest.raises(ValueError, match="at least 5 distinct sigmas"):
+            ss.macdonald_volume(square, 1.0, ss.LimitConfig(sigma_schedule=tuple(np.geomspace(0.01, 0.001, 4))))
+        with pytest.raises(ValueError, match="at least 5 distinct sigmas"):
+            ss.macdonald_volume(square, 1.0, ss.LimitConfig(sigma_schedule=(0.01, 0.01, 0.005, 0.002, 0.001)))
+        est = ss.macdonald_volume(square, 1.0, ss.LimitConfig(sigma_schedule=tuple(np.geomspace(0.01, 0.001, 5))))
+        assert abs(est.value - 1.0) <= est.error
+
+    def test_direction_length_checked(self, square):
+        with pytest.raises(ValueError, match="direction has 3 components"):
+            ss.macdonald_volume(square, 1.0, ss.LimitConfig(direction=(1.0, 1.0, 1.0)))
+
+    def test_no_generic_direction(self, tetrahedron, monkeypatch):
+        # (1,1,1) is orthogonal to the edge (-1,1,0): every sigma hits a pole at m = 0
+        from solidsum import macdonald
+        monkeypatch.setattr(macdonald, "_fallback_directions", lambda d: iter(()))
+        cfg = ss.DampedSumConfig(eps_schedule=(0.5, 0.25), truncation_radius=3)
+        with pytest.raises(ss.PoleHit, match="no certified generic direction"):
+            ss.macdonald_volume(tetrahedron, 1.0, ss.LimitConfig(direction=(1.0, 1.0, 1.0)), cfg)
 
     def test_three_simplex_matches_oracle(self, tetrahedron):
         cfg = ss.DampedSumConfig(eps_schedule=tuple(0.5 * 0.5 ** k for k in range(6)),
@@ -136,8 +159,13 @@ class TestEngineCalls:
         engine = macdonald.damped_transform_levels
 
         def counting(terms, s, cfg):
+            try:
+                levels = engine(terms, s, cfg)
+            except ss.PoleHit:
+                calls.append("pole")
+                raise
             calls.append(len(cfg.eps_schedule))
-            return engine(terms, s, cfg)
+            return levels
 
         monkeypatch.setattr(macdonald, "damped_transform_levels", counting)
         return calls
@@ -146,6 +174,22 @@ class TestEngineCalls:
         sigmas = tuple(np.geomspace(0.02, 0.0005, 7))
         ss.macdonald_volume(square, 1.0, ss.LimitConfig(sigma_schedule=sigmas))
         assert engine_calls == [10] * len(sigmas)
+
+    def test_volume_engine_rejects_direction(self, tetrahedron, engine_calls):
+        # the default (1,1,1) is orthogonal to an edge of the 3-simplex, so the
+        # first sigma raises; the first fallback direction then runs all 7
+        cfg = ss.DampedSumConfig(eps_schedule=tuple(0.5 * 0.5 ** k for k in range(6)),
+                                 truncation_radius=30)
+        est = ss.macdonald_volume(tetrahedron, 1.0, cfg=cfg)
+        assert engine_calls == ["pole"] + [6] * 7
+        # the lattice points are the vertices: the origin sees an octant, each
+        # other vertex a trihedral cone (Van Oosterom-Strackee solid angle)
+        a, b, c = np.array([-1.0, 0.0, 0.0]), np.array([-1.0, 1.0, 0.0]), np.array([-1.0, 0.0, 1.0])
+        na, nb, nc = map(np.linalg.norm, (a, b, c))
+        num = abs(np.dot(a, np.cross(b, c)))
+        den = na * nb * nc + np.dot(a, b) * nc + np.dot(a, c) * nb + np.dot(b, c) * na
+        closed = 1 / 8 + 3 * 2 * math.atan2(num, den) / (4 * math.pi)
+        assert abs(est.value - closed) <= est.error
 
     def test_sum_one_call_per_vertex(self, triangle, engine_calls):
         ss.macdonald_sum(triangle, 1.37, np.array([0.21 + 0.1j, 0.33 - 0.05j]))
