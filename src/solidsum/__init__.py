@@ -27,7 +27,6 @@ from .errors import (
     NonConvergent,
     NotPointed,
     PoleHit,
-    PoorFit,
     QuadratureUnderResolved,
     ScheduleTooShort,
     SolidSumError,
@@ -60,7 +59,6 @@ from .lattice import (
 from .macdonald import (
     GramCheckResult,
     IdentityReport,
-    LimitConfig,
     MacdonaldEvaluation,
     brianchon_gram_check,
     conjecture_check,

@@ -20,7 +20,6 @@ from .errors import SolidSumError
 from .geometry import polytope_from_json, simple_cone
 from .lattice import alpha_polytope_direct
 from .macdonald import (
-    LimitConfig,
     brianchon_gram_check,
     conjecture_check,
     macdonald_sum,
@@ -120,10 +119,8 @@ def _cfg_from_args(args) -> DampedSumConfig:
     return DampedSumConfig(p=args.p, eps_schedule=schedule, truncation_radius=args.radius)
 
 
-def _limit_cfg_from_args(args) -> LimitConfig:
-    direction = tuple(parse_real_vector(args.direction)) if args.direction else None
-    sigmas = tuple(sorted((float(v) for v in args.sigma.split(",")), reverse=True)) if args.sigma else None
-    return LimitConfig(direction=direction, sigma_schedule=sigmas, fit_degree=args.fit_degree)
+def _direction_from_args(args):
+    return tuple(parse_real_vector(args.direction)) if args.direction else None
 
 
 def _load(args):
@@ -165,8 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sup-norm lattice cutoff R (default: auto from eps)")
     limit = group()
     limit.add_argument("--direction", default=None, help="generic direction, e.g. '1,1'")
-    limit.add_argument("--sigma", default=None, help="sigma schedule, comma separated")
-    limit.add_argument("--fit-degree", type=int, default=None, help="limit-fit degree (default dim+1)")
 
     sp = command("solid-angle", [poly, mc], "solid angle of a point with respect to a polytope")
     sp.add_argument("--x", required=True, help="evaluation point, e.g. '0,0'")
@@ -242,7 +237,7 @@ def _cmd_macdonald(args) -> int:
         _emit(args, {"t": ev.t, "s": list(ev.s), "value": ev.value, "error": ev.error,
                      "per_vertex": [{"vertex": list(v), "partial": c} for v, c in ev.per_vertex]})
     else:
-        est = macdonald_volume(P, args.t, limit_cfg=_limit_cfg_from_args(args), cfg=cfg)
+        est = macdonald_volume(P, args.t, direction=_direction_from_args(args), cfg=cfg)
         _emit(args, {"t": args.t, "value": est.value, "error": est.error})
     return 0
 
@@ -250,10 +245,10 @@ def _cmd_macdonald(args) -> int:
 def _cmd_macdonald_series(args) -> int:
     P = _load(args)
     cfg = _cfg_from_args(args)
-    lc = _limit_cfg_from_args(args)
+    direction = _direction_from_args(args)
     rows = []
     for t in _parse_t_list(args):
-        est = macdonald_volume(P, t, limit_cfg=lc, cfg=cfg)
+        est = macdonald_volume(P, t, direction=direction, cfg=cfg)
         rows.append((t, float(np.real(est.value)), est.error))
     payload = [{"t": t, "value": v, "error": e} for t, v, e in rows]
     _emit(args, payload, csv_rows=rows, csv_header=("t", "value", "error"))
@@ -301,7 +296,7 @@ def _cmd_brianchon_gram(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    est = conjecture_check(_load(args), cfg=_cfg_from_args(args), limit_cfg=_limit_cfg_from_args(args))
+    est = conjecture_check(_load(args), cfg=_cfg_from_args(args), direction=_direction_from_args(args))
     passed = abs(est.value) < args.tolerance
     _emit(args, {"identity": "zero_at_origin", "value": est.value, "error": est.error,
                  "residual": abs(float(np.real(est.value))), "tolerance": args.tolerance,
@@ -311,7 +306,7 @@ def _cmd_conjecture(args) -> int:
 
 def _cmd_triangle_example(args) -> int:
     t_values = tuple(float(v) for v in args.t.split(","))
-    report = triangle_example(t_values, cfg=_cfg_from_args(args), limit_cfg=_limit_cfg_from_args(args))
+    report = triangle_example(t_values, cfg=_cfg_from_args(args), direction=_direction_from_args(args))
     _emit(args, report)
     ok = report["determinants_pass"] and report["volumes_pass"] and report["curvature_check"]["pass"]
     return 0 if ok else 1

@@ -60,9 +60,5 @@ class ImaginaryResidue(SolidSumError):
     pass
 
 
-class PoorFit(SolidSumError):
-    pass
-
-
 class UnsupportedCombination(SolidSumError):
     pass

@@ -10,12 +10,16 @@ are evaluated for every level of the damping schedule in one pass over the
 largest box: only the separable factor phi_hat depends on eps, so the summed
 cone-rational factor r(m) is formed once and contracted, one axis at a time,
 with per-level 1-D phi_hat tables that vanish outside each level's own box.
-Direct-space sums accumulate (1_body * phi_eps)(m) * exp(2*pi*i*<s, m>) at one
-eps.  The bilinear pairing is used throughout; nothing is conjugated.
+Given a direction x, the same pass returns the constant term in sigma of the
+sum at s + sigma * x, its value at s where the sum is entire (the exact s -> 0
+limit of ``macdonald_volume``).  Direct-space sums accumulate
+(1_body * phi_eps)(m) * exp(2*pi*i*<s, m>) at one eps.  The bilinear pairing
+is used throughout; nothing is conjugated.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,10 +31,10 @@ from .errors import ConvergenceDomain, PoleHit, UnsupportedDimension
 from .geometry import Polytope, SimpleCone, cone_halfplanes_2d, half_spaces
 from .numerics import Estimate
 from .oracle import lattice_weights
-from .transforms import DampedSumConfig, clip_cutoff, phi_hat_1d_grid
+from .transforms import DampedSumConfig, clip_cutoff, phi_hat_1d_taylor, pole_distance
 
 POLE_GUARD = 1e-10     # minimum |<w_j, m+s>| over the enumerated box
-CHUNK_LIMIT = 300_000  # points per chunk of the box (slabs along the first axis)
+CHUNK_LIMIT = 20_000   # points per chunk of the box (slabs along the first axis)
 
 TWO_PI_I = 2j * math.pi
 
@@ -58,21 +62,22 @@ class DampedLevels:
 
 
 @lru_cache(maxsize=16)
-def _level_tables(cfg: DampedSumConfig, s_tuple: tuple):
-    """Per-axis 1-D tables over the largest box ms, one row per eps level, zero
-    outside that level's radius R: phi_hat_1d(m_k + s_k), and magnitude rows
-    for the gross sums followed by magnitude rows for the shell tails.  Cached
-    because macdonald_sum makes one call per vertex at the same s, and for
-    p != 2 the tables come from quadrature."""
+def _level_tables(cfg: DampedSumConfig, s_tuple: tuple, x_tuple: tuple | None):
+    """Per-axis 1-D tables over the largest box ms, indexed [n, level, m_k] and
+    zero outside each level's radius R: the sigma^n Taylor coefficients of
+    phi_hat_1d(m_k + s_k + sigma x_k), n <= d (n = 0 without a direction x),
+    and magnitude rows for the gross sums followed by rows for the shell tails.
+    Cached because macdonald_sum makes one call per vertex at the same s, and
+    for p != 2 the tables come from quadrature."""
+    order = 0 if x_tuple is None else len(s_tuple)
     radii = np.array([cfg.radius_for(e) for e in cfg.eps_schedule])[:, None]
     ms = np.arange(-radii.max(), radii.max() + 1)
     inside = np.abs(ms) <= radii
     tables, mag_tables = [], []
-    for a, sk in enumerate(s_tuple):
-        table = np.zeros(inside.shape, dtype=complex)
-        for row, eps, mask in zip(table, cfg.eps_schedule, inside):
-            z = ms[mask] + sk
-            row[mask] = np.exp(-math.pi * eps * z * z) if cfg.p == 2.0 else phi_hat_1d_grid(cfg, eps, z)
+    for a, (sk, xk) in enumerate(zip(s_tuple, x_tuple or (0.0,) * len(s_tuple))):
+        table = np.zeros((order + 1,) + inside.shape, dtype=complex)
+        for row, (eps, mask) in enumerate(zip(cfg.eps_schedule, inside)):
+            table[:, row, mask] = phi_hat_1d_taylor(cfg, eps, ms[mask] + sk, xk, order)
         mag = np.abs(table)
         interior = np.where(np.abs(ms) < radii, mag, 0.0)
         edge = np.where(np.abs(ms) == radii, mag, 0.0)
@@ -80,7 +85,7 @@ def _level_tables(cfg: DampedSumConfig, s_tuple: tuple):
         # interior before k, edge at k, the whole box after k
         shell = [interior if a < k else edge if a == k else mag for k in range(len(s_tuple))]
         tables.append(table)
-        mag_tables.append(np.vstack([mag] + shell))
+        mag_tables.append(np.concatenate([mag] + shell, axis=1))
     for t in tables + mag_tables:
         t.setflags(write=False)
     return ms, tables, mag_tables
@@ -95,6 +100,11 @@ def _contract(x: np.ndarray, tables) -> np.ndarray:
     return y[:, 0]
 
 
+def _slab_tables(tables, n, i0: int, i1: int) -> list:
+    """Each axis's table for its power n_k, the first axis cut to the slab [i0, i1)."""
+    return [tables[0][n[0], :, i0:i1]] + [t[nk] for t, nk in zip(tables[1:], n[1:])]
+
+
 def _box_chunks(ms: np.ndarray, d: int):
     """The box ms^d in deterministic slabs along the first axis, each of at
     most CHUNK_LIMIT points (or one row): yields (i0, i1, M) where M lists the
@@ -106,19 +116,50 @@ def _box_chunks(ms: np.ndarray, d: int):
                                axis=-1).reshape(-1, d)
 
 
-def damped_transform_levels(terms, s, cfg: DampedSumConfig) -> DampedLevels:
+def _pole_terms(C, a, zero, b, c, order: int):
+    """Rows r_n, n = 0..order, at each pole point (column): the sigma^(|Z|-n)
+    Taylor coefficient (0 for n > |Z|) of C e^{2 pi i sigma c}
+    prod_{j not in Z} 1/(a_j + sigma b_j) prod_{j in Z} 1/b_j, Z = {j: zero[j]};
+    and the same rows of its majorant, the product of coefficient magnitudes."""
+    k = np.arange(order + 1)[:, None]
+    fact = np.array([math.factorial(n) for n in range(order + 1)])[:, None]
+    factors = [C * (TWO_PI_I * c) ** k / fact]
+    for aj, zj, bj in zip(a, zero, b):
+        aj = np.where(zj, 1.0, aj)
+        factors.append(np.where(zj, (k == 0) / bj, (-bj / aj) ** k / aj))
+    shift = zero.sum(axis=0) - k
+    rows = []
+    for series in (factors, [np.abs(f) for f in factors]):
+        prod = series[0]
+        for f in series[1:]:  # truncated product of power series
+            prod = np.array([sum(prod[i] * f[n - i] for i in range(n + 1)) for n in range(order + 1)])
+        rows.append(np.where(shift >= 0, np.take_along_axis(prod, np.maximum(shift, 0), 0), 0.0))
+    return rows
+
+
+def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> DampedLevels:
     """Truncated transform-space sum of simple cones at every eps level.
 
     ``terms`` are the SimpleCones, each entering with weight 1.  One pass over
     the largest box forms r(m) = sum of the cone terms and the sum of their
     magnitudes; each level's value, gross and shell tail follow by
     contracting them with that level's phi_hat tables.  Raises PoleHit when
-    some m + s in the largest box comes within 1e-10 of a denominator zero;
-    the caller should perturb s or pick another direction.
-    """
+    some m + s in the largest box comes within POLE_GUARD of a denominator
+    zero, unless a direction x is given: each level is then the constant term
+    in sigma at s + sigma * x.  A term with a_j = <w_j, m+s> = 0 for j in Z
+    has a pole of order |Z| <= d; its coefficients r_n(m), n <= |Z|, pair
+    with the phi_hat Taylor tables of total order n.  PoleHit is raised for a
+    direction with some |<w_j, x>| <= POLE_GUARD."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     d = s.size
-    ms, tables, mag_tables = _level_tables(cfg, tuple(complex(v) for v in s))
+    x = None if direction is None else tuple(float(v) for v in direction)
+    if x is not None and len(x) != d:
+        raise ValueError(f"direction has {len(x)} components, the sum has dimension {d}")
+    if x is not None and pole_distance(terms, x) <= POLE_GUARD:
+        raise PoleHit(f"direction {x} is not generic: some |<w_j, x>| <= {POLE_GUARD}")
+    ms, tables, mag_tables = _level_tables(cfg, tuple(complex(v) for v in s), x)
+    order = 0 if x is None else d
+    powers = [n for n in itertools.product(range(order + 1), repeat=d) if sum(n) <= order]
     n_levels = len(cfg.eps_schedule)
     pref = (-TWO_PI_I) ** (-d)
 
@@ -128,18 +169,22 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig) -> DampedLevels:
             raise ValueError(f"cone dimension {cone.dim} != len(s) = {d}")
         amp = pref * abs(cone.det)
         apex = cone.apex if np.max(np.abs(cone.apex)) > 1e-15 else None
-        prepared.append((amp, cone.generators, apex))
+        b = None if x is None else cone.generators @ x
+        c = 0.0 if apex is None or x is None else float(apex @ x)
+        prepared.append((amp, cone.generators, apex, b, c))
 
     value = np.zeros(n_levels, dtype=complex)
     mags_sum = np.zeros((d + 1) * n_levels)
     for i0, i1, M in _box_chunks(ms, d):
         Z = M.T + s[:, None]  # one row per axis: products along contiguous rows
-        r = np.zeros(M.shape[0], dtype=complex)
-        r_abs = np.zeros(M.shape[0])
-        for amp, W, apex in prepared:
+        r = np.zeros((order + 1, M.shape[0]), dtype=complex)
+        r_abs = np.zeros((order + 1, M.shape[0]))
+        for amp, W, apex, b, c in prepared:
             denoms = W @ Z
             mags = np.abs(denoms)
-            if mags.min() <= POLE_GUARD:
+            zero = mags <= POLE_GUARD
+            poles = np.flatnonzero(zero.any(axis=0))
+            if poles.size and x is None:
                 row = int(np.argmin(mags.min(axis=0)))
                 j = int(np.argmin(mags[:, row]))
                 m_bad = tuple(int(v) for v in M[row])
@@ -147,16 +192,24 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig) -> DampedLevels:
                     f"pole at m={m_bad}: |<w_{j}, m+s>| = {mags[j, row]:.3e}",
                     generator_index=j, lattice_point=m_bad,
                 )
+            a, zero = denoms[:, poles], zero[:, poles]
+            denoms[:, poles] = 1.0
             contrib = amp / np.prod(denoms, axis=0)
             del denoms, mags
             if apex is not None:
                 contrib *= np.exp(TWO_PI_I * (apex @ Z))
-            r += contrib
-            r_abs += np.abs(contrib)
+            if poles.size:
+                series, majorant = _pole_terms(contrib[poles], a, zero, b, c, order)
+                contrib[poles] = 0.0
+                r[:, poles] += series
+                r_abs[:, poles] += majorant
+            r[0] += contrib
+            r_abs[0] += np.abs(contrib)
         del M, Z
         grid = (i1 - i0,) + (ms.size,) * (d - 1)
-        value += _contract(r.reshape(grid), [tables[0][:, i0:i1]] + tables[1:])
-        mags_sum += _contract(r_abs.reshape(grid), [mag_tables[0][:, i0:i1]] + mag_tables[1:])
+        for n in powers:
+            value += _contract(r[sum(n)].reshape(grid), _slab_tables(tables, n, i0, i1))
+            mags_sum += _contract(r_abs[sum(n)].reshape(grid), _slab_tables(mag_tables, n, i0, i1))
     gross = mags_sum[:n_levels]
     tail = mags_sum[n_levels:].reshape(d, n_levels).sum(axis=0)
     return DampedLevels(value, tail, gross)

@@ -7,9 +7,9 @@ solid-angle sum of a dilated polytope,
         * sum_m exp(2 pi i t <v, m+s>) phi_hat(m+s) / prod_j <w_j(v), m+s>,
 
 with the eps -> 0 limit taken by Richardson extrapolation.  ``macdonald_volume``
-realizes the s -> 0 limit along a certified generic direction by a polynomial
-fit in the scale parameter.  The verifiers compute residuals of the cone
-reciprocity, Brion, dilation-reciprocity, and Brianchon-Gram identities.
+takes the s -> 0 limit exactly, as the constant term along a generic direction.
+The verifiers compute residuals of the cone reciprocity, Brion,
+dilation-reciprocity, and Brianchon-Gram identities.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ImaginaryResidue, PoleHit, PoorFit
+from .errors import ImaginaryResidue, PoleHit
 from .geometry import (
     Polytope,
     SimpleCone,
@@ -31,31 +31,12 @@ from .geometry import (
     vertex_simple_cones,
     vertex_tangent_cone,
 )
-from .lattice import alpha_polytope_direct, damped_transform_levels
-from .numerics import Estimate, polynomial_fit_intercept, richardson_extrapolants, richardson_limit
+from .lattice import POLE_GUARD, DampedLevels, alpha_polytope_direct, damped_transform_levels
+from .numerics import Estimate, richardson_extrapolants, richardson_limit
 from .oracle import discrete_volume
-from .transforms import DampedSumConfig
+from .transforms import DampedSumConfig, pole_distance
 
-SIGMA_POINTS = 7
-SIGMA_SPAN = 30.0
-SIGMA_PHASE_BUDGET = 0.3   # max phase (radians) of the fastest term at sigma_max
 GRAM_MARGIN = 1e-9         # Brianchon-Gram sample points this close to a facet plane are redrawn
-
-
-@dataclass(frozen=True)
-class LimitConfig:
-    """Controls the s -> 0 limit: direction, sigma schedule, fit degree.
-
-    Fields left at None are derived from the polytope: direction defaults to
-    the all-ones vector (with seeded rational fallbacks until no sigma raises
-    PoleHit), the sigma schedule is scaled so the fastest phase
-    stays within SIGMA_PHASE_BUDGET at its largest point, and the fit degree
-    defaults to dim + 1.
-    """
-
-    direction: tuple | None = None
-    sigma_schedule: tuple | None = None
-    fit_degree: int | None = None
 
 
 @dataclass(frozen=True)
@@ -102,6 +83,18 @@ def _vertex_terms(P: Polytope, t: float):
             for i, v in enumerate(P.vertices)]
 
 
+def _eps_limit(eps, levels: DampedLevels) -> Estimate:
+    """eps -> 0 limit of damped levels.  The error adds to the Richardson
+    estimate the rounding floor 3e-15 * gross (the levels share one lattice
+    pass, so the extrapolant differences do not show their rounding) and the
+    last two shell tails under the absolute Richardson weights."""
+    noise = 3e-15 * float(levels.gross.max())
+    est = richardson_limit(eps, levels.value, noise_floor=noise)
+    e1, e2 = eps[-2], eps[-1]
+    tail = (e1 * levels.tail[-1] + e2 * levels.tail[-2]) / (e1 - e2)
+    return Estimate(est.value, float(est.error + noise + tail), est.method)
+
+
 def macdonald_sum(P: Polytope, t: float, s, cfg: DampedSumConfig | None = None) -> MacdonaldEvaluation:
     """Phase-weighted solid-angle sum of the dilate t*P at s, by damped
     vertex-cone transform sums extrapolated to eps -> 0.
@@ -110,22 +103,16 @@ def macdonald_sum(P: Polytope, t: float, s, cfg: DampedSumConfig | None = None) 
     need not converge at real s, but their sum equals a finite direct-space
     sum and does.  Per-vertex partials are the same linear extrapolation
     applied vertex by vertex, so they add up to the value exactly.  The error
-    adds the rounding floor 3e-15 * gross to the Richardson estimate: every
-    eps level comes from one lattice pass, so the levels share their rounding
-    and the extrapolant differences do not show it.
+    is that of the vertex-summed limit, rounding floor and tail included.
     """
     cfg = cfg or DampedSumConfig()
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     eps = list(cfg.eps_schedule)
     vertex_terms = _vertex_terms(P, t)
-    per_eps = np.empty((len(vertex_terms), len(eps)), dtype=complex)
-    gross = np.zeros(len(eps))
-    for i, (_, terms) in enumerate(vertex_terms):
-        levels = damped_transform_levels(terms, s, cfg)
-        per_eps[i] = levels.value
-        gross += levels.gross
-    noise = 3e-15 * float(gross.max())
-    total_est = richardson_limit(eps, per_eps.sum(axis=0), noise_floor=noise)
+    levels = [damped_transform_levels(terms, s, cfg) for _, terms in vertex_terms]
+    per_eps = np.array([lv.value for lv in levels])
+    total_est = _eps_limit(eps, DampedLevels(per_eps.sum(axis=0), sum(lv.tail for lv in levels),
+                                             sum(lv.gross for lv in levels)))
     partials = []
     total = 0j
     for (vertex, _), row in zip(vertex_terms, per_eps):
@@ -134,81 +121,38 @@ def macdonald_sum(P: Polytope, t: float, s, cfg: DampedSumConfig | None = None) 
         total += partial
     return MacdonaldEvaluation(
         t=float(t), s=tuple(complex(v) for v in s),
-        value=complex(total), error=float(total_est.error + noise), per_vertex=tuple(partials),
+        value=complex(total), error=float(total_est.error), per_vertex=tuple(partials),
     )
 
 
-def _auto_sigma_schedule(P: Polytope, t: float, direction: np.ndarray) -> tuple:
-    freq = abs(t) * float(np.max(np.abs(P.vertices @ direction)))
-    smax = SIGMA_PHASE_BUDGET / (2.0 * math.pi * freq + 1.0)
-    return tuple(np.geomspace(smax, smax / SIGMA_SPAN, SIGMA_POINTS))
-
-
-def _fallback_directions(d: int, n: int = 20):
+def _fallback_directions(d: int) -> list:
     rng = np.random.default_rng(2024)
-    for _ in range(n):
-        num = rng.integers(1, 12, size=d)
-        den = rng.integers(1, 5, size=d)
-        yield num / den
+    return [rng.integers(1, 12, size=d) / rng.integers(1, 5, size=d) for _ in range(20)]
 
 
-def macdonald_volume(P: Polytope, t: float, limit_cfg: LimitConfig | None = None,
+def macdonald_volume(P: Polytope, t: float, direction=None,
                      cfg: DampedSumConfig | None = None) -> Estimate:
     """Solid-angle discrete volume of the dilate t*P: the s -> 0 limit of
-    macdonald_sum along a certified generic direction.
-
-    Evaluates the damped vertex-cone sum on a (sigma, eps) grid.  A candidate
-    direction is certified by the engine itself: a PoleHit at any sigma
-    rejects it and the next candidate is tried.  Each sigma is extrapolated
-    to eps -> 0 first and a polynomial of the configured degree is fitted in
-    sigma; fitting with one extra degree supplies the truncation part of the
-    error estimate, so the schedule needs at least degree + 2 distinct sigmas
-    (ValueError otherwise, as for a direction of the wrong length).  The
-    error also carries the rounding floor 3e-15 * gross, as in macdonald_sum.
-    Raises ImaginaryResidue when the intercept keeps a significant imaginary
-    part and PoorFit when residuals dwarf every accounted error source.
-    """
+    macdonald_sum, taken exactly as the constant term along a generic
+    direction in one damped-sum engine pass.  Without ``direction``, the first
+    of (1, ..., 1) and seeded rational fallbacks with |<w_j, x>| > POLE_GUARD
+    for every vertex-cone generator is used; an explicit direction that fails
+    this raises PoleHit.  The error also counts any imaginary part, and
+    ImaginaryResidue is raised when that part is significant."""
     cfg = cfg or DampedSumConfig()
-    lc = limit_cfg or LimitConfig()
     d = P.dim
-    degree = lc.fit_degree if lc.fit_degree is not None else d + 1
-    n_sigmas = len(set(lc.sigma_schedule)) if lc.sigma_schedule else SIGMA_POINTS
-    if n_sigmas < degree + 2:
-        raise ValueError(f"a degree-{degree} fit needs at least {degree + 2} distinct sigmas, got {n_sigmas}")
-    if lc.direction is not None and len(lc.direction) != d:
-        raise ValueError(f"direction has {len(lc.direction)} components, the polytope has dimension {d}")
     terms = [c for _, cones in _vertex_terms(P, t) for c in cones]
-    first = np.ones(d) if lc.direction is None else np.asarray(lc.direction, dtype=float)
+    if direction is None:
+        direction = next((x for x in [np.ones(d), *_fallback_directions(d)]
+                          if pole_distance(terms, x) > POLE_GUARD), None)
+        if direction is None:
+            raise PoleHit("no generic direction found")
 
-    eps = list(cfg.eps_schedule)
-    for x in [first, *_fallback_directions(d)]:
-        sigmas = tuple(float(v) for v in lc.sigma_schedule or _auto_sigma_schedule(P, t, x))
-        grid = np.empty((len(sigmas), len(eps)), dtype=complex)
-        gross = 0.0
-        try:
-            for j, sig in enumerate(sigmas):
-                levels = damped_transform_levels(terms, sig * x, cfg)
-                grid[j] = levels.value
-                gross = max(gross, float(levels.gross.max()))
-        except PoleHit:
-            continue
-        break
-    else:
-        raise PoleHit("no certified generic direction found")
-    noise = 3e-15 * gross
-
-    ests = [richardson_limit(eps, grid[j], noise_floor=noise) for j in range(len(sigmas))]
-    values = np.array([est.value for est in ests])
-    point_err = max(est.error for est in ests)
-    c0, rms = polynomial_fit_intercept(sigmas, values, degree)
-    c0_next, _ = polynomial_fit_intercept(sigmas, values, degree + 1)
-    fit_err = abs(c0_next - c0)
-
-    if rms > 10.0 * (point_err + fit_err + 1e-14):
-        raise PoorFit(f"fit residual {rms:.2e} exceeds 10x accounted errors ({point_err:.2e}, {fit_err:.2e})")
+    est = _eps_limit(cfg.eps_schedule, damped_transform_levels(terms, np.zeros(d), cfg, direction))
+    c0 = est.value
     if abs(c0.imag) > 1e-6 * (1.0 + abs(c0.real)):
-        raise ImaginaryResidue(f"imaginary part {c0.imag:.2e} at the intercept")
-    return Estimate(float(c0.real), float(fit_err + point_err + abs(c0.imag) + noise), "sigma_fit")
+        raise ImaginaryResidue(f"imaginary part {c0.imag:.2e} in the s -> 0 limit")
+    return Estimate(float(c0.real), float(est.error + abs(c0.imag)), "constant_term")
 
 
 # ----------------------------- verifiers ------------------------------------
@@ -218,7 +162,7 @@ def verify_cone_reciprocity(cone: SimpleCone, shift, s, cfg: DampedSumConfig | N
     """Reciprocity of the damped cone sum: value at (shift + K, -s) against
     (-1)^d times the value at (-shift + K, s); exact term-by-term under the
     m -> -m relabeling, so both the fixed-eps and extrapolated residuals are
-    reported."""
+    reported.  Each side's error includes its rounding floor and tail."""
     cfg = cfg or DampedSumConfig()
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     d = cone.dim
@@ -227,11 +171,12 @@ def verify_cone_reciprocity(cone: SimpleCone, shift, s, cfg: DampedSumConfig | N
     plus = [cone.shifted(cone.apex + shift)]
     minus = [cone.shifted(cone.apex - shift)]
 
-    lv = damped_transform_levels(plus, -s, cfg).value
-    rv = damped_transform_levels(minus, s, cfg).value
-    per_eps = [(e, float(abs(a - sign * b))) for e, a, b in zip(cfg.eps_schedule, lv, rv)]
-    lhs = richardson_limit(cfg.eps_schedule, lv)
-    rhs = richardson_limit(cfg.eps_schedule, rv)
+    eps = cfg.eps_schedule
+    lv = damped_transform_levels(plus, -s, cfg)
+    rv = damped_transform_levels(minus, s, cfg)
+    per_eps = [(e, float(abs(a - sign * b))) for e, a, b in zip(eps, lv.value, rv.value)]
+    lhs = _eps_limit(eps, lv)
+    rhs = _eps_limit(eps, rv)
     residual = abs(lhs.value - sign * rhs.value)
     return IdentityReport(
         identity="cone_reciprocity",
@@ -278,11 +223,10 @@ def verify_macdonald(P: Polytope, t: float, s, cfg: DampedSumConfig | None = Non
     )
 
 
-def conjecture_check(P: Polytope, cfg: DampedSumConfig | None = None,
-                     limit_cfg: LimitConfig | None = None) -> Estimate:
+def conjecture_check(P: Polytope, cfg: DampedSumConfig | None = None, direction=None) -> Estimate:
     """Value of the discrete volume at t = 0 (a theorem for odd dimension,
     a conjectured zero otherwise)."""
-    return macdonald_volume(P, 0.0, limit_cfg=limit_cfg, cfg=cfg)
+    return macdonald_volume(P, 0.0, direction=direction, cfg=cfg)
 
 
 def brianchon_gram_check(P: Polytope, n_points: int = 100, seed: int = 0) -> GramCheckResult:
@@ -360,7 +304,7 @@ def _fd_second_derivative(func, h: float) -> complex:
 
 
 def triangle_example(t_values=(0.5, 1.0, 1.5), cfg: DampedSumConfig | None = None,
-                     limit_cfg: LimitConfig | None = None, oracle_samples: int = 20_000) -> dict:
+                     direction=None, oracle_samples: int = 20_000) -> dict:
     """Full report for the sqrt(3)-triangle fixture.
 
     (a) canonically scaled tangent-cone determinants, expected (1, sqrt(3), 1);
@@ -382,7 +326,7 @@ def triangle_example(t_values=(0.5, 1.0, 1.5), cfg: DampedSumConfig | None = Non
 
     volume_rows = []
     for t in t_values:
-        analytic = macdonald_volume(P, t, limit_cfg=limit_cfg, cfg=cfg)
+        analytic = macdonald_volume(P, t, direction=direction, cfg=cfg)
         orc = discrete_volume(P, t, p=2.0, n_samples=oracle_samples)
         tol = max(1e-2, 3.0 * orc.std_error)
         diff = abs(analytic.value - orc.value)

@@ -68,19 +68,3 @@ def gauss_legendre_cells(bounds, nodes_per_panel: int = 16):
 def gauss_legendre_panels(a: float, b: float, n_panels: int, nodes_per_panel: int = 16):
     """Composite Gauss-Legendre nodes and weights on [a, b], uniform panels."""
     return gauss_legendre_cells(np.linspace(a, b, n_panels + 1), nodes_per_panel)
-
-
-def polynomial_fit_intercept(xs, ys, degree: int):
-    """Least-squares polynomial fit; returns (intercept, rms residual).
-
-    The abscissae are rescaled to [0, 1] before building the Vandermonde
-    matrix so the fit stays well conditioned on geometric schedules.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys)
-    scale = float(np.max(np.abs(xs)))
-    V = np.vander(xs / scale, degree + 1, increasing=True)
-    coef, *_ = np.linalg.lstsq(V, ys, rcond=None)
-    resid = V @ coef - ys
-    rms = float(np.sqrt(np.mean(np.abs(resid) ** 2)))
-    return complex(coef[0]), rms

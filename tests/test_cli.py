@@ -130,7 +130,6 @@ def test_input_errors_exit_two(square_path):
     assert run(["alpha", "--polytope", square_path, "--s", "bogus"]) == 2
     assert run(["macdonald-series", "--polytope", square_path]) == 2
     assert run(["macdonald", "--polytope", square_path, "--t", "1", "--direction", "1,1,1"]) == 2
-    assert run(["macdonald", "--polytope", square_path, "--t", "1", "--sigma", "0.01,0.005,0.002,0.001"]) == 2
 
 
 class RecordingNamespace(argparse.Namespace):
@@ -186,6 +185,8 @@ def test_every_registered_flag_is_read(square_path, triangle_path, tmp_path):
     ["macdonald", "--t", "1", "--seed", "3"],
     ["verify-brion", "--s", "0.3+0.2i,0.1+0.1i", "--samples", "10"],
     ["brianchon-gram", "--p", "1"],
+    ["macdonald", "--t", "1", "--sigma", "0.01,0.005,0.002,0.001,0.0005"],
+    ["macdonald", "--t", "1", "--fit-degree", "3"],
 ])
 def test_removed_flags_are_input_errors(argv, square_path, capsys):
     with pytest.raises(SystemExit) as exc:

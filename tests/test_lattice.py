@@ -112,7 +112,7 @@ ENGINE_CASES = {
     "2d-fixed-R": (2, {"truncation_radius": 12}, None),
     "2d-p1.5": (2, {"p": 1.5, "eps_schedule": (0.05, 0.02, 0.01)}, None),
     "3d-fixed-R": (3, {"eps_schedule": (0.5, 0.25, 0.125, 0.0625), "truncation_radius": 8}, None),
-    # radii 30, 30, 34: the 69^3 box is split into two slabs
+    # radii 30, 30, 34: the 69^3 box is split into slabs of four rows
     "3d-mixed-chunked": (3, {"eps_schedule": (0.05, 0.02, 0.01)}, None),
     # slabs of three rows, with shell tails far above rounding
     "3d-fixed-R-slabs": (3, {"eps_schedule": (0.5, 0.25, 0.125, 0.0625), "truncation_radius": 8}, 1000),
@@ -152,6 +152,54 @@ class TestLevelsEngine:
         assert want.value.lattice_point == (41, -29)
         assert got.value.lattice_point == want.value.lattice_point
         assert got.value.generator_index == 0
+
+DIRECTION_CASES = {
+    # (dim, config, direction)
+    "1d": (1, {"eps_schedule": (0.5, 0.1), "truncation_radius": 6}, (1.3,)),
+    "2d": (2, {"eps_schedule": (0.5, 0.1), "truncation_radius": 6}, (1.0, 0.7)),
+    "2d-p1.5": (2, {"p": 1.5, "eps_schedule": (0.5, 0.1), "truncation_radius": 6}, (1.0, 0.7)),
+    "3d": (3, {"eps_schedule": (0.5, 0.25), "truncation_radius": 4}, (1.0, 0.6, 0.3)),
+}
+
+
+def direction_terms(d, triangle, tetrahedron):
+    return {1: segment_terms(), 2: shifted_vertex_terms(triangle, 1.37),
+            3: shifted_vertex_terms(tetrahedron, 1.3)}[d]
+
+
+class TestConstantTerm:
+    @pytest.mark.parametrize("case", list(DIRECTION_CASES))
+    def test_pole_free_s_ignores_direction(self, case, triangle, tetrahedron):
+        # with no denominator zero in the box the constant term in sigma is
+        # the value at sigma = 0
+        d, cfg_kw, x = DIRECTION_CASES[case]
+        cfg = ss.DampedSumConfig(**cfg_kw)
+        terms = direction_terms(d, triangle, tetrahedron)
+        s = np.array([0.21 + 0.13j, 0.37 - 0.08j, 0.11 + 0.05j][:d])
+        plain = damped_transform_levels(terms, s, cfg)
+        along = damped_transform_levels(terms, s, cfg, x)
+        assert np.all(np.abs(along.value - plain.value) <= 3e-15 * plain.gross)
+        assert along.gross == pytest.approx(plain.gross, rel=1e-12)
+
+    @pytest.mark.parametrize("case", list(DIRECTION_CASES))
+    def test_matches_contour_mean(self, case, triangle, tetrahedron):
+        # at s = 0 terms have poles of order up to d; the mean of the plain
+        # engine over a small circle sigma = r e^{i theta} is the Laurent
+        # constant term, up to aliasing of order r^16.  One cone is left out:
+        # over all vertex cones of a polytope the poles cancel at every m, and
+        # the phi_hat Taylor tables would meet only rounding
+        d, cfg_kw, x = DIRECTION_CASES[case]
+        cfg = ss.DampedSumConfig(**cfg_kw)
+        terms = direction_terms(d, triangle, tetrahedron)[:-1]
+        along = damped_transform_levels(terms, np.zeros(d), cfg, x)
+        sigmas = 0.02 * np.exp(2j * math.pi * (np.arange(16) + 0.5) / 16)
+        mean = np.mean([damped_transform_levels(terms, sig * np.array(x), cfg).value for sig in sigmas], axis=0)
+        assert np.all(np.abs(along.value - mean) <= 1e-12 * along.gross)
+
+    def test_non_generic_direction_raises(self, quadrant_terms):
+        with pytest.raises(ss.PoleHit, match="not generic"):
+            damped_transform_levels(quadrant_terms, np.zeros(2), ss.DampedSumConfig(), (0.0, 1.0))
+
 
 class TestDirectSum:
     def test_geometric_series_closed_form(self, quadrant, quadrant_terms):

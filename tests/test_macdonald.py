@@ -52,11 +52,33 @@ class TestMacdonaldSum:
                 assert abs(sum(c for _, c in ev.per_vertex) - alpha.value) < 1e-4
 
 
+def simplex_closed_form(t):
+    """A(t) of the standard 3-simplex at integer t: t^3/6 + (A(1) - 1/6) t.
+    The lattice points of the simplex itself are its vertices: the origin sees
+    an octant and each other vertex a trihedral cone, whose solid angle comes
+    from the Van Oosterom-Strackee formula."""
+    a, b, c = np.array([-1.0, 0.0, 0.0]), np.array([-1.0, 1.0, 0.0]), np.array([-1.0, 0.0, 1.0])
+    na, nb, nc = map(np.linalg.norm, (a, b, c))
+    num = abs(np.dot(a, np.cross(b, c)))
+    den = na * nb * nc + np.dot(a, b) * nc + np.dot(a, c) * nb + np.dot(b, c) * na
+    a1 = 1 / 8 + 3 * 2 * math.atan2(num, den) / (4 * math.pi)
+    return t ** 3 / 6 + (a1 - 1 / 6) * t
+
+
+FAST_3D = ss.DampedSumConfig(eps_schedule=tuple(0.5 * 0.5 ** k for k in range(6)), truncation_radius=30)
+
+
 class TestMacdonaldVolume:
     @pytest.mark.parametrize("t", [1.0, 2.0, 3.0])
     def test_square_is_t_squared(self, square, t):
         est = ss.macdonald_volume(square, t)
-        assert abs(est.value - t * t) < 1e-2
+        assert abs(est.value - t * t) < 1e-13
+        assert abs(est.value - t * t) <= est.error
+
+    def test_triangle_unit_dilation_exact(self, triangle):
+        est = ss.macdonald_volume(triangle, 1.0)
+        assert abs(est.value - 11 / 12) < 1e-13
+        assert abs(est.value - 11 / 12) <= est.error
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 1.5])
     def test_triangle_matches_oracle(self, triangle, t):
@@ -68,39 +90,44 @@ class TestMacdonaldVolume:
         est = ss.macdonald_volume(golden_rectangle, 1.0)
         orc = ss.discrete_volume(golden_rectangle, 1.0)
         assert orc.value == pytest.approx(1.5, abs=1e-12)
-        assert abs(est.value - 1.5) < 1e-2
+        assert abs(est.value - 1.5) < 1e-12
+        assert abs(est.value - 1.5) <= est.error
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("t", [1.0, 1.5])
+    def test_square_other_norms(self, square, p, t):
+        # the square's solid-angle weights are 1, 1/2 and 1/4 for every p
+        est = ss.macdonald_volume(square, t, cfg=ss.DampedSumConfig(p=p))
+        assert abs(est.value - t * t) < 1e-12
+        assert abs(est.value - t * t) <= est.error
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 2.0])
+    def test_three_simplex_closed_form(self, tetrahedron, t):
+        est = ss.macdonald_volume(tetrahedron, t, cfg=FAST_3D)
+        assert abs(est.value - simplex_closed_form(t)) <= est.error
 
     def test_direction_independence(self, triangle):
-        a = ss.macdonald_volume(triangle, 1.0, ss.LimitConfig(direction=(1.0, 1.0)))
-        b = ss.macdonald_volume(triangle, 1.0, ss.LimitConfig(direction=(2.0, 1.0)))
-        assert abs(a.value - b.value) <= 2 * (a.error + b.error) + 1e-9
-
-    def test_explicit_sigma_schedule(self, square):
-        lc = ss.LimitConfig(sigma_schedule=tuple(np.geomspace(0.02, 0.0005, 7)))
-        est = ss.macdonald_volume(square, 1.0, lc)
-        assert abs(est.value - 1.0) < 1e-2
-
-    def test_short_sigma_schedule_rejected(self, square):
-        # a degree-3 fit through 4 points interpolates them and reports no
-        # fit error; 5 distinct points are the fewest that leave one to spare
-        with pytest.raises(ValueError, match="at least 5 distinct sigmas"):
-            ss.macdonald_volume(square, 1.0, ss.LimitConfig(sigma_schedule=tuple(np.geomspace(0.01, 0.001, 4))))
-        with pytest.raises(ValueError, match="at least 5 distinct sigmas"):
-            ss.macdonald_volume(square, 1.0, ss.LimitConfig(sigma_schedule=(0.01, 0.01, 0.005, 0.002, 0.001)))
-        est = ss.macdonald_volume(square, 1.0, ss.LimitConfig(sigma_schedule=tuple(np.geomspace(0.01, 0.001, 5))))
-        assert abs(est.value - 1.0) <= est.error
+        a = ss.macdonald_volume(triangle, 1.0, direction=(1.0, 1.0))
+        for x in ((2.0, 1.0), (1.0, 3.0), (0.3, 1.7)):
+            b = ss.macdonald_volume(triangle, 1.0, direction=x)
+            assert abs(a.value - b.value) <= a.error + b.error
 
     def test_direction_length_checked(self, square):
         with pytest.raises(ValueError, match="direction has 3 components"):
-            ss.macdonald_volume(square, 1.0, ss.LimitConfig(direction=(1.0, 1.0, 1.0)))
+            ss.macdonald_volume(square, 1.0, direction=(1.0, 1.0, 1.0))
 
     def test_no_generic_direction(self, tetrahedron, monkeypatch):
-        # (1,1,1) is orthogonal to the edge (-1,1,0): every sigma hits a pole at m = 0
+        # (1,1,1) is orthogonal to the edge (-1,1,0) of the 3-simplex
         from solidsum import macdonald
-        monkeypatch.setattr(macdonald, "_fallback_directions", lambda d: iter(()))
         cfg = ss.DampedSumConfig(eps_schedule=(0.5, 0.25), truncation_radius=3)
-        with pytest.raises(ss.PoleHit, match="no certified generic direction"):
-            ss.macdonald_volume(tetrahedron, 1.0, ss.LimitConfig(direction=(1.0, 1.0, 1.0)), cfg)
+        monkeypatch.setattr(macdonald, "_fallback_directions", lambda d: iter(()))
+        with pytest.raises(ss.PoleHit, match="no generic direction"):
+            ss.macdonald_volume(tetrahedron, 1.0, cfg=cfg)
+
+    def test_explicit_direction_never_replaced(self, tetrahedron):
+        cfg = ss.DampedSumConfig(eps_schedule=(0.5, 0.25), truncation_radius=3)
+        with pytest.raises(ss.PoleHit, match="not generic"):
+            ss.macdonald_volume(tetrahedron, 1.0, direction=(1.0, 1.0, 1.0), cfg=cfg)
 
     def test_three_simplex_matches_oracle(self, tetrahedron):
         cfg = ss.DampedSumConfig(eps_schedule=tuple(0.5 * 0.5 ** k for k in range(6)),
@@ -149,6 +176,44 @@ class TestConeReciprocity:
 
 
 
+class TestTruncationTail:
+    """Reported errors carry the truncation tail of the last extrapolant:
+    in each case below the Richardson difference alone is smaller than the
+    miss against an exact reference."""
+
+    S_COMPLEX = np.array([0.31 + 0.12j, 0.22 - 0.07j])
+
+    def test_sum_at_p1(self, triangle):
+        s = np.array([0.31, 0.22])
+        ev = ss.macdonald_sum(triangle, 1.0, s, ss.DampedSumConfig(p=1.0))
+        exact = ss.alpha_polytope_direct(triangle, s, p=1.0)
+        assert abs(ev.value - exact.value) <= ev.error
+
+    @pytest.mark.parametrize("fixture", ["square", "triangle"])
+    def test_sum_small_radius(self, fixture, request):
+        P = request.getfixturevalue(fixture)
+        ev = ss.macdonald_sum(P, 1.0, self.S_COMPLEX, ss.DampedSumConfig(truncation_radius=5))
+        exact = ss.alpha_polytope_direct(P, self.S_COMPLEX)
+        assert abs(ev.value - exact.value) <= ev.error
+
+    def test_volume_at_p1(self, triangle):
+        est = ss.macdonald_volume(triangle, 1.0, cfg=ss.DampedSumConfig(p=1.0))
+        exact = ss.discrete_volume(triangle, 1.0, p=1.0)
+        assert exact.std_error == 0.0
+        assert abs(est.value - exact.value) <= est.error
+
+    @pytest.mark.parametrize("radius", [5, None])
+    def test_reciprocity_sides(self, quadrant, radius):
+        # imaginary s: the quadrant's sum is a product of geometric series
+        a, b = 0.15, 0.25
+        q1, q2 = math.exp(-2 * math.pi * a), math.exp(-2 * math.pi * b)
+        closed = 0.25 + 0.5 * (q1 / (1 - q1) + q2 / (1 - q2)) + q1 * q2 / ((1 - q1) * (1 - q2))
+        rep = ss.verify_cone_reciprocity(quadrant, [0.0, 0.0], np.array([1j * a, 1j * b]),
+                                         ss.DampedSumConfig(truncation_radius=radius))
+        assert abs(rep.rhs - closed) <= rep.details["rhs_error"]
+        assert abs(rep.lhs - closed) <= rep.details["lhs_error"]
+
+
 class TestEngineCalls:
     """Each damped sum is one engine pass covering every eps level."""
 
@@ -158,9 +223,9 @@ class TestEngineCalls:
         calls = []
         engine = macdonald.damped_transform_levels
 
-        def counting(terms, s, cfg):
+        def counting(terms, s, cfg, direction=None):
             try:
-                levels = engine(terms, s, cfg)
+                levels = engine(terms, s, cfg, direction)
             except ss.PoleHit:
                 calls.append("pole")
                 raise
@@ -170,26 +235,18 @@ class TestEngineCalls:
         monkeypatch.setattr(macdonald, "damped_transform_levels", counting)
         return calls
 
-    def test_volume_one_call_per_sigma(self, square, engine_calls):
-        sigmas = tuple(np.geomspace(0.02, 0.0005, 7))
-        ss.macdonald_volume(square, 1.0, ss.LimitConfig(sigma_schedule=sigmas))
-        assert engine_calls == [10] * len(sigmas)
+    def test_volume_one_engine_call(self, square, engine_calls):
+        est = ss.macdonald_volume(square, 1.0)
+        assert engine_calls == [10]
+        assert abs(est.value - 1.0) <= est.error
 
     def test_volume_engine_rejects_direction(self, tetrahedron, engine_calls):
-        # the default (1,1,1) is orthogonal to an edge of the 3-simplex, so the
-        # first sigma raises; the first fallback direction then runs all 7
-        cfg = ss.DampedSumConfig(eps_schedule=tuple(0.5 * 0.5 ** k for k in range(6)),
-                                 truncation_radius=30)
-        est = ss.macdonald_volume(tetrahedron, 1.0, cfg=cfg)
-        assert engine_calls == ["pole"] + [6] * 7
-        # the lattice points are the vertices: the origin sees an octant, each
-        # other vertex a trihedral cone (Van Oosterom-Strackee solid angle)
-        a, b, c = np.array([-1.0, 0.0, 0.0]), np.array([-1.0, 1.0, 0.0]), np.array([-1.0, 0.0, 1.0])
-        na, nb, nc = map(np.linalg.norm, (a, b, c))
-        num = abs(np.dot(a, np.cross(b, c)))
-        den = na * nb * nc + np.dot(a, b) * nc + np.dot(a, c) * nb + np.dot(b, c) * na
-        closed = 1 / 8 + 3 * 2 * math.atan2(num, den) / (4 * math.pi)
-        assert abs(est.value - closed) <= est.error
+        # the default (1,1,1) is orthogonal to an edge of the 3-simplex; the
+        # generator check rejects it without a lattice pass, so the first
+        # fallback direction makes the one engine call
+        est = ss.macdonald_volume(tetrahedron, 1.0, cfg=FAST_3D)
+        assert engine_calls == [6]
+        assert abs(est.value - simplex_closed_form(1.0)) <= est.error
 
     def test_sum_one_call_per_vertex(self, triangle, engine_calls):
         ss.macdonald_sum(triangle, 1.37, np.array([0.21 + 0.1j, 0.33 - 0.05j]))

@@ -4,7 +4,6 @@ import pytest
 import solidsum as ss
 from solidsum.numerics import (
     gauss_legendre_panels,
-    polynomial_fit_intercept,
     richardson_extrapolants,
     richardson_limit,
 )
@@ -50,11 +49,3 @@ def test_extrapolants_linear_in_values():
 def test_gauss_legendre_panels_polynomial_exact():
     x, w = gauss_legendre_panels(-1.0, 2.0, 4)
     assert w @ x ** 7 == pytest.approx((2.0 ** 8 - 1.0) / 8.0, abs=1e-12)
-
-
-def test_polynomial_fit_intercept_recovers_polynomial():
-    xs = np.geomspace(1e-3, 1e-1, 7)
-    ys = 4.0 - 2.0 * xs + 3.5 * xs ** 2
-    c0, rms = polynomial_fit_intercept(xs, ys, 3)
-    assert abs(c0 - 4.0) < 1e-10
-    assert rms < 1e-10
