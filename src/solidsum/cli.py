@@ -119,10 +119,6 @@ def _cfg_from_args(args) -> DampedSumConfig:
     return DampedSumConfig(p=args.p, eps_schedule=schedule, truncation_radius=args.radius)
 
 
-def _direction_from_args(args):
-    return tuple(parse_real_vector(args.direction)) if args.direction else None
-
-
 def _load(args):
     return polytope_from_json(args.polytope)
 
@@ -160,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of damping levels, halved each step (default 10)")
     damped.add_argument("--radius", type=int, default=None,
                         help="sup-norm lattice cutoff R (default: auto from eps)")
-    limit = group()
-    limit.add_argument("--direction", default=None, help="generic direction, e.g. '1,1'")
 
     sp = command("solid-angle", [poly, mc], "solid angle of a point with respect to a polytope")
     sp.add_argument("--x", required=True, help="evaluation point, e.g. '0,0'")
@@ -169,12 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("alpha", [poly, mc], "solid-angle generating sum over the polytope's lattice points")
     sp.add_argument("--s", required=True, help="complex argument, components 're+imi'")
 
-    sp = command("macdonald", [poly, damped, limit],
+    sp = command("macdonald", [poly, damped],
                  "dilation solid-angle sum (with --s) or its s->0 limit")
     sp.add_argument("--t", required=True, type=float, help="dilation factor")
     sp.add_argument("--s", default=None, help="complex argument; omit to take the s->0 limit")
 
-    sp = command("macdonald-series", [poly, damped, limit], "discrete volume over a range of dilations")
+    sp = command("macdonald-series", [poly, damped], "discrete volume over a range of dilations")
     sp.add_argument("--t", default=None, help="comma-separated dilations")
     sp.add_argument("--t-range", default=None, help="start:stop:step")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
@@ -199,10 +193,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("brianchon-gram", [poly, seed], "indicator identity spot check")
     sp.add_argument("--n-points", type=int, default=100)
 
-    sp = command("conjecture", [poly, damped, limit], "discrete volume at t = 0")
+    sp = command("conjecture", [poly, damped], "discrete volume at t = 0")
     sp.add_argument("--tolerance", type=float, default=1e-3)
 
-    sp = command("triangle-example", [damped, limit], "sqrt(3)-triangle fixture report")
+    sp = command("triangle-example", [damped], "sqrt(3)-triangle fixture report")
     sp.add_argument("--t", default="0.5,1.0,1.5", help="comma-separated dilations")
 
     sp = command("oracle", [poly, mc], "brute-force discrete volume")
@@ -237,7 +231,7 @@ def _cmd_macdonald(args) -> int:
         _emit(args, {"t": ev.t, "s": list(ev.s), "value": ev.value, "error": ev.error,
                      "per_vertex": [{"vertex": list(v), "partial": c} for v, c in ev.per_vertex]})
     else:
-        est = macdonald_volume(P, args.t, direction=_direction_from_args(args), cfg=cfg)
+        est = macdonald_volume(P, args.t, cfg=cfg)
         _emit(args, {"t": args.t, "value": est.value, "error": est.error})
     return 0
 
@@ -245,10 +239,9 @@ def _cmd_macdonald(args) -> int:
 def _cmd_macdonald_series(args) -> int:
     P = _load(args)
     cfg = _cfg_from_args(args)
-    direction = _direction_from_args(args)
     rows = []
     for t in _parse_t_list(args):
-        est = macdonald_volume(P, t, direction=direction, cfg=cfg)
+        est = macdonald_volume(P, t, cfg=cfg)
         rows.append((t, float(np.real(est.value)), est.error))
     payload = [{"t": t, "value": v, "error": e} for t, v, e in rows]
     _emit(args, payload, csv_rows=rows, csv_header=("t", "value", "error"))
@@ -272,7 +265,7 @@ def _cmd_verify_reciprocity(args) -> int:
 
 def _cmd_verify_brion(args) -> int:
     report = verify_brion(_load(args), parse_complex_vector(args.s), _cfg_from_args(args),
-                          p=args.p, tolerance=args.tolerance)
+                          tolerance=args.tolerance)
     _emit(args, _identity_payload(report))
     return 0 if report.passed else 1
 
@@ -296,7 +289,7 @@ def _cmd_brianchon_gram(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    est = conjecture_check(_load(args), cfg=_cfg_from_args(args), direction=_direction_from_args(args))
+    est = conjecture_check(_load(args), cfg=_cfg_from_args(args))
     passed = abs(est.value) < args.tolerance
     _emit(args, {"identity": "zero_at_origin", "value": est.value, "error": est.error,
                  "residual": abs(float(np.real(est.value))), "tolerance": args.tolerance,
@@ -306,7 +299,7 @@ def _cmd_conjecture(args) -> int:
 
 def _cmd_triangle_example(args) -> int:
     t_values = tuple(float(v) for v in args.t.split(","))
-    report = triangle_example(t_values, cfg=_cfg_from_args(args), direction=_direction_from_args(args))
+    report = triangle_example(t_values, cfg=_cfg_from_args(args))
     _emit(args, report)
     ok = report["determinants_pass"] and report["volumes_pass"] and report["curvature_check"]["pass"]
     return 0 if ok else 1

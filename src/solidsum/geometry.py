@@ -268,13 +268,6 @@ def cone_halfplanes_2d(apex, g1, g2):
     return A, b
 
 
-def contains(P: Polytope, x, t: float = 1.0, tol: float = BOUNDARY_TOL) -> bool:
-    """Membership of x in the closed dilate t*P (boundary band included)."""
-    A, b = half_spaces(P)
-    x = np.asarray(x, dtype=float)
-    return bool(np.all(A @ x <= t * b + tol))
-
-
 # ----------------------------- adjacency -----------------------------------
 
 def _hull_cycle_2d(P: Polytope) -> list:

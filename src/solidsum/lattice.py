@@ -10,16 +10,16 @@ are evaluated for every level of the damping schedule in one pass over the
 largest box: only the separable factor phi_hat depends on eps, so the summed
 cone-rational factor r(m) is formed once and contracted, one axis at a time,
 with per-level 1-D phi_hat tables that vanish outside each level's own box.
-Given a direction x, the same pass returns the constant term in sigma of the
-sum at s + sigma * x, its value at s where the sum is entire (the exact s -> 0
-limit of ``macdonald_volume``).  Direct-space sums accumulate
+Given a direction x to approach the pole points along, the same pass returns
+the value at s of a cone sum that is entire there, as the sum over all vertex
+cones of a polytope is (Brion): the exact s -> 0 limit of
+``macdonald_volume``.  Direct-space sums accumulate
 (1_body * phi_eps)(m) * exp(2*pi*i*<s, m>) at one eps.  The bilinear pairing
 is used throughout; nothing is conjugated.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,7 +31,7 @@ from .errors import ConvergenceDomain, PoleHit, UnsupportedDimension
 from .geometry import Polytope, SimpleCone, cone_halfplanes_2d, half_spaces
 from .numerics import Estimate
 from .oracle import lattice_weights
-from .transforms import DampedSumConfig, clip_cutoff, phi_hat_1d_taylor, pole_distance
+from .transforms import DampedSumConfig, clip_cutoff, phi_hat_1d_grid, pole_distance
 
 POLE_GUARD = 1e-10     # minimum |<w_j, m+s>| over the enumerated box
 CHUNK_LIMIT = 20_000   # points per chunk of the box (slabs along the first axis)
@@ -62,22 +62,21 @@ class DampedLevels:
 
 
 @lru_cache(maxsize=16)
-def _level_tables(cfg: DampedSumConfig, s_tuple: tuple, x_tuple: tuple | None):
-    """Per-axis 1-D tables over the largest box ms, indexed [n, level, m_k] and
-    zero outside each level's radius R: the sigma^n Taylor coefficients of
-    phi_hat_1d(m_k + s_k + sigma x_k), n <= d (n = 0 without a direction x),
-    and magnitude rows for the gross sums followed by rows for the shell tails.
-    Cached because macdonald_sum makes one call per vertex at the same s, and
-    for p != 2 the tables come from quadrature."""
-    order = 0 if x_tuple is None else len(s_tuple)
+def _level_tables(cfg: DampedSumConfig, s_tuple: tuple):
+    """Per-axis 1-D tables over the largest box ms, indexed [level, m_k] and
+    zero outside each level's radius R: phi_hat_1d(m_k + s_k), and magnitude
+    rows for the gross sums followed by rows for the shell tails.  Cached
+    because macdonald_sum makes one call per vertex at the same s, and for
+    p != 2 the tables come from quadrature."""
     radii = np.array([cfg.radius_for(e) for e in cfg.eps_schedule])[:, None]
     ms = np.arange(-radii.max(), radii.max() + 1)
     inside = np.abs(ms) <= radii
     tables, mag_tables = [], []
-    for a, (sk, xk) in enumerate(zip(s_tuple, x_tuple or (0.0,) * len(s_tuple))):
-        table = np.zeros((order + 1,) + inside.shape, dtype=complex)
-        for row, (eps, mask) in enumerate(zip(cfg.eps_schedule, inside)):
-            table[:, row, mask] = phi_hat_1d_taylor(cfg, eps, ms[mask] + sk, xk, order)
+    for a, sk in enumerate(s_tuple):
+        table = np.zeros(inside.shape, dtype=complex)
+        for row, eps, mask in zip(table, cfg.eps_schedule, inside):
+            z = ms[mask] + sk
+            row[mask] = np.exp(-math.pi * eps * z * z) if cfg.p == 2.0 else phi_hat_1d_grid(cfg, eps, z)
         mag = np.abs(table)
         interior = np.where(np.abs(ms) < radii, mag, 0.0)
         edge = np.where(np.abs(ms) == radii, mag, 0.0)
@@ -85,7 +84,7 @@ def _level_tables(cfg: DampedSumConfig, s_tuple: tuple, x_tuple: tuple | None):
         # interior before k, edge at k, the whole box after k
         shell = [interior if a < k else edge if a == k else mag for k in range(len(s_tuple))]
         tables.append(table)
-        mag_tables.append(np.concatenate([mag] + shell, axis=1))
+        mag_tables.append(np.concatenate([mag] + shell))
     for t in tables + mag_tables:
         t.setflags(write=False)
     return ms, tables, mag_tables
@@ -98,11 +97,6 @@ def _contract(x: np.ndarray, tables) -> np.ndarray:
     for t in tables[1:]:
         y = np.matmul(t[:, None, :], y.reshape(t.shape[0], t.shape[1], -1))[:, 0, :]
     return y[:, 0]
-
-
-def _slab_tables(tables, n, i0: int, i1: int) -> list:
-    """Each axis's table for its power n_k, the first axis cut to the slab [i0, i1)."""
-    return [tables[0][n[0], :, i0:i1]] + [t[nk] for t, nk in zip(tables[1:], n[1:])]
 
 
 def _box_chunks(ms: np.ndarray, d: int):
@@ -145,11 +139,13 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
     magnitudes; each level's value, gross and shell tail follow by
     contracting them with that level's phi_hat tables.  Raises PoleHit when
     some m + s in the largest box comes within POLE_GUARD of a denominator
-    zero, unless a direction x is given: each level is then the constant term
-    in sigma at s + sigma * x.  A term with a_j = <w_j, m+s> = 0 for j in Z
-    has a pole of order |Z| <= d; its coefficients r_n(m), n <= |Z|, pair
-    with the phi_hat Taylor tables of total order n.  PoleHit is raised for a
-    direction with some |<w_j, x>| <= POLE_GUARD."""
+    zero, unless a direction x is given: the value at s is then taken where
+    the sum of the terms is entire.  A term with a_j = <w_j, m+s> = 0 for j in
+    Z has a pole of order |Z| <= d along s + sigma * x; its Laurent
+    coefficients r_n(m), the coefficient of sigma^-n, are formed per cone, r_0
+    enters the sum, and PoleHit is raised where the summed r_n, n >= 1, do not
+    cancel (a cone list whose sum is not entire there), or for a direction
+    with some |<w_j, x>| <= POLE_GUARD."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     d = s.size
     x = None if direction is None else tuple(float(v) for v in direction)
@@ -157,9 +153,7 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
         raise ValueError(f"direction has {len(x)} components, the sum has dimension {d}")
     if x is not None and pole_distance(terms, x) <= POLE_GUARD:
         raise PoleHit(f"direction {x} is not generic: some |<w_j, x>| <= {POLE_GUARD}")
-    ms, tables, mag_tables = _level_tables(cfg, tuple(complex(v) for v in s), x)
-    order = 0 if x is None else d
-    powers = [n for n in itertools.product(range(order + 1), repeat=d) if sum(n) <= order]
+    ms, tables, mag_tables = _level_tables(cfg, tuple(complex(v) for v in s))
     n_levels = len(cfg.eps_schedule)
     pref = (-TWO_PI_I) ** (-d)
 
@@ -177,8 +171,9 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
     mags_sum = np.zeros((d + 1) * n_levels)
     for i0, i1, M in _box_chunks(ms, d):
         Z = M.T + s[:, None]  # one row per axis: products along contiguous rows
-        r = np.zeros((order + 1, M.shape[0]), dtype=complex)
-        r_abs = np.zeros((order + 1, M.shape[0]))
+        r = np.zeros(M.shape[0], dtype=complex)
+        r_abs = np.zeros(M.shape[0])
+        neg = neg_abs = None  # summed rows r_n, n >= 1, and their majorants
         for amp, W, apex, b, c in prepared:
             denoms = W @ Z
             mags = np.abs(denoms)
@@ -199,17 +194,30 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
             if apex is not None:
                 contrib *= np.exp(TWO_PI_I * (apex @ Z))
             if poles.size:
-                series, majorant = _pole_terms(contrib[poles], a, zero, b, c, order)
+                series, majorant = _pole_terms(contrib[poles], a, zero, b, c, d)
                 contrib[poles] = 0.0
-                r[:, poles] += series
-                r_abs[:, poles] += majorant
-            r[0] += contrib
-            r_abs[0] += np.abs(contrib)
+                r[poles] += series[0]
+                r_abs[poles] += majorant[0]
+                if neg is None:
+                    neg, neg_abs = np.zeros((d, M.shape[0]), dtype=complex), np.zeros((d, M.shape[0]))
+                neg[:, poles] += series[1:]
+                neg_abs[:, poles] += majorant[1:]
+            r += contrib
+            r_abs += np.abs(contrib)
+        if neg is not None:
+            # summed over all vertex cones of a polytope these rows are
+            # rounding: at most 1.7e-16 of their majorant on exact fixtures,
+            # and about 7e-14 * t where float vertices tilt an edge by an ulp
+            # (3.6e-12 at t = 25).  A missing cone leaves 0.29 or more.
+            cols = np.flatnonzero(neg_abs.any(axis=0))
+            bad = np.any(np.abs(neg[:, cols]) > 1e-6 * neg_abs[:, cols], axis=0)
+            if bad.any():
+                m_bad = tuple(int(v) for v in M[cols[np.argmax(bad)]])
+                raise PoleHit(f"poles do not cancel across the cones at m={m_bad}", lattice_point=m_bad)
         del M, Z
         grid = (i1 - i0,) + (ms.size,) * (d - 1)
-        for n in powers:
-            value += _contract(r[sum(n)].reshape(grid), _slab_tables(tables, n, i0, i1))
-            mags_sum += _contract(r_abs[sum(n)].reshape(grid), _slab_tables(mag_tables, n, i0, i1))
+        value += _contract(r.reshape(grid), [tables[0][:, i0:i1]] + tables[1:])
+        mags_sum += _contract(r_abs.reshape(grid), [mag_tables[0][:, i0:i1]] + mag_tables[1:])
     gross = mags_sum[:n_levels]
     tail = mags_sum[n_levels:].reshape(d, n_levels).sum(axis=0)
     return DampedLevels(value, tail, gross)

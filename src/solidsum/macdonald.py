@@ -7,7 +7,9 @@ solid-angle sum of a dilated polytope,
         * sum_m exp(2 pi i t <v, m+s>) phi_hat(m+s) / prod_j <w_j(v), m+s>,
 
 with the eps -> 0 limit taken by Richardson extrapolation.  ``macdonald_volume``
-takes the s -> 0 limit exactly, as the constant term along a generic direction.
+takes the s -> 0 limit exactly: summed over all vertex cones the transform is
+entire (Brion), so the limit is its value at s = 0, which the engine takes
+along an internal generic direction.
 The verifiers compute residuals of the cone reciprocity, Brion,
 dilation-reciprocity, and Brianchon-Gram identities.
 """
@@ -130,23 +132,22 @@ def _fallback_directions(d: int) -> list:
     return [rng.integers(1, 12, size=d) / rng.integers(1, 5, size=d) for _ in range(20)]
 
 
-def macdonald_volume(P: Polytope, t: float, direction=None,
-                     cfg: DampedSumConfig | None = None) -> Estimate:
+def macdonald_volume(P: Polytope, t: float, cfg: DampedSumConfig | None = None) -> Estimate:
     """Solid-angle discrete volume of the dilate t*P: the s -> 0 limit of
-    macdonald_sum, taken exactly as the constant term along a generic
-    direction in one damped-sum engine pass.  Without ``direction``, the first
-    of (1, ..., 1) and seeded rational fallbacks with |<w_j, x>| > POLE_GUARD
-    for every vertex-cone generator is used; an explicit direction that fails
-    this raises PoleHit.  The error also counts any imaginary part, and
-    ImaginaryResidue is raised when that part is significant."""
+    macdonald_sum, the value at s = 0 of the entire vertex-cone sum, in one
+    damped-sum engine pass.  The engine approaches the pole points along the
+    first of (1, ..., 1) and seeded rational fallbacks with
+    |<w_j, x>| > POLE_GUARD for every vertex-cone generator; the value does
+    not depend on that choice beyond rounding.  The error also counts any
+    imaginary part, and ImaginaryResidue is raised when that part is
+    significant."""
     cfg = cfg or DampedSumConfig()
     d = P.dim
     terms = [c for _, cones in _vertex_terms(P, t) for c in cones]
+    direction = next((x for x in [np.ones(d), *_fallback_directions(d)]
+                      if pole_distance(terms, x) > POLE_GUARD), None)
     if direction is None:
-        direction = next((x for x in [np.ones(d), *_fallback_directions(d)]
-                          if pole_distance(terms, x) > POLE_GUARD), None)
-        if direction is None:
-            raise PoleHit("no generic direction found")
+        raise PoleHit("no generic direction found")
 
     est = _eps_limit(cfg.eps_schedule, damped_transform_levels(terms, np.zeros(d), cfg, direction))
     c0 = est.value
@@ -187,18 +188,19 @@ def verify_cone_reciprocity(cone: SimpleCone, shift, s, cfg: DampedSumConfig | N
     )
 
 
-def verify_brion(P: Polytope, s, cfg: DampedSumConfig | None = None, p: float = 2.0,
+def verify_brion(P: Polytope, s, cfg: DampedSumConfig | None = None,
                  tolerance: float = 1e-4) -> IdentityReport:
     """Brion-type identity: the finite solid-angle sum over P's lattice points
-    equals the sum of the damped, extrapolated vertex-cone sums."""
+    equals the sum of the damped, extrapolated vertex-cone sums, both in the
+    l^p norm of ``cfg``."""
     cfg = cfg or DampedSumConfig()
     s = np.atleast_1d(np.asarray(s, dtype=complex))
-    lhs = alpha_polytope_direct(P, s, p=p)
+    lhs = alpha_polytope_direct(P, s, p=cfg.p)
     rhs = macdonald_sum(P, 1.0, s, cfg)
     residual = abs(lhs.value - rhs.value)
     return IdentityReport(
         identity="brion",
-        inputs={"s": [complex(v) for v in s], "dim": P.dim, "p": p},
+        inputs={"s": [complex(v) for v in s], "dim": P.dim, "p": cfg.p},
         lhs=lhs.value, rhs=rhs.value,
         residual=float(residual), tolerance=tolerance, passed=bool(residual < tolerance),
         details={"per_vertex": rhs.per_vertex, "lhs_error": lhs.error, "rhs_error": rhs.error},
@@ -223,10 +225,10 @@ def verify_macdonald(P: Polytope, t: float, s, cfg: DampedSumConfig | None = Non
     )
 
 
-def conjecture_check(P: Polytope, cfg: DampedSumConfig | None = None, direction=None) -> Estimate:
+def conjecture_check(P: Polytope, cfg: DampedSumConfig | None = None) -> Estimate:
     """Value of the discrete volume at t = 0 (a theorem for odd dimension,
     a conjectured zero otherwise)."""
-    return macdonald_volume(P, 0.0, direction=direction, cfg=cfg)
+    return macdonald_volume(P, 0.0, cfg=cfg)
 
 
 def brianchon_gram_check(P: Polytope, n_points: int = 100, seed: int = 0) -> GramCheckResult:
@@ -304,7 +306,7 @@ def _fd_second_derivative(func, h: float) -> complex:
 
 
 def triangle_example(t_values=(0.5, 1.0, 1.5), cfg: DampedSumConfig | None = None,
-                     direction=None, oracle_samples: int = 20_000) -> dict:
+                     oracle_samples: int = 20_000) -> dict:
     """Full report for the sqrt(3)-triangle fixture.
 
     (a) canonically scaled tangent-cone determinants, expected (1, sqrt(3), 1);
@@ -326,7 +328,7 @@ def triangle_example(t_values=(0.5, 1.0, 1.5), cfg: DampedSumConfig | None = Non
 
     volume_rows = []
     for t in t_values:
-        analytic = macdonald_volume(P, t, direction=direction, cfg=cfg)
+        analytic = macdonald_volume(P, t, cfg=cfg)
         orc = discrete_volume(P, t, p=2.0, n_samples=oracle_samples)
         tol = max(1e-2, 3.0 * orc.std_error)
         diff = abs(analytic.value - orc.value)

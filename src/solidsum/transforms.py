@@ -102,9 +102,10 @@ def _quad_window(cfg: DampedSumConfig, eps: float, im_max: float) -> float:
     return min(cfg.quad_halfwidth, max(L, 1e-3))
 
 
-def _quadrature_rule(cfg: DampedSumConfig, eps: float, z: np.ndarray):
-    """Nodes u and weights w * phi_1d(u) of the Gauss-Legendre rule on [-L, L]
-    that resolves the 1-D transform at the complex arguments z."""
+def phi_hat_1d_grid(cfg: DampedSumConfig, eps: float, z_values: np.ndarray) -> np.ndarray:
+    """1-D transforms of the damping factor at an array of complex arguments,
+    by composite Gauss-Legendre quadrature on [-L, L]."""
+    z = np.atleast_1d(np.asarray(z_values, dtype=complex))
     im_max = float(np.max(np.abs(z.imag))) if z.size else 0.0
     re_max = float(np.max(np.abs(z.real))) if z.size else 0.0
     L = _quad_window(cfg, eps, im_max)
@@ -124,40 +125,9 @@ def _quadrature_rule(cfg: DampedSumConfig, eps: float, z: np.ndarray):
     h = bounds[1] - bounds[0]
     graded = h * 0.5 ** np.arange(1, 46)
     bounds = np.unique(np.concatenate([bounds, -graded, graded, [0.0]]))
-    x, w = gauss_legendre_cells(bounds)
-    dens = eps ** (-1.0 / cfg.p) * np.exp(-(cfg.c / eps) * np.abs(x) ** cfg.p)
-    return x, w * dens
-
-
-def phi_hat_1d_grid(cfg: DampedSumConfig, eps: float, z_values: np.ndarray) -> np.ndarray:
-    """1-D transforms of the damping factor at an array of complex arguments,
-    by composite Gauss-Legendre quadrature on [-L, L]."""
-    z = np.atleast_1d(np.asarray(z_values, dtype=complex))
-    u, wd = _quadrature_rule(cfg, eps, z)
-    return np.exp(2j * np.pi * np.outer(z, u)) @ wd
-
-
-def phi_hat_1d_taylor(cfg: DampedSumConfig, eps: float, z_values: np.ndarray, x: float,
-                      order: int) -> np.ndarray:
-    """Taylor coefficients in sigma of the 1-D transform at z + sigma * x, one
-    row per power n = 0..order: x^n/n! times the n-th derivative at each z.
-    For p = 2 these are Hermite polynomials times the Gaussian exp(-a z^2),
-    a = pi * eps; otherwise the quadrature takes an extra factor
-    (2 pi i u x)^n / n!.  Row 0 is the transform itself, bit for bit."""
-    z = np.atleast_1d(np.asarray(z_values, dtype=complex))
-    rows = np.zeros((order + 1, z.size), dtype=complex)
-    if cfg.p == 2.0:
-        a = math.pi * eps
-        rows[0] = np.exp(-a * z * z)
-        for n in range(order):
-            prev = rows[n - 1] if n else 0.0
-            rows[n + 1] = -2.0 * a * x * (z * rows[n] + x * prev) / (n + 1)
-        return rows
-    u, wd = _quadrature_rule(cfg, eps, z)
-    kernel = np.exp(2j * np.pi * np.outer(z, u))
-    for n in range(order + 1):
-        rows[n] = kernel @ (wd * (2j * np.pi * x * u) ** n / math.factorial(n))
-    return rows
+    u, w = gauss_legendre_cells(bounds)
+    dens = eps ** (-1.0 / cfg.p) * np.exp(-(cfg.c / eps) * np.abs(u) ** cfg.p)
+    return np.exp(2j * np.pi * np.outer(z, u)) @ (w * dens)
 
 
 def phi_hat(cfg: DampedSumConfig, eps: float, z) -> complex:

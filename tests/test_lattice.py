@@ -162,6 +162,13 @@ DIRECTION_CASES = {
 }
 
 
+OTHER_DIRECTIONS = {
+    1: [(-0.7,)],
+    2: [(2.0, 1.0), (1.0, 3.0), (0.3, 1.7)],
+    3: [(0.3, 1.7, 1.1), (2.0, 0.5, 1.3)],
+}
+
+
 def direction_terms(d, triangle, tetrahedron):
     return {1: segment_terms(), 2: shifted_vertex_terms(triangle, 1.37),
             3: shifted_vertex_terms(tetrahedron, 1.3)}[d]
@@ -183,18 +190,43 @@ class TestConstantTerm:
 
     @pytest.mark.parametrize("case", list(DIRECTION_CASES))
     def test_matches_contour_mean(self, case, triangle, tetrahedron):
-        # at s = 0 terms have poles of order up to d; the mean of the plain
-        # engine over a small circle sigma = r e^{i theta} is the Laurent
-        # constant term, up to aliasing of order r^16.  One cone is left out:
-        # over all vertex cones of a polytope the poles cancel at every m, and
-        # the phi_hat Taylor tables would meet only rounding
+        # at s = 0 single cone terms have poles of order up to d, which cancel
+        # over all vertex cones; the mean of the plain engine over a small
+        # circle sigma = r e^{i theta} is the value at s = 0, up to aliasing
+        # of order r^16
         d, cfg_kw, x = DIRECTION_CASES[case]
         cfg = ss.DampedSumConfig(**cfg_kw)
-        terms = direction_terms(d, triangle, tetrahedron)[:-1]
+        terms = direction_terms(d, triangle, tetrahedron)
         along = damped_transform_levels(terms, np.zeros(d), cfg, x)
         sigmas = 0.02 * np.exp(2j * math.pi * (np.arange(16) + 0.5) / 16)
         mean = np.mean([damped_transform_levels(terms, sig * np.array(x), cfg).value for sig in sigmas], axis=0)
         assert np.all(np.abs(along.value - mean) <= 1e-12 * along.gross)
+
+    @pytest.mark.parametrize("case", list(DIRECTION_CASES))
+    def test_partial_cone_list_raises(self, case, triangle, tetrahedron):
+        # without its last cone the sum is not entire at s = 0: its poles do
+        # not cancel, and there is no value to return
+        d, cfg_kw, x = DIRECTION_CASES[case]
+        terms = direction_terms(d, triangle, tetrahedron)[:-1]
+        with pytest.raises(ss.PoleHit, match="do not cancel") as exc:
+            damped_transform_levels(terms, np.zeros(d), ss.DampedSumConfig(**cfg_kw), x)
+        m = exc.value.lattice_point
+        assert len(m) == d and all(isinstance(v, int) for v in m)
+        assert ss.pole_distance(terms, np.array(m, dtype=float)) <= lattice.POLE_GUARD
+
+    @pytest.mark.parametrize("case", list(DIRECTION_CASES))
+    def test_direction_independence(self, case, triangle, tetrahedron):
+        d, cfg_kw, x = DIRECTION_CASES[case]
+        cfg = ss.DampedSumConfig(**cfg_kw)
+        terms = direction_terms(d, triangle, tetrahedron)
+        a = damped_transform_levels(terms, np.zeros(d), cfg, x)
+        for y in OTHER_DIRECTIONS[d]:
+            b = damped_transform_levels(terms, np.zeros(d), cfg, y)
+            assert np.all(np.abs(a.value - b.value) <= 3e-15 * a.gross)
+
+    def test_direction_length_checked(self, quadrant_terms):
+        with pytest.raises(ValueError, match="direction has 3 components"):
+            damped_transform_levels(quadrant_terms, np.zeros(2), ss.DampedSumConfig(), (1.0, 1.0, 1.0))
 
     def test_non_generic_direction_raises(self, quadrant_terms):
         with pytest.raises(ss.PoleHit, match="not generic"):

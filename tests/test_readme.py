@@ -1,11 +1,24 @@
-"""The README's python blocks run as written, so the documentation cannot
-name an API that no longer exists."""
+"""The README's python blocks run as written and its command lines parse, so
+the documentation cannot name an API or a flag that no longer exists."""
 
+import argparse
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+from solidsum import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"```python\n(.*?)```", TEXT, flags=re.S)
+CLI_LINES = [line for block in re.findall(r"```bash\n(.*?)```", TEXT, flags=re.S)
+             for line in block.splitlines() if line.startswith("solidsum ")]
+# flags named in the prose and on the solidsum lines (other tools' flags, such
+# as pip's, only appear inside code blocks)
+PROSE = re.sub(r"```.*?```", "", TEXT, flags=re.S)
+FLAGS = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", PROSE + "\n".join(CLI_LINES)))
 
 
 def test_readme_has_python_blocks():
@@ -19,3 +32,24 @@ def test_python_blocks_run():
     tour = "ss.macdonald_volume(tri, 1.0).value"
     assert any(tour in block for block in BLOCKS)
     assert abs(eval(tour, namespace) - 11 / 12) < 1e-13
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_command_lines_parse(capsys):
+    parser = cli.build_parser()
+    assert len(CLI_LINES) >= len(_subparsers(parser))
+    for line in CLI_LINES:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}\n{capsys.readouterr().err}")
+
+
+def test_named_flags_are_registered():
+    registered = {opt for sub in _subparsers(cli.build_parser()).values()
+                  for action in sub._actions for opt in action.option_strings}
+    assert FLAGS
+    assert FLAGS - registered == set()
