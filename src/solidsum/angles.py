@@ -21,7 +21,15 @@ import numpy as np
 from scipy.special import gammainc
 
 from .errors import BadEpsilon, DegenerateCone, NotPointed, ScheduleTooShort, UnsupportedDimension
-from .geometry import Cone, Polytope, SimpleCone, cone_halfplanes_2d, half_spaces, triangulate_cone
+from .geometry import (
+    Cone,
+    Polytope,
+    SimpleCone,
+    body_half_spaces,
+    cone_halfplanes_2d,
+    half_spaces,
+    triangulate_cone,
+)
 from .numerics import gauss_legendre_panels
 from .transforms import clip_cutoff, mass_one_constant
 
@@ -268,12 +276,7 @@ def _polygon_of(body, x: np.ndarray, cut: float) -> np.ndarray:
         [x[0] + cut, x[1] + cut],
         [x[0] - cut, x[1] + cut],
     ])
-    if isinstance(body, Polytope):
-        A, b = half_spaces(body)
-    elif isinstance(body, SimpleCone):
-        A, b = cone_halfplanes_2d(body.apex, body.generators[0], body.generators[1])
-    else:
-        raise TypeError(f"unsupported body type {type(body).__name__}")
+    A, b = body_half_spaces(body)
     poly = box
     for row, off in zip(A, b):
         poly = clip_polygon_halfplane(poly, row, off)

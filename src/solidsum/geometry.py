@@ -1,11 +1,13 @@
 """Polytopes, vertex tangent cones, cone triangulation, faces, lattice points.
 
 Polytopes are stored by their vertices (V-representation).  Each polytope
-builds its convex hull at most once, on first use, and derives its facet
-inequalities (H-representation) and its triangulated vertex cones from it
-once; all are cached on the polytope, the inequalities as read-only arrays and
-the cones as tuples.  All objects are otherwise immutable after construction
-and every operation is a pure function.
+builds its convex hull at most once, on first use, and keeps from it only the
+facet inequalities (H-representation) and the vertex-facet incidence table;
+edges, faces and face tangent cones are all read off that table.  The
+inequalities, the table, the faces and the triangulated vertex cones are
+cached on the polytope, the arrays read-only and the rest as tuples.  All
+objects are otherwise immutable after construction and every operation is a
+pure function.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from .errors import (
     UnsupportedDimension,
 )
 
-BOUNDARY_TOL = 1e-10   # membership/incidence tolerance (unit facet normals)
+BOUNDARY_TOL = 1e-9    # membership/incidence tolerance (unit facet normals)
 DET_RTOL = 1e-12       # relative tolerance for generator independence
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -52,13 +54,14 @@ class Polytope:
         return self.vertices.shape[0]
 
     @cached_property
-    def _hull(self) -> ConvexHull:
-        """Convex hull of the vertices (dim >= 2), built on first use."""
-        return ConvexHull(self.vertices)
+    def _facets(self) -> tuple:
+        """(A, b, inc): unit facet inequalities A x <= b and the incidence
+        table, inc[i, f] true when vertex i lies on facet f."""
+        return _facet_table(self)
 
     @cached_property
-    def _half_spaces(self) -> tuple:
-        return _facet_inequalities(self)
+    def _faces(self) -> tuple:
+        return _face_list(self)
 
     @cached_property
     def _vertex_cones(self) -> tuple:
@@ -233,28 +236,25 @@ def half_spaces(P: Polytope):
     Computed once per polytope and cached on it; the returned arrays are
     read-only and shared by every caller.
     """
-    return P._half_spaces
+    A, b, _ = P._facets
+    return A, b
 
 
-def _facet_inequalities(P: Polytope) -> tuple:
+def _facet_table(P: Polytope) -> tuple:
     V = P.vertices
     if P.dim == 1:
         lo, hi = float(V[:, 0].min()), float(V[:, 0].max())
-        return _readonly(np.array([[-1.0], [1.0]])), _readonly(np.array([-lo, hi]))
-    eqs = P._hull.equations  # rows [a | c] with a x + c <= 0
-    A = eqs[:, :-1]
-    b = -eqs[:, -1]
-    norms = np.linalg.norm(A, axis=1)
-    A = A / norms[:, None]
-    b = b / norms
-    # merge duplicated facet planes from the simplicial hull output
-    seen, keep = set(), []
-    for i in range(A.shape[0]):
-        key = tuple(np.round(A[i], 9)) + (round(float(b[i]), 9),)
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return _readonly(A[keep]), _readonly(b[keep])
+        A, b = np.array([[-1.0], [1.0]]), np.array([-lo, hi])
+    else:
+        eqs = ConvexHull(V).equations  # rows [a | c] with a x + c <= 0
+        norms = np.linalg.norm(eqs[:, :-1], axis=1)
+        A = eqs[:, :-1] / norms[:, None]
+        b = -eqs[:, -1] / norms
+    inc = np.abs(V @ A.T - b) <= BOUNDARY_TOL
+    # a simplicial hull splits a facet into pieces with one incident-vertex set
+    _, keep = np.unique(inc.T, axis=0, return_index=True)
+    keep = np.sort(keep)
+    return _readonly(A[keep]), _readonly(b[keep]), _readonly(inc[:, keep], bool)
 
 
 def cone_halfplanes_2d(apex, g1, g2):
@@ -268,55 +268,33 @@ def cone_halfplanes_2d(apex, g1, g2):
     return A, b
 
 
+def body_half_spaces(body):
+    """H-representation A x <= b of a polytope or of a simple cone (dim <= 2)."""
+    if isinstance(body, Polytope):
+        return half_spaces(body)
+    if isinstance(body, SimpleCone):
+        if body.dim == 1:
+            g = float(body.generators[0, 0])
+            sgn = -1.0 if g > 0 else 1.0
+            return np.array([[sgn]]), np.array([sgn * float(body.apex[0])])
+        if body.dim == 2:
+            return cone_halfplanes_2d(body.apex, body.generators[0], body.generators[1])
+        raise UnsupportedDimension("cone half-spaces support dim <= 2")
+    raise TypeError(f"unsupported body type {type(body).__name__}")
+
+
 # ----------------------------- adjacency -----------------------------------
 
-def _hull_cycle_2d(P: Polytope) -> list:
-    return [int(i) for i in P._hull.vertices]  # counterclockwise cycle
-
-
-def _facet_groups_3d(P: Polytope):
-    """Merged (non-simplicial) facets of a 3-polytope: list of (vertex set, normal, offset)."""
-    hull = P._hull
-    groups = {}
-    for simplex, eq in zip(hull.simplices, hull.equations):
-        n = eq[:-1] / np.linalg.norm(eq[:-1])
-        c = eq[-1] / np.linalg.norm(eq[:-1])
-        key = tuple(np.round(n, 8)) + (round(float(c), 8),)
-        groups.setdefault(key, (set(), n, -c))[0].update(int(v) for v in simplex)
-    return [(frozenset(vs), n, b) for (vs, n, b) in groups.values()]
-
-
-def _facet_boundary_cycle(P: Polytope, facet_vertices, normal) -> list:
-    """Order a convex facet's vertices cyclically within its plane."""
-    idx = sorted(facet_vertices)
-    pts = P.vertices[idx]
-    center = pts.mean(axis=0)
-    # in-plane orthonormal basis
-    a = np.zeros(3)
-    a[int(np.argmin(np.abs(normal)))] = 1.0
-    u = np.cross(normal, a)
-    u /= np.linalg.norm(u)
-    v = np.cross(normal, u)
-    ang = np.arctan2((pts - center) @ v, (pts - center) @ u)
-    order = np.argsort(ang)
-    return [idx[i] for i in order]
-
-
 def edges(P: Polytope) -> list:
-    """Edges (1-faces) as sorted index pairs."""
+    """Edges (1-faces) as sorted index pairs: the vertex pairs whose common
+    facets have rank dim - 1."""
     if P.dim == 1:
         return [(0, 1)] if P.n_vertices == 2 else []
-    if P.dim == 2:
-        cyc = _hull_cycle_2d(P)
-        return sorted(tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))) for i in range(len(cyc)))
-    if P.dim == 3:
-        out = set()
-        for vs, n, _ in _facet_groups_3d(P):
-            cyc = _facet_boundary_cycle(P, vs, n)
-            for i in range(len(cyc)):
-                out.add(tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)]))))
-        return sorted(out)
-    raise UnsupportedDimension(f"edge enumeration supports dim <= 3, got {P.dim}")
+    A, _, inc = P._facets
+    shared = inc.astype(int) @ inc.T.astype(int)
+    cand = zip(*np.nonzero(np.triu(shared >= P.dim - 1, 1)))
+    return [(int(i), int(j)) for i, j in cand
+            if np.linalg.matrix_rank(A[inc[i] & inc[j]]) == P.dim - 1]
 
 
 def vertex_tangent_cone(P: Polytope, v_index: int) -> Cone:
@@ -430,45 +408,52 @@ def normalize_generator(w) -> np.ndarray:
 
 # ----------------------------- lattice points ------------------------------
 
-def lattice_points(P: Polytope, t: float, tol: float = BOUNDARY_TOL) -> np.ndarray:
-    """Integer points of the closed dilate t*P (points within ``tol`` of the
-    boundary are included), by bounding-box scan + half-space tests."""
+def lattice_points(P: Polytope, t: float) -> np.ndarray:
+    """Integer points of the closed dilate t*P (points within BOUNDARY_TOL of
+    the boundary are included), by bounding-box scan + half-space tests.
+
+    The scan runs the box in lexicographic order, so the points come out
+    sorted."""
     if t < 0:
         raise ValueError(f"dilation must be >= 0, got {t}")
     A, b = half_spaces(P)
     V = t * P.vertices
-    lo = np.floor(V.min(axis=0) - tol).astype(int)
-    hi = np.ceil(V.max(axis=0) + tol).astype(int)
+    lo = np.floor(V.min(axis=0) - BOUNDARY_TOL).astype(int)
+    hi = np.ceil(V.max(axis=0) + BOUNDARY_TOL).astype(int)
     axes = [np.arange(lo[k], hi[k] + 1) for k in range(P.dim)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, P.dim)
-    ok = np.all(grid @ A.T <= t * b + tol, axis=1)
-    pts = grid[ok]
-    order = np.lexsort(pts.T[::-1])
-    return pts[order]
+    return grid[np.all(grid @ A.T <= t * b + BOUNDARY_TOL, axis=1)]
 
 
 # ----------------------------- faces ---------------------------------------
 
-def faces(P: Polytope) -> list:
-    """All nonempty faces (vertices, edges, ..., P itself) for dim <= 3."""
+def faces(P: Polytope) -> tuple:
+    """All nonempty faces (vertices, edges, ..., P itself) for dim <= 3.
+
+    Built once per polytope from its incidence table and cached on it.
+    """
     if P.dim > 3:
         raise UnsupportedDimension(f"face enumeration supports dim <= 3, got {P.dim}")
+    return P._faces
+
+
+def _face_list(P: Polytope) -> tuple:
     out = [Face(0, (i,), 1) for i in range(P.n_vertices)]
     if P.dim >= 2:
         out += [Face(1, e, -1) for e in edges(P)]
     if P.dim == 3:
-        out += [Face(2, tuple(sorted(vs)), 1) for vs, _, _ in _facet_groups_3d(P)]
+        inc = P._facets[2]
+        out += [Face(2, tuple(int(i) for i in np.flatnonzero(col)), 1) for col in inc.T]
     out.append(Face(P.dim, tuple(range(P.n_vertices)), (-1) ** P.dim))
-    return out
+    return tuple(out)
 
 
 def face_tangent_cone_active_facets(P: Polytope, face: Face):
-    """Row indices of half_spaces(P) that are tight on the whole face.
+    """Row indices of half_spaces(P) that are tight on the whole face: the
+    facets incident to every vertex of the face.
 
     The tangent cone of the face is exactly the set of points satisfying
     those facet inequalities, which gives a cheap indicator test.
     """
-    A, b = half_spaces(P)
-    pts = P.vertices[list(face.vertex_indices)]
-    tight = np.all(np.abs(pts @ A.T - b) <= 1e-9, axis=0)
-    return np.flatnonzero(tight)
+    inc = P._facets[2]
+    return np.flatnonzero(np.all(inc[list(face.vertex_indices)], axis=0))

@@ -27,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .angles import soft_indicator
-from .errors import ConvergenceDomain, PoleHit, UnsupportedDimension
-from .geometry import Polytope, SimpleCone, cone_halfplanes_2d, half_spaces
+from .errors import ConvergenceDomain, PoleHit
+from .geometry import Polytope, SimpleCone, body_half_spaces
 from .numerics import Estimate
 from .oracle import lattice_weights
 from .transforms import DampedSumConfig, clip_cutoff, phi_hat_1d_grid, pole_distance
@@ -223,20 +223,6 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
     return DampedLevels(value, tail, gross)
 
 
-def _body_halfspaces(body, d: int):
-    if isinstance(body, Polytope):
-        return half_spaces(body)
-    if isinstance(body, SimpleCone):
-        if d == 1:
-            g = float(body.generators[0, 0])
-            sgn = -1.0 if g > 0 else 1.0
-            return np.array([[sgn]]), np.array([sgn * float(body.apex[0])])
-        if d == 2:
-            return cone_halfplanes_2d(body.apex, body.generators[0], body.generators[1])
-        raise UnsupportedDimension("direct sums over cones support dim <= 2")
-    raise TypeError(f"unsupported body type {type(body).__name__}")
-
-
 def damped_direct_sum(body, s, cfg: DampedSumConfig, eps: float) -> DampedSumResult:
     """Truncated direct-space sum sum_m (1_body * phi_eps)(m) e^{2 pi i <s,m>}.
 
@@ -249,7 +235,7 @@ def damped_direct_sum(body, s, cfg: DampedSumConfig, eps: float) -> DampedSumRes
         pairing = body.generators @ (-s.imag)
         if np.max(pairing) >= 0.0:
             raise ConvergenceDomain("-Im(s) is not interior to the polar cone")
-    A, b = _body_halfspaces(body, d)
+    A, b = body_half_spaces(body)
     cut = clip_cutoff(cfg.p, cfg.c, eps)
     R = cfg.radius_for(eps)
 

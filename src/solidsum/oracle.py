@@ -15,9 +15,7 @@ import numpy as np
 
 from .angles import sample_lp_ball, solid_angle_exact_2d, solid_angle_exact_2d_l1
 from .errors import UnsupportedCombination
-from .geometry import Polytope, half_spaces, lattice_points, vertex_simple_cones
-
-INCIDENCE_TOL = 1e-9
+from .geometry import BOUNDARY_TOL, Polytope, half_spaces, lattice_points, vertex_simple_cones
 
 
 @dataclass(frozen=True)
@@ -62,9 +60,9 @@ def point_weight(P: Polytope, t: float, m, p: float = 2.0, method: str = "auto",
     m = np.asarray(m, dtype=float)
     A, b = half_spaces(P)
     slack = t * b - A @ m
-    if np.min(slack) < -INCIDENCE_TOL:
+    if np.min(slack) < -BOUNDARY_TOL:
         return 0.0, 0.0  # outside the closed dilate
-    tight = np.abs(slack) <= INCIDENCE_TOL
+    tight = np.abs(slack) <= BOUNDARY_TOL
     n_tight = int(tight.sum())
     if n_tight == 0:
         return 1.0, 0.0
@@ -100,19 +98,14 @@ def lattice_weights(P: Polytope, t: float, p: float = 2.0, method: str = "auto",
     pts = lattice_points(P, t)
     A, b = half_spaces(P)
     slack = t * b - pts @ A.T
-    n_tight = np.count_nonzero(np.abs(slack) <= INCIDENCE_TOL, axis=1)
+    n_tight = np.count_nonzero(np.abs(slack) <= BOUNDARY_TOL, axis=1)
     weights = np.where(n_tight == 0, 1.0, 0.5)
-    weights[np.min(slack, axis=1) < -INCIDENCE_TOL] = 0.0
+    weights[np.min(slack, axis=1) < -BOUNDARY_TOL] = 0.0
     std_errors = np.zeros(len(pts))
     for i in np.flatnonzero((n_tight >= 2) & (weights > 0.0)):
         weights[i], std_errors[i] = point_weight(P, t, pts[i], p=p, method=method,
                                                  n_samples=n_samples, seed=seed)
     return pts, weights, std_errors
-
-
-def _ordered_sum(values: np.ndarray) -> float:
-    """Left-to-right sum (the order of a scalar loop, unlike numpy's pairwise sum)."""
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 def discrete_volume(P: Polytope, t: float, p: float = 2.0, method: str = "auto",
@@ -121,9 +114,10 @@ def discrete_volume(P: Polytope, t: float, p: float = 2.0, method: str = "auto",
     """Solid-angle weighted lattice-point count of the dilate t*P."""
     pts, weights, std_errors = lattice_weights(P, t, p=p, method=method,
                                                n_samples=n_samples, seed=seed)
+    mc = std_errors[std_errors > 0.0]  # only Monte Carlo weights carry an error
     return OracleResult(
-        value=_ordered_sum(weights),
-        std_error=math.sqrt(_ordered_sum(std_errors * std_errors)),
+        value=math.fsum(weights.tolist()),
+        std_error=math.sqrt(math.fsum((mc * mc).tolist())),
         n_lattice_points=len(pts),
         per_point_weights=(tuple(zip(map(tuple, pts.tolist()), weights.tolist()))
                            if keep_weights else None),

@@ -23,6 +23,21 @@ def tetrahedron():
 
 
 @pytest.fixture
+def cube():
+    return ss.load_polytope(3, [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+
+
+@pytest.fixture
+def octahedron():
+    return ss.load_polytope(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+
+
+@pytest.fixture
+def triangular_prism():
+    return ss.load_polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)])
+
+
+@pytest.fixture
 def golden_segment():
     return ss.load_polytope(1, [(0.0,), (GOLDEN,)])
 

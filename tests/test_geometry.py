@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 import solidsum as ss
-from solidsum.geometry import half_spaces, normalize_generator
+from solidsum.geometry import edges, half_spaces, normalize_generator
 
 SQRT3 = math.sqrt(3.0)
 
@@ -145,6 +148,7 @@ class TestLatticePoints:
     def test_square_dilate_two(self, square):
         pts = ss.lattice_points(square, 2.0)
         assert len(pts) == 9
+        assert pts.tolist() == sorted(pts.tolist())
         assert set(map(tuple, pts)) == {(i, j) for i in range(3) for j in range(3)}
 
     def test_triangle_dilate_one(self, triangle):
@@ -168,7 +172,8 @@ class TestLatticePoints:
 
 class TestFaces:
     @pytest.mark.parametrize("fixture,count", [
-        ("triangle", 7), ("square", 9), ("tetrahedron", 15)])
+        ("triangle", 7), ("square", 9), ("tetrahedron", 15),
+        ("cube", 27), ("octahedron", 27), ("triangular_prism", 21)])
     def test_counts(self, fixture, count, request):
         P = request.getfixturevalue(fixture)
         assert len(ss.faces(P)) == count
@@ -179,12 +184,62 @@ class TestFaces:
         P = request.getfixturevalue(fixture)
         assert sum(f.sign for f in ss.faces(P)) == 1
 
+    def test_rotated_irrational_cube(self):
+        a, c = 1.0, math.sqrt(2.0)  # rotation angles in radians
+        Rz = np.array([[math.cos(a), -math.sin(a), 0], [math.sin(a), math.cos(a), 0], [0, 0, 1]])
+        Rx = np.array([[1, 0, 0], [0, math.cos(c), -math.sin(c)], [0, math.sin(c), math.cos(c)]])
+        corners = np.array([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)], dtype=float)
+        V = math.sqrt(3.0) * corners @ (Rz @ Rx).T + [math.pi, math.e, math.sqrt(5.0)]
+        P = ss.load_polytope(3, V.tolist())
+        assert len(edges(P)) == 12
+        facets = [f for f in ss.faces(P) if f.dim == 2]
+        assert sorted(len(f.vertex_indices) for f in facets) == [4] * 6
+        assert half_spaces(P)[0].shape == (6, 3)
+        assert all(len(ss.vertex_tangent_cone(P, i).generators) == 3 for i in range(8))
+
     def test_unsupported_dimension(self):
         cross = [row for i in range(4) for row in
                  (np.eye(4)[i].tolist(), (-np.eye(4)[i]).tolist())]
         P = ss.load_polytope(4, cross)
         with pytest.raises(ss.UnsupportedDimension):
             ss.faces(P)
+
+
+@st.composite
+def sphere_points(draw):
+    """3 to 10 points on the unit circle or sphere, pairwise apart, so that
+    all of them are vertices of their hull."""
+    d = draw(st.integers(2, 3))
+    n = draw(st.integers(d + 1, 10))
+    angle = st.floats(0.0, 2.0 * math.pi)
+    if d == 2:
+        phis = draw(st.lists(angle, min_size=n, max_size=n))
+        V = np.array([(math.cos(f), math.sin(f)) for f in phis])
+    else:
+        zs = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        phis = draw(st.lists(angle, min_size=n, max_size=n))
+        V = np.array([(math.sqrt(1.0 - z * z) * math.cos(f), math.sqrt(1.0 - z * z) * math.sin(f), z)
+                      for z, f in zip(zs, phis)])
+    gaps = np.linalg.norm(V[:, None] - V[None], axis=-1) + 2.0 * np.eye(n)
+    assume(gaps.min() > 0.05)
+    assume(np.linalg.svd(V[1:] - V[0], compute_uv=False)[-1] > 0.05)  # not flat
+    return V
+
+
+@settings(max_examples=60, deadline=None)
+@given(sphere_points())
+def test_simplicial_hull_faces(V):
+    d = V.shape[1]
+    hull = ConvexHull(V)
+    # simplicial: no vertex lies on a hull facet that it does not span
+    slack = np.abs(V @ hull.equations[:, :-1].T + hull.equations[:, -1])
+    assume(np.count_nonzero(slack <= 1e-6) == d * len(hull.simplices))
+    P = ss.load_polytope(d, V.tolist())
+    sides = {tuple(sorted((int(s[i]), int(s[j])))) for s in hull.simplices
+             for i in range(d) for j in range(i + 1, d)}
+    assert set(edges(P)) == sides
+    assert sum(f.sign for f in ss.faces(P)) == 1
+    assert ss.brianchon_gram_check(P, n_points=200, seed=7).passed
 
 
 def test_half_spaces_contain_vertices(triangle, square, tetrahedron):

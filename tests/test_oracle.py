@@ -144,6 +144,20 @@ class TestBulkWeights:
         res = assert_matches_loop(tetrahedron, 6.0, seed=11)
         assert res.std_error > 0.0
 
+    def test_one_boundary_tolerance(self, triangle):
+        # (1, 1) lies 5e-10 outside the hypotenuse: within the tolerance, so
+        # enumeration and point weights must both count it as a boundary point
+        t = 1.5773502686122756
+        A, b = ss.half_spaces(triangle)
+        assert -1e-9 < np.min(t * b - A @ [1.0, 1.0]) < -1e-10
+        res = ss.discrete_volume(triangle, t)
+        lattice = ss.lattice_points(triangle, t)
+        box = [(x, y) for x in range(-1, 4) for y in range(-1, 3)]
+        assert res.value == math.fsum(ss.point_weight(triangle, t, m)[0] for m in lattice)
+        assert res.value == math.fsum(ss.point_weight(triangle, t, m)[0] for m in box)
+        assert ss.point_weight(triangle, t, (1, 1))[0] == 0.5
+        assert res.value == 2.25
+
     def test_empty_dilate(self):
         P = ss.load_polytope(2, [(0.2, 0.2), (0.8, 0.2), (0.8, 0.8), (0.2, 0.8)])
         res = ss.discrete_volume(P, 1.0, keep_weights=True)
