@@ -10,12 +10,16 @@ are evaluated for every level of the damping schedule in one pass over the
 largest box: only the separable factor phi_hat depends on eps, so the summed
 cone-rational factor r(m) is formed once and contracted, one axis at a time,
 with per-level 1-D phi_hat tables that vanish outside each level's own box.
-Given a direction x to approach the pole points along, the same pass returns
-the value at s of a cone sum that is entire there, as the sum over all vertex
-cones of a polytope is (Brion): the exact s -> 0 limit of
-``macdonald_volume``.  Direct-space sums accumulate
-(1_body * phi_eps)(m) * exp(2*pi*i*<s, m>) at one eps.  The bilinear pairing
-is used throughout; nothing is conjugated.
+The pass walks the box in slabs along the first axis and never lists its
+points: each cone's denominators <w_j, m+s> and phase exp(2*pi*i*<apex, m+s>)
+are broadcast over a slab from per-axis tables, in real arithmetic when s is
+real.  Given a direction x to approach the pole points along, the same pass
+returns the value at s of a cone sum that is entire there, as the sum over
+all vertex cones of a polytope is (Brion): the exact s -> 0 limit of
+``macdonald_volume``.  The Laurent coefficients at the pole points of all
+cones in a slab come from one closed-form power-series call.  Direct-space
+sums accumulate (1_body * phi_eps)(m) * exp(2*pi*i*<s, m>) at one eps.  The
+bilinear pairing is used throughout; nothing is conjugated.
 """
 
 from __future__ import annotations
@@ -99,35 +103,56 @@ def _contract(x: np.ndarray, tables) -> np.ndarray:
     return y[:, 0]
 
 
-def _box_chunks(ms: np.ndarray, d: int):
-    """The box ms^d in deterministic slabs along the first axis, each of at
-    most CHUNK_LIMIT points (or one row): yields (i0, i1, M) where M lists the
-    points with first index in [i0, i1) in lexicographic order."""
-    step = max(1, CHUNK_LIMIT // ms.size ** (d - 1))
-    for i0 in range(0, ms.size, step):
-        i1 = min(i0 + step, ms.size)
-        yield i0, i1, np.stack(np.meshgrid(ms[i0:i1], *([ms] * (d - 1)), indexing="ij"),
-                               axis=-1).reshape(-1, d)
+def _slabs(n: int, d: int):
+    """The box of n^d points in deterministic slabs along the first axis, each
+    of at most CHUNK_LIMIT points (or one row): yields the first-axis index
+    ranges (i0, i1)."""
+    step = max(1, CHUNK_LIMIT // n ** (d - 1))
+    for i0 in range(0, n, step):
+        yield i0, min(i0 + step, n)
+
+
+def _outer(vectors, ufunc):
+    """ufunc-combination of per-axis vectors over their grid: the result's
+    [..., i_0, ..., i_{d-1}] is ufunc(vectors[0][..., i_0], ..., vectors[d-1][..., i_{d-1}]),
+    with any leading axes shared.  Built from the last axis back, so only the
+    first axis's step touches the whole grid."""
+    out = vectors[-1]
+    for v in vectors[-2::-1]:
+        out = ufunc(v.reshape(v.shape + (1,) * (out.ndim - v.ndim + 1)), np.expand_dims(out, v.ndim - 1))
+    return out
 
 
 def _pole_terms(C, a, zero, b, c, order: int):
-    """Rows r_n, n = 0..order, at each pole point (column): the sigma^(|Z|-n)
-    Taylor coefficient (0 for n > |Z|) of C e^{2 pi i sigma c}
-    prod_{j not in Z} 1/(a_j + sigma b_j) prod_{j in Z} 1/b_j, Z = {j: zero[j]};
-    and the same rows of its majorant, the product of coefficient magnitudes."""
-    k = np.arange(order + 1)[:, None]
-    fact = np.array([math.factorial(n) for n in range(order + 1)])[:, None]
-    factors = [C * (TWO_PI_I * c) ** k / fact]
-    for aj, zj, bj in zip(a, zero, b):
-        aj = np.where(zj, 1.0, aj)
-        factors.append(np.where(zj, (k == 0) / bj, (-bj / aj) ** k / aj))
-    shift = zero.sum(axis=0) - k
+    """Rows r_n, n = 0..order, at each pole point (a column of a, zero and b,
+    which have one row per generator j; an entry of C and c): the
+    sigma^(|Z|-n) Taylor coefficient (0 for n > |Z|) of
+
+        g(sigma) = C e^{2 pi i sigma c} prod_{j not in Z} 1/(a_j + sigma b_j) prod_{j in Z} 1/b_j,
+
+    Z = {j: zero[j]}; and the same rows of its majorant, the series with every
+    factor's coefficients replaced by their magnitudes.  The coefficients
+    L_k of log g are 2 pi i c [k = 1] + sum_{j not in Z} (-b_j/a_j)^k / k, and
+    g' = g (log g)' gives g_n = (1/n) sum_{k=1}^n k L_k g_{n-k}; the majorant
+    is the same recursion on 2 pi |c| and |b_j/a_j|."""
+    ratio = np.where(zero, 0.0, -b / np.where(zero, 1.0, a))  # -b_j/a_j, 0 for j in Z
+    g0 = C / np.prod(np.where(zero, b, a), axis=0)
+    kl, kl_abs = [], []  # rows k L_k, k = 1..order, and their majorants
+    power = np.ones_like(ratio)
+    for _ in range(order):
+        power = power * ratio
+        kl.append(power.sum(axis=0))
+        kl_abs.append(np.abs(power).sum(axis=0))
+    kl[0] = kl[0] + TWO_PI_I * c
+    kl_abs[0] = kl_abs[0] + 2.0 * math.pi * np.abs(c)
+    shift = zero.sum(axis=0) - np.arange(order + 1)[:, None]
+    flat = np.maximum(shift, 0) * shift.shape[1] + np.arange(shift.shape[1])  # g_{|Z|-n} in g.ravel()
     rows = []
-    for series in (factors, [np.abs(f) for f in factors]):
-        prod = series[0]
-        for f in series[1:]:  # truncated product of power series
-            prod = np.array([sum(prod[i] * f[n - i] for i in range(n + 1)) for n in range(order + 1)])
-        rows.append(np.where(shift >= 0, np.take_along_axis(prod, np.maximum(shift, 0), 0), 0.0))
+    for first, lk in ((g0, kl), (np.abs(g0), kl_abs)):
+        g = [first]
+        for n in range(1, order + 1):
+            g.append(sum(lk[k - 1] * g[n - k] for k in range(1, n + 1)) / n)
+        rows.append(np.where(shift >= 0, np.array(g).ravel().take(flat), 0.0))
     return rows
 
 
@@ -137,15 +162,20 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
     ``terms`` are the SimpleCones, each entering with weight 1.  One pass over
     the largest box forms r(m) = sum of the cone terms and the sum of their
     magnitudes; each level's value, gross and shell tail follow by
-    contracting them with that level's phi_hat tables.  Raises PoleHit when
-    some m + s in the largest box comes within POLE_GUARD of a denominator
-    zero, unless a direction x is given: the value at s is then taken where
-    the sum of the terms is entire.  A term with a_j = <w_j, m+s> = 0 for j in
-    Z has a pole of order |Z| <= d along s + sigma * x; its Laurent
-    coefficients r_n(m), the coefficient of sigma^-n, are formed per cone, r_0
-    enters the sum, and PoleHit is raised where the summed r_n, n >= 1, do not
-    cancel (a cone list whose sum is not entire there), or for a direction
-    with some |<w_j, x>| <= POLE_GUARD."""
+    contracting them with that level's phi_hat tables.  The box is walked in
+    slabs along the first axis; per cone, the denominators <w_j, m+s> and the
+    phase exp(2 pi i <apex, m+s>) are broadcast over the slab from per-axis
+    tables of m_k + s_k and exp(2 pi i apex_k (m_k + s_k)), in real arithmetic
+    when s is real (the phase then has modulus 1).  Raises PoleHit when some
+    m + s in the largest box comes within POLE_GUARD of a denominator zero,
+    unless a direction x is given: the value at s is then taken where the sum
+    of the terms is entire.  A term with a_j = <w_j, m+s> = 0 for j in Z has
+    a pole of order |Z| <= d along s + sigma * x; its Laurent coefficients
+    r_n(m), the coefficient of sigma^-n, come from one closed-form series
+    call per slab for the pole points of all cones, r_0 enters the sum, and
+    PoleHit is raised where the summed r_n, n >= 1, do not cancel (a cone
+    list whose sum is not entire there), or for a direction with some
+    |<w_j, x>| <= POLE_GUARD."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     d = s.size
     x = None if direction is None else tuple(float(v) for v in direction)
@@ -155,72 +185,94 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
         raise PoleHit(f"direction {x} is not generic: some |<w_j, x>| <= {POLE_GUARD}")
     ms, tables, mag_tables = _level_tables(cfg, tuple(complex(v) for v in s))
     n_levels = len(cfg.eps_schedule)
-    pref = (-TWO_PI_I) ** (-d)
+    axes = ms + (s if s.imag.any() else s.real)[:, None]  # row k: m_k + s_k, real at real s
 
     prepared = []
     for cone in terms:
         if cone.dim != d:
             raise ValueError(f"cone dimension {cone.dim} != len(s) = {d}")
-        amp = pref * abs(cone.det)
-        apex = cone.apex if np.max(np.abs(cone.apex)) > 1e-15 else None
+        det = abs(cone.det)
+        if np.max(np.abs(cone.apex)) > 1e-15:
+            phase = np.exp(TWO_PI_I * cone.apex[:, None] * axes)  # row k: exp(2 pi i apex_k (m_k + s_k))
+            modulus = math.exp(-2.0 * math.pi * float(cone.apex @ s.imag))  # |phase|, constant
+        else:
+            phase, modulus = None, 1.0
         b = None if x is None else cone.generators @ x
-        c = 0.0 if apex is None or x is None else float(apex @ x)
-        prepared.append((amp, cone.generators, apex, b, c))
+        c = 0.0 if phase is None or x is None else float(cone.apex @ x)
+        prepared.append((det, modulus, cone.generators, phase, b, c))
 
     value = np.zeros(n_levels, dtype=complex)
     mags_sum = np.zeros((d + 1) * n_levels)
-    for i0, i1, M in _box_chunks(ms, d):
-        Z = M.T + s[:, None]  # one row per axis: products along contiguous rows
-        r = np.zeros(M.shape[0], dtype=complex)
-        r_abs = np.zeros(M.shape[0])
-        neg = neg_abs = None  # summed rows r_n, n >= 1, and their majorants
-        for amp, W, apex, b, c in prepared:
-            denoms = W @ Z
+    for i0, i1 in _slabs(ms.size, d):
+        grid = (i1 - i0,) + (ms.size,) * (d - 1)
+        slab_axes = [axes[0, i0:i1]] + list(axes[1:])
+        r = np.zeros(math.prod(grid), dtype=complex)
+        r_abs = np.zeros(r.size)
+        pole_cols = []  # per cone: (points, a, C, b, c) at its pole points
+        for det, modulus, W, phase, b, c in prepared:
+            denoms = _outer([w[:, None] * v for w, v in zip(W.T, slab_axes)], np.add).reshape(d, -1)
             mags = np.abs(denoms)
-            zero = mags <= POLE_GUARD
-            poles = np.flatnonzero(zero.any(axis=0))
+            nearest = mags.min(axis=0)
+            poles = np.flatnonzero(nearest <= POLE_GUARD)
             if poles.size and x is None:
-                row = int(np.argmin(mags.min(axis=0)))
+                row = int(np.argmin(nearest))
                 j = int(np.argmin(mags[:, row]))
-                m_bad = tuple(int(v) for v in M[row])
+                m_bad = _lattice_point(ms, grid, i0, row)
                 raise PoleHit(
                     f"pole at m={m_bad}: |<w_{j}, m+s>| = {mags[j, row]:.3e}",
                     generator_index=j, lattice_point=m_bad,
                 )
-            a, zero = denoms[:, poles], zero[:, poles]
-            denoms[:, poles] = 1.0
-            contrib = amp / np.prod(denoms, axis=0)
-            del denoms, mags
-            if apex is not None:
-                contrib *= np.exp(TWO_PI_I * (apex @ Z))
+            del mags, nearest
+            prod = np.prod(denoms, axis=0)
+            prod[poles] = 1.0
+            inv = det / prod
+            inv[poles] = 0.0
+            r_abs += modulus * np.abs(inv)
+            if phase is None:
+                r += inv
+                C = np.full(poles.size, det, dtype=complex)
+            else:
+                ph = _outer([phase[0, i0:i1]] + list(phase[1:]), np.multiply).reshape(-1)
+                r += inv * ph
+                C = det * ph[poles]
             if poles.size:
-                series, majorant = _pole_terms(contrib[poles], a, zero, b, c, d)
-                contrib[poles] = 0.0
-                r[poles] += series[0]
-                r_abs[poles] += majorant[0]
-                if neg is None:
-                    neg, neg_abs = np.zeros((d, M.shape[0]), dtype=complex), np.zeros((d, M.shape[0]))
-                neg[:, poles] += series[1:]
-                neg_abs[:, poles] += majorant[1:]
-            r += contrib
-            r_abs += np.abs(contrib)
-        if neg is not None:
-            # summed over all vertex cones of a polytope these rows are
-            # rounding: at most 1.7e-16 of their majorant on exact fixtures,
-            # and about 7e-14 * t where float vertices tilt an edge by an ulp
-            # (3.6e-12 at t = 25).  A missing cone leaves 0.29 or more.
-            cols = np.flatnonzero(neg_abs.any(axis=0))
-            bad = np.any(np.abs(neg[:, cols]) > 1e-6 * neg_abs[:, cols], axis=0)
+                pole_cols.append((poles, denoms[:, poles], C,
+                                  np.broadcast_to(b[:, None], (d, poles.size)), np.full(poles.size, c)))
+        if pole_cols:
+            points, a, C, b, c = (np.concatenate(v, axis=-1) for v in zip(*pole_cols))
+            series, majorant = _pole_terms(C, a, np.abs(a) <= POLE_GUARD, b, c, d)
+            # rows r_n summed per pole point over the cones: r_0 enters the
+            # sum; summed over all vertex cones of a polytope the rows n >= 1
+            # are rounding, at most 1.7e-16 of their majorant on exact
+            # fixtures and about 7e-14 * t where float vertices tilt an edge
+            # by an ulp (3.6e-12 at t = 25).  A missing cone leaves 0.29 or more.
+            points, where = np.unique(points, return_inverse=True)
+            flat = (where + points.size * np.arange(d + 1)[:, None]).ravel()
+            rows = np.zeros((d + 1, points.size), dtype=complex)
+            rows_abs = np.zeros((d + 1, points.size))
+            np.add.at(rows.reshape(-1), flat, series.reshape(-1))
+            np.add.at(rows_abs.reshape(-1), flat, majorant.reshape(-1))
+            r[points] += rows[0]
+            r_abs[points] += rows_abs[0]
+            bad = np.any(np.abs(rows[1:]) > 1e-6 * rows_abs[1:], axis=0)
             if bad.any():
-                m_bad = tuple(int(v) for v in M[cols[np.argmax(bad)]])
+                m_bad = _lattice_point(ms, grid, i0, points[np.argmax(bad)])
                 raise PoleHit(f"poles do not cancel across the cones at m={m_bad}", lattice_point=m_bad)
-        del M, Z
-        grid = (i1 - i0,) + (ms.size,) * (d - 1)
         value += _contract(r.reshape(grid), [tables[0][:, i0:i1]] + tables[1:])
         mags_sum += _contract(r_abs.reshape(grid), [mag_tables[0][:, i0:i1]] + mag_tables[1:])
+    pref = (-TWO_PI_I) ** (-d)
+    value *= pref
+    mags_sum *= abs(pref)
     gross = mags_sum[:n_levels]
     tail = mags_sum[n_levels:].reshape(d, n_levels).sum(axis=0)
     return DampedLevels(value, tail, gross)
+
+
+def _lattice_point(ms: np.ndarray, grid: tuple, i0: int, flat: int) -> tuple:
+    """The lattice point m at a flat index into the slab of the box ms^d that
+    starts at first-axis index i0 and has shape grid."""
+    idx = np.unravel_index(flat, grid)
+    return (int(ms[i0 + idx[0]]),) + tuple(int(ms[i]) for i in idx[1:])
 
 
 def damped_direct_sum(body, s, cfg: DampedSumConfig, eps: float) -> DampedSumResult:
@@ -242,7 +294,9 @@ def damped_direct_sum(body, s, cfg: DampedSumConfig, eps: float) -> DampedSumRes
     total = 0j
     tail = 0.0
     gross = 0.0
-    for _, _, M in _box_chunks(np.arange(-R, R + 1), d):
+    ms = np.arange(-R, R + 1)
+    for i0, i1 in _slabs(ms.size, d):
+        M = np.stack(np.meshgrid(ms[i0:i1], *([ms] * (d - 1)), indexing="ij"), axis=-1).reshape(-1, d)
         margins = b[None, :] - M @ A.T
         weights = np.full(M.shape[0], np.nan)
         weights[np.min(margins, axis=1) >= cut] = 1.0

@@ -104,31 +104,36 @@ def segment_terms():
     return [ss.simple_cone([0.31], [[1.0]]), ss.simple_cone([1.7], [[-2.0]])]
 
 
+COMPLEX_S = (0.21 + 0.13j, 0.37 - 0.08j, 0.11 + 0.05j)
+REAL_S = (0.21, 0.37, 0.11)  # pole-free for the fixtures' vertex cones: the engine sums in real dtype
+
 ENGINE_CASES = {
-    # (dim, config, chunk limit); the default schedule has radii 30 (six
+    # (dim, config, chunk limit, s); the default schedule has radii 30 (six
     # levels), 39, 55, 77 and 109
-    "1d-default": (1, {}, None),
-    "2d-default": (2, {}, None),
-    "2d-fixed-R": (2, {"truncation_radius": 12}, None),
-    "2d-p1.5": (2, {"p": 1.5, "eps_schedule": (0.05, 0.02, 0.01)}, None),
-    "3d-fixed-R": (3, {"eps_schedule": (0.5, 0.25, 0.125, 0.0625), "truncation_radius": 8}, None),
+    "1d-default": (1, {}, None, COMPLEX_S),
+    "2d-default": (2, {}, None, COMPLEX_S),
+    "2d-real-s": (2, {}, None, REAL_S),
+    "2d-fixed-R": (2, {"truncation_radius": 12}, None, COMPLEX_S),
+    "2d-p1.5": (2, {"p": 1.5, "eps_schedule": (0.05, 0.02, 0.01)}, None, COMPLEX_S),
+    "3d-fixed-R": (3, {"eps_schedule": (0.5, 0.25, 0.125, 0.0625), "truncation_radius": 8}, None, COMPLEX_S),
     # radii 30, 30, 34: the 69^3 box is split into slabs of four rows
-    "3d-mixed-chunked": (3, {"eps_schedule": (0.05, 0.02, 0.01)}, None),
+    "3d-mixed-chunked": (3, {"eps_schedule": (0.05, 0.02, 0.01)}, None, COMPLEX_S),
+    "3d-mixed-chunked-real-s": (3, {"eps_schedule": (0.05, 0.02, 0.01)}, None, REAL_S),
     # slabs of three rows, with shell tails far above rounding
-    "3d-fixed-R-slabs": (3, {"eps_schedule": (0.5, 0.25, 0.125, 0.0625), "truncation_radius": 8}, 1000),
+    "3d-fixed-R-slabs": (3, {"eps_schedule": (0.5, 0.25, 0.125, 0.0625), "truncation_radius": 8}, 1000, COMPLEX_S),
 }
 
 
 class TestLevelsEngine:
     @pytest.mark.parametrize("case", list(ENGINE_CASES))
     def test_matches_per_level_reference(self, case, triangle, tetrahedron, monkeypatch):
-        d, cfg_kw, chunk_limit = ENGINE_CASES[case]
+        d, cfg_kw, chunk_limit, s = ENGINE_CASES[case]
         if chunk_limit is not None:
             monkeypatch.setattr(lattice, "CHUNK_LIMIT", chunk_limit)
         cfg = ss.DampedSumConfig(**cfg_kw)
         terms = {1: segment_terms(), 2: shifted_vertex_terms(triangle, 1.37),
                  3: shifted_vertex_terms(tetrahedron, 1.3)}[d]
-        s = np.array([0.21 + 0.13j, 0.37 - 0.08j, 0.11 + 0.05j][:d])
+        s = np.array(s[:d])
         lev = damped_transform_levels(terms, s, cfg)
         ref = per_level_reference(terms, s, cfg)
         assert lev.value.shape == lev.tail.shape == lev.gross.shape == (len(cfg.eps_schedule),)
@@ -152,6 +157,65 @@ class TestLevelsEngine:
         assert want.value.lattice_point == (41, -29)
         assert got.value.lattice_point == want.value.lattice_point
         assert got.value.generator_index == 0
+
+    def test_pole_in_later_slab(self, monkeypatch):
+        # <w_0, m+s> vanishes at the single lattice point (5, -3, 2) only; with
+        # slabs of three rows of the 17^3 box it lies in the fifth slab
+        monkeypatch.setattr(lattice, "CHUNK_LIMIT", 1000)
+        r2, r3 = math.sqrt(2.0), math.sqrt(3.0)
+        cone = ss.simple_cone([0.0, 0.0, 0.0], [[1.0, r2, r3], [1.0, -r3, 0.5], [0.3, 1.0, -r2]])
+        s = np.array([-5.0 - r2 * (0.2 - 3.0) - r3 * (0.3 + 2.0), 0.2, 0.3], dtype=complex)
+        cfg = ss.DampedSumConfig(eps_schedule=(0.5, 0.25), truncation_radius=8)
+        with pytest.raises(ss.PoleHit) as want:
+            per_level_reference([cone], s, cfg)
+        with pytest.raises(ss.PoleHit) as got:
+            damped_transform_levels([cone], s, cfg)
+        assert want.value.lattice_point == (5, -3, 2)
+        assert got.value.lattice_point == want.value.lattice_point
+        assert got.value.generator_index == 0
+
+
+def truncated_product_pole_terms(C, a, zero, b, c, order):
+    """The rows of lattice._pole_terms as a truncated product of the factors'
+    power series in sigma, and the same product of coefficient magnitudes."""
+    k = np.arange(order + 1)[:, None]
+    fact = np.array([math.factorial(n) for n in range(order + 1)])[:, None]
+    factors = [C * (2j * math.pi * c) ** k / fact]
+    for aj, zj, bj in zip(a, zero, b):
+        aj = np.where(zj, 1.0, aj)
+        factors.append(np.where(zj, (k == 0) / bj, (-bj / aj) ** k / aj))
+    shift = zero.sum(axis=0) - k
+    rows = []
+    for series in (factors, [np.abs(f) for f in factors]):
+        prod = series[0]
+        for f in series[1:]:
+            prod = np.array([sum(prod[i] * f[n - i] for i in range(n + 1)) for n in range(order + 1)])
+        rows.append(np.where(shift >= 0, np.take_along_axis(prod, np.maximum(shift, 0), 0), 0.0))
+    return rows
+
+
+class TestPoleTerms:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_truncated_product(self, d):
+        # 300 pole points with |Z| = 1..d zero denominators each, at real and
+        # complex a_j; values are compared on the scale of the majorant,
+        # which bounds them and is free of cancellation
+        rng = np.random.default_rng(d)
+        n = 300
+        n_zero = rng.integers(1, d + 1, size=n)
+        zero = np.argsort(rng.random((d, n)), axis=0) < n_zero
+        b = rng.uniform(0.3, 2.0, (d, n)) * rng.choice([-1.0, 1.0], (d, n))
+        c = rng.normal(size=n)
+        C = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for a in (rng.normal(size=(d, n)), rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))):
+            a = np.where(zero, 0.0, a)
+            got = lattice._pole_terms(C, a, zero, b, c, d)
+            want = truncated_product_pole_terms(C, a, zero, b, c, d)
+            assert got[0].shape == got[1].shape == (d + 1, n)
+            np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0)
+            assert np.all(np.abs(got[0] - want[0]) <= 1e-12 * want[1])
+            assert np.all((want[1] > 0) == (np.arange(d + 1)[:, None] <= n_zero))
+
 
 DIRECTION_CASES = {
     # (dim, config, direction)
