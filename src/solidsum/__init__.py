@@ -27,7 +27,6 @@ from .errors import (
     NonConvergent,
     NotPointed,
     PoleHit,
-    QuadratureUnderResolved,
     ScheduleTooShort,
     SolidSumError,
     UnsupportedCombination,

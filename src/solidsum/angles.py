@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from .errors import BadEpsilon, DegenerateCone, NotPointed, ScheduleTooShort, UnsupportedDimension
+from .errors import BadEpsilon, DegenerateCone, NotPointed, UnsupportedDimension
 from .geometry import (
     Cone,
     Polytope,
@@ -38,6 +38,7 @@ MC_BALL = "mc_ball"
 GAUSSIAN_LIMIT = "gaussian_limit"
 
 N_CHUNKS = 16   # fixed sample partition; it fixes the random stream, so changing it changes every MC value
+GAUSSIAN_EPS = (0.0625, 0.03125, 0.015625)  # halving levels: Richardson weights 2 and -1 are exact
 
 
 @dataclass(frozen=True)
@@ -93,18 +94,18 @@ def _default_ball_radius(body, x) -> float:
     return float(dists.min() / 2.0) if dists.size else 1.0
 
 
-def solid_angle_mc(body, x, p: float = 2.0, epsilon: float | None = None,
-                   n_samples: int = 100_000, seed: int = 0) -> SolidAngleEstimate:
+def solid_angle_mc(body, x, p: float = 2.0, n_samples: int = 100_000,
+                   seed: int = 0) -> SolidAngleEstimate:
     """Fraction of a small l^p ball at x that lies in the body (geometric MC).
 
+    For a polytope the ball's radius is half the distance from x to the
+    nearest facet plane not through x, so the ball meets only the faces
+    through x; a cone is scale invariant at its apex and gets radius 1.
     Deterministic for a given seed: samples are drawn in N_CHUNKS = 16 fixed
     chunks with seeds spawned from ``seed``.  The partition fixes the random
     stream, so changing it changes every Monte Carlo value.
     """
-    if epsilon is None:
-        epsilon = _default_ball_radius(body, x)
-    if epsilon <= 0:
-        raise BadEpsilon(f"ball radius must be positive, got {epsilon}")
+    radius = _default_ball_radius(body, x)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     x = np.asarray(x, dtype=float)
@@ -115,7 +116,7 @@ def solid_angle_mc(body, x, p: float = 2.0, epsilon: float | None = None,
         if size == 0:
             continue
         rng = np.random.default_rng(ss)
-        Y = x + epsilon * sample_lp_ball(rng, size, x.size, p)
+        Y = x + radius * sample_lp_ball(rng, size, x.size, p)
         hits += int(np.sum(inside(Y)))
     frac = hits / n_samples
     se = math.sqrt(frac * (1.0 - frac) / n_samples)
@@ -199,32 +200,23 @@ def solid_angle_exact_2d_l1(cone) -> SolidAngleEstimate:
 
 # ----------------------------- Gaussian route --------------------------------
 
-def default_gaussian_schedule() -> tuple:
-    return tuple(0.5 * 0.5 ** k for k in range(6))
-
-
-def solid_angle_gaussian(cone: SimpleCone, x, p: float = 2.0, eps_schedule=None,
-                         n_samples: int = 100_000, seed: int = 0) -> SolidAngleEstimate:
+def solid_angle_gaussian(cone: SimpleCone, x, p: float = 2.0, n_samples: int = 100_000,
+                         seed: int = 0) -> SolidAngleEstimate:
     """Mass of the mass-one l^p Gaussian centered at x inside a simple cone,
-    Richardson-extrapolated over the eps schedule.
+    Richardson-extrapolated over the levels GAUSSIAN_EPS.
 
     The proposal is the product of 1-D exponential-power densities centered at
     x, so each sample's weight is exactly the cone indicator; draws are shared
     across eps levels (only the radial scale eps^(1/p) changes), which makes
-    the extrapolation noise-stable.
+    the extrapolation noise-stable.  The error adds to the Monte Carlo error
+    the gap to the extrapolant one level coarser.
     """
-    if eps_schedule is None:
-        eps_schedule = default_gaussian_schedule()
-    eps = [float(e) for e in eps_schedule]
-    if len(eps) < 2:
-        raise ScheduleTooShort("need at least 2 eps values")
     x = np.asarray(x, dtype=float)
     c = mass_one_constant(p)
     inv = np.linalg.inv(cone.generators)
     apex = cone.apex
-    scales = np.array([(e / c) ** (1.0 / p) for e in eps])
+    scales = np.array([(e / c) ** (1.0 / p) for e in GAUSSIAN_EPS])
 
-    counts = np.zeros(len(eps), dtype=np.int64)
     sum_xi = 0.0
     sum_xi2 = 0.0
     sum_prev = 0.0
@@ -236,23 +228,20 @@ def solid_angle_gaussian(cone: SimpleCone, x, p: float = 2.0, eps_schedule=None,
         mags = rng.gamma(1.0 / p, size=(size, x.size)) ** (1.0 / p)
         signs = rng.integers(0, 2, size=(size, x.size)) * 2 - 1
         base = signs * mags
-        ind = np.empty((len(eps), size), dtype=float)
+        ind = np.empty((len(scales), size), dtype=float)
         for k, sc in enumerate(scales):
             Y = x + sc * base
             ind[k] = np.all((Y - apex) @ inv >= -1e-12, axis=1)
-        counts += ind.sum(axis=1).astype(np.int64)
-        xi = 2.0 * ind[-1] - ind[-2]
+        xi = 2.0 * ind[2] - ind[1]
         sum_xi += float(xi.sum())
         sum_xi2 += float(np.dot(xi, xi))
-        if len(eps) >= 3:
-            sum_prev += float((2.0 * ind[-2] - ind[-3]).sum())
+        sum_prev += float((2.0 * ind[1] - ind[0]).sum())
 
     n = n_samples
     value = sum_xi / n
     var = max(sum_xi2 / n - value * value, 0.0)
     mc_se = math.sqrt(var / n)
-    t_prev = (sum_prev / n) if len(eps) >= 3 else counts[-1] / n
-    resid = abs(value - t_prev)
+    resid = abs(value - sum_prev / n)
     se = math.hypot(mc_se, resid)
     if se == 0.0:
         se = 1.0 / n  # conservative floor when every draw agrees

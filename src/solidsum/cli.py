@@ -30,7 +30,7 @@ from .macdonald import (
     verify_macdonald,
 )
 from .oracle import discrete_volume, point_weight
-from .transforms import DampedSumConfig
+from .transforms import DEFAULT_EPS0, DEFAULT_EPS_LEVELS, DampedSumConfig, default_eps_schedule
 
 
 def parse_complex_vector(text: str) -> np.ndarray:
@@ -115,8 +115,8 @@ def _emit(args, payload, csv_rows=None, csv_header=None) -> None:
 
 
 def _cfg_from_args(args) -> DampedSumConfig:
-    schedule = tuple(args.eps0 * 0.5 ** k for k in range(args.eps_levels))
-    return DampedSumConfig(p=args.p, eps_schedule=schedule, truncation_radius=args.radius)
+    return DampedSumConfig(p=args.p, eps_schedule=default_eps_schedule(args.eps0, args.eps_levels),
+                           truncation_radius=args.radius)
 
 
 def _load(args):
@@ -151,9 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     mc = group(norm, seed)
     mc.add_argument("--samples", type=int, default=20_000, help="Monte Carlo sample count")
     damped = group(norm)
-    damped.add_argument("--eps0", type=float, default=0.5, help="largest damping level (default 0.5)")
-    damped.add_argument("--eps-levels", type=int, default=10,
-                        help="number of damping levels, halved each step (default 10)")
+    damped.add_argument("--eps0", type=float, default=DEFAULT_EPS0,
+                        help=f"largest damping level (default {DEFAULT_EPS0})")
+    damped.add_argument("--eps-levels", type=int, default=DEFAULT_EPS_LEVELS,
+                        help=f"number of damping levels, halved each step (default {DEFAULT_EPS_LEVELS})")
     damped.add_argument("--radius", type=int, default=None,
                         help="sup-norm lattice cutoff R (default: auto from eps)")
 

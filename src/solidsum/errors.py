@@ -37,10 +37,6 @@ class ScheduleTooShort(SolidSumError):
     pass
 
 
-class QuadratureUnderResolved(SolidSumError):
-    pass
-
-
 class PoleHit(SolidSumError):
     def __init__(self, message, generator_index=None, lattice_point=None):
         super().__init__(message)

@@ -335,28 +335,27 @@ def _is_pointed(generators: np.ndarray) -> bool:
 def triangulate_cone(apex, generators) -> list:
     """Fan-triangulate a pointed cone into simple cones with disjoint interiors.
 
-    The fan is anchored at the lexicographically smallest generator so the
-    output is deterministic.  Raises NotPointed when the generators span a
-    line through the apex.
+    A cone with exactly dim generators is simple in any dimension; others are
+    triangulated for dim <= 3.  The fan is anchored at the lexicographically
+    smallest generator so the output is deterministic.  Raises NotPointed
+    when the generators span a line through the apex.
     """
     apex = np.atleast_1d(np.asarray(apex, dtype=float))
     gens = np.atleast_2d(np.asarray(generators, dtype=float))
     d = gens.shape[1]
     if not _is_pointed(gens):
         raise NotPointed("generators do not span a pointed cone")
+    if gens.shape[0] == d:
+        return [simple_cone(apex, gens)]
     if d == 1:
         return [simple_cone(apex, gens[:1])]
     if d == 2:
-        if gens.shape[0] == 2:
-            return [simple_cone(apex, gens)]
         # extreme rays = angular extremes (pointed => angular width < pi)
         ref = gens[np.lexsort(gens.T[::-1])][0]
         ref = ref / np.linalg.norm(ref)
         ang = np.arctan2(gens @ np.array([-ref[1], ref[0]]), gens @ ref)
         return [simple_cone(apex, gens[[int(np.argmin(ang)), int(np.argmax(ang))]])]
     if d == 3:
-        if gens.shape[0] == 3:
-            return [simple_cone(apex, gens)]
         order = _cyclic_generator_order(gens)
         first = order[0]
         pieces = []
@@ -365,7 +364,7 @@ def triangulate_cone(apex, generators) -> list:
             if abs(np.linalg.det(tri)) > DET_RTOL * np.prod(np.linalg.norm(tri, axis=1)):
                 pieces.append(simple_cone(apex, tri))
         return pieces
-    raise UnsupportedDimension(f"cone triangulation supports dim <= 3, got {d}")
+    raise UnsupportedDimension(f"non-simple cone triangulation supports dim <= 3, got {d}")
 
 
 def _cyclic_generator_order(gens: np.ndarray) -> list:

@@ -53,7 +53,9 @@ def point_weight(P: Polytope, t: float, m, p: float = 2.0, method: str = "auto",
 
     Classification is by facet incidence: no tight facet gives weight 1, one
     tight facet gives 1/2, and a vertex gets its tangent-cone angle (exact in
-    the plane for p in {1, 2}, Monte Carlo otherwise).
+    the plane for p in {1, 2}, Monte Carlo otherwise).  In the plane, a point
+    with two tight facets is at the vertex those facets share, read off the
+    incidence table.
     """
     use_exact = _check_method(P, p, method)
 
@@ -69,13 +71,10 @@ def point_weight(P: Polytope, t: float, m, p: float = 2.0, method: str = "auto",
     if n_tight == 1 or P.dim == 1:
         return 0.5, 0.0
 
-    vertex_dists = np.linalg.norm(t * P.vertices - m, axis=1)
-    v_index = int(np.argmin(vertex_dists))
-    at_vertex = vertex_dists[v_index] <= 1e-7 * max(1.0, abs(t))
-
-    if use_exact and P.dim == 2 and at_vertex:
+    shared = np.flatnonzero(np.all(P._facets[2][:, tight], axis=1))
+    if use_exact and shared.size:
         # dilation leaves tangent-cone directions unchanged
-        cone = vertex_simple_cones(P, v_index)[0]
+        cone = vertex_simple_cones(P, int(shared[0]))[0]
         est = solid_angle_exact_2d(cone) if p == 2.0 else solid_angle_exact_2d_l1(cone)
         return est.value, 0.0
 

@@ -8,7 +8,8 @@ so its transform (bilinear kernel exp(2*pi*i*<x, z>), no conjugation anywhere)
 satisfies phi_hat(0) = 1.  For p = 2 the transform has the closed form
 exp(-pi*eps*sum(z_k^2)); for general p each coordinate factor is computed by
 composite Gauss-Legendre quadrature of an entire integrand over a finite
-window.  A simple cone with apex v and generator rows w_j has transform
+window sized from (p, eps, z).  A simple cone with apex v and generator rows
+w_j has transform
 
     (-2*pi*i)^(-d) * |det| * exp(2*pi*i*<v, z>) / prod_j <w_j, z>.
 """
@@ -20,16 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PoleHit, QuadratureUnderResolved
+from .errors import ConvergenceDomain, PoleHit
 from .geometry import SimpleCone
 from .numerics import gauss_legendre_cells
 
 POLE_TOL = 1e-14          # per-evaluation pole guard in cone_transform
-TAIL_TARGET = 1e-12       # admissible transform tail mass beyond the window
+QUAD_BLOCK = 1 << 21      # entries per block of the 1-D quadrature's phase matrix
+MAX_CELLS = 1 << 18       # uniform cells (16 nodes each) one 1-D quadrature may use
+DEFAULT_EPS0 = 0.5
 DEFAULT_EPS_LEVELS = 10
 
 
-def default_eps_schedule(eps0: float = 0.5, levels: int = DEFAULT_EPS_LEVELS) -> tuple:
+def default_eps_schedule(eps0: float = DEFAULT_EPS0, levels: int = DEFAULT_EPS_LEVELS) -> tuple:
     return tuple(eps0 * 0.5 ** k for k in range(levels))
 
 
@@ -44,15 +47,12 @@ class DampedSumConfig:
 
     ``truncation_radius`` of None selects the automatic sup-norm cutoff
     R(eps) = max(30, ceil(6/sqrt(pi*eps))), which keeps the Gaussian tail of
-    the damping transform below ~1e-12.  ``quad_halfwidth``/``quad_points``
-    control the 1-D transform quadrature used for p != 2.
+    the damping transform below ~1e-12.
     """
 
     p: float = 2.0
     eps_schedule: tuple = field(default_factory=default_eps_schedule)
     truncation_radius: int | None = None
-    quad_halfwidth: float = 8.0
-    quad_points: int = 4000
 
     def __post_init__(self):
         if self.p < 1.0:
@@ -65,8 +65,6 @@ class DampedSumConfig:
         object.__setattr__(self, "eps_schedule", eps)
         if self.truncation_radius is not None and self.truncation_radius < 1:
             raise ValueError("truncation_radius must be >= 1")
-        if self.quad_halfwidth <= 0 or self.quad_points < 32:
-            raise ValueError("bad quadrature parameters")
 
     @property
     def c(self) -> float:
@@ -93,32 +91,40 @@ def clip_cutoff(p: float, c: float, eps: float) -> float:
     return (eps * 45.0 / c) ** (1.0 / p)
 
 
-def _quad_window(cfg: DampedSumConfig, eps: float, im_max: float) -> float:
-    """Window half-width where the 1-D integrand drops below the tail target."""
-    c = cfg.c
-    L = clip_cutoff(cfg.p, c, eps)
-    for _ in range(8):
-        L = (eps * (45.0 + 2.0 * math.pi * im_max * L) / c) ** (1.0 / cfg.p)
-    return min(cfg.quad_halfwidth, max(L, 1e-3))
+def _quad_window(p: float, c: float, eps: float, im_max: float, L_max: float) -> float:
+    """Half-width L where the 1-D integrand has dropped by e^-45:
+    (c/eps) L^p - 2 pi im_max L = 45.  The fixed-point map increases from
+    the real-axis cutoff, so the iterates rise to the root; stop when they
+    no longer do, or once they pass L_max."""
+    L = clip_cutoff(p, c, eps)
+    while L <= L_max and (nxt := (eps * (45.0 + 2.0 * math.pi * im_max * L) / c) ** (1.0 / p)) > L:
+        L = nxt
+    return L
 
 
 def phi_hat_1d_grid(cfg: DampedSumConfig, eps: float, z_values: np.ndarray) -> np.ndarray:
     """1-D transforms of the damping factor at an array of complex arguments,
-    by composite Gauss-Legendre quadrature on [-L, L]."""
+    by composite Gauss-Legendre quadrature on [-L, L].
+
+    The window L comes from ``_quad_window``, and the uniform cells give at
+    least 6 of their 16 nodes per oscillation of exp(2 pi i Re(z) x), with
+    never fewer than 250 cells.  For p = 1 the integrand decays only like
+    exp(-(c/eps - 2 pi |Im z|) |x|), so the transform exists only for
+    2 pi eps |Im z| < c, and L grows like 1/(1 - r) at the fraction r of
+    that strip.  ConvergenceDomain is raised outside the strip, and where
+    the quadrature would need more than MAX_CELLS cells.
+    """
     z = np.atleast_1d(np.asarray(z_values, dtype=complex))
-    im_max = float(np.max(np.abs(z.imag))) if z.size else 0.0
-    re_max = float(np.max(np.abs(z.real))) if z.size else 0.0
-    L = _quad_window(cfg, eps, im_max)
-    tail = eps ** (-1.0 / cfg.p) * math.exp(-(cfg.c / eps) * L ** cfg.p + 2 * math.pi * im_max * L) * max(L, 1.0)
-    if L >= cfg.quad_halfwidth - 1e-12 and tail > TAIL_TARGET:
-        raise QuadratureUnderResolved(f"tail mass {tail:.2e} beyond window L={L} exceeds {TAIL_TARGET}")
-    nodes_per_cycle = cfg.quad_points / max(2.0 * L * max(re_max, 1.0), 1.0)
-    if nodes_per_cycle < 6.0:
-        raise QuadratureUnderResolved(
-            f"{cfg.quad_points} nodes resolve only {nodes_per_cycle:.1f} per oscillation; raise quad_points"
-        )
-    n_uniform = max(8, cfg.quad_points // 16)
-    n_uniform += n_uniform % 2  # keep a cell boundary at 0
+    im_max = float(np.max(np.abs(z.imag)))
+    c = cfg.c
+    if cfg.p == 1.0 and 2.0 * math.pi * eps * im_max >= c:
+        raise ConvergenceDomain(f"z lies outside the p = 1 strip |Im z| < {1 / (math.pi * eps):.6g}")
+    # per unit of L: 2 max|Re z| oscillations, 6 nodes each, 16 nodes a cell
+    cells_per_L = 0.75 * max(float(np.max(np.abs(z.real))), 1.0)
+    L = _quad_window(cfg.p, c, eps, im_max, MAX_CELLS / cells_per_L)
+    n_uniform = 2 * max(125, math.ceil(cells_per_L * L / 2))  # even: a cell boundary at 0
+    if n_uniform > MAX_CELLS:
+        raise ConvergenceDomain(f"the quadrature needs more than {MAX_CELLS} cells (window {L:.4g})")
     bounds = np.linspace(-L, L, n_uniform + 1)
     # |x|^p in the exponent has a kink at 0: refine the two central cells
     # geometrically so non-even p keeps full quadrature accuracy
@@ -126,8 +132,14 @@ def phi_hat_1d_grid(cfg: DampedSumConfig, eps: float, z_values: np.ndarray) -> n
     graded = h * 0.5 ** np.arange(1, 46)
     bounds = np.unique(np.concatenate([bounds, -graded, graded, [0.0]]))
     u, w = gauss_legendre_cells(bounds)
-    dens = eps ** (-1.0 / cfg.p) * np.exp(-(cfg.c / eps) * np.abs(u) ** cfg.p)
-    return np.exp(2j * np.pi * np.outer(z, u)) @ (w * dens)
+    # the density goes into the exponent: as a separate factor it underflows
+    # where exp(2 pi |Im z| |x|) overflows, near the p = 1 strip edge
+    k = (c / eps) * np.abs(u) ** cfg.p
+    a = w * eps ** (-1.0 / cfg.p)
+    # column blocks bound the memory of a wide window; it then costs only time
+    step = max(1, QUAD_BLOCK // z.size)
+    return sum(np.exp(2j * np.pi * np.outer(z, u[i:i + step]) - k[i:i + step]) @ a[i:i + step]
+               for i in range(0, u.size, step))
 
 
 def phi_hat(cfg: DampedSumConfig, eps: float, z) -> complex:

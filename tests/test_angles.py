@@ -114,10 +114,6 @@ class TestMonteCarloBall:
         est = ss.solid_angle_mc(square, [0.5, 0.0], p=p, n_samples=40_000, seed=3)
         assert abs(est.value - 0.5) <= 3 * est.std_error
 
-    def test_bad_epsilon(self, square):
-        with pytest.raises(ss.BadEpsilon):
-            ss.solid_angle_mc(square, [0.5, 0.5], epsilon=-1.0)
-
     def test_seed_reproducible(self, quadrant):
         a = ss.solid_angle_mc(quadrant, [0, 0], n_samples=5000, seed=9)
         b = ss.solid_angle_mc(quadrant, [0, 0], n_samples=5000, seed=9)
@@ -148,10 +144,6 @@ class TestGaussianLimit:
         cone = ss.vertex_simple_cones(triangle, 1)[0]
         est = ss.solid_angle_gaussian(cone, cone.apex, p=2.0, n_samples=50_000, seed=11)
         assert abs(est.value - 1 / 6) <= 3 * est.std_error
-
-    def test_schedule_too_short(self, quadrant):
-        with pytest.raises(ss.ScheduleTooShort):
-            ss.solid_angle_gaussian(quadrant, [0, 0], eps_schedule=(0.5,))
 
     @pytest.mark.parametrize("p,exact", [(2.0, ss.solid_angle_exact_2d),
                                          (1.0, ss.solid_angle_exact_2d_l1)])

@@ -31,6 +31,16 @@ class TestTransformSum:
             b = damped_direct_sum(quadrant, s, cfg, eps)
             assert abs(a.value - b.value) < 1e-6
 
+    def test_p15_wide_box(self, triangle):
+        # R = 150 needs phi_hat at |z| up to 150; the wide box cuts the miss
+        # against the direct-space sum from up to 8e-6 at R = 30 to 2e-8
+        cfg = ss.DampedSumConfig(p=1.5, truncation_radius=150)
+        s = np.array([0.31 + 0.12j, 0.22 - 0.07j])
+        lv = damped_transform_levels(shifted_vertex_terms(triangle, 1.0), s, cfg)
+        assert np.all(np.isfinite(lv.value))
+        for eps, value in zip(cfg.eps_schedule[:4], lv.value):
+            assert abs(value - damped_direct_sum(triangle, s, cfg, eps).value) < 5e-8
+
     def test_large_eps_tail_negligible(self, quadrant_terms):
         r = one_level(quadrant_terms, np.array([0.2 + 0.1j, 0.3 - 0.2j]), 10.0)
         assert r.tail < 1e-12

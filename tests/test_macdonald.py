@@ -116,6 +116,15 @@ class TestMacdonaldVolume:
         assert orc.std_error == 0.0
         assert abs(est.value - orc.value) <= est.error
 
+    @pytest.mark.parametrize("t", [1.0, 2.0])
+    def test_four_cube(self, t):
+        # simple vertex cones need no triangulation, in any dimension
+        P = ss.load_polytope(4, [[(i >> k) & 1 for k in range(4)] for i in range(16)])
+        cfg = ss.DampedSumConfig(eps_schedule=(0.5, 0.25, 0.125), truncation_radius=6)
+        est = ss.macdonald_volume(P, t, cfg=cfg)
+        assert abs(est.value - t ** 4) < 1e-13 * t ** 4
+        assert abs(est.value - t ** 4) <= est.error
+
     def test_no_generic_direction(self, tetrahedron, monkeypatch):
         # (1,1,1) is orthogonal to the edge (-1,1,0) of the 3-simplex
         from solidsum import macdonald
@@ -182,6 +191,11 @@ class TestTruncationTail:
         s = np.array([0.31, 0.22])
         ev = ss.macdonald_sum(triangle, 1.0, s, ss.DampedSumConfig(p=1.0))
         exact = ss.alpha_polytope_direct(triangle, s, p=1.0)
+        assert abs(ev.value - exact.value) <= ev.error
+
+    def test_sum_at_p1_complex_s(self, triangle):
+        ev = ss.macdonald_sum(triangle, 1.0, self.S_COMPLEX, ss.DampedSumConfig(p=1.0))
+        exact = ss.alpha_polytope_direct(triangle, self.S_COMPLEX, p=1.0)
         assert abs(ev.value - exact.value) <= ev.error
 
     @pytest.mark.parametrize("fixture", ["square", "triangle"])

@@ -158,6 +158,15 @@ class TestBulkWeights:
         assert ss.point_weight(triangle, t, (1, 1))[0] == 0.5
         assert res.value == 2.25
 
+    def test_planar_vertex_from_incidence(self):
+        # (0, 0) is tight on both facets through the vertex (3e-6, 0), which
+        # is 3e-6 away: it takes that vertex's exact angle, not a Monte Carlo one
+        P = ss.load_polytope(2, [(3e-6, 0), (1, 0), (1, 1e-4)])
+        want = ss.solid_angle_exact_2d(ss.vertex_simple_cones(P, 0)[0]).value
+        assert want == pytest.approx(1.5915542e-05, rel=1e-7)
+        assert ss.point_weight(P, 1, (0, 0), method="exact2d") == (want, 0.0)
+        assert ss.point_weight(P, 1, (0, 0)) == (want, 0.0)
+
     def test_empty_dilate(self):
         P = ss.load_polytope(2, [(0.2, 0.2), (0.8, 0.2), (0.8, 0.8), (0.2, 0.8)])
         res = ss.discrete_volume(P, 1.0, keep_weights=True)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 import solidsum as ss
 from solidsum.numerics import gauss_legendre_panels
+from solidsum.transforms import phi_hat_1d_grid
 
 SQRT3 = math.sqrt(3.0)
 
@@ -90,15 +91,55 @@ class TestPhiHat:
             z = rng.normal(size=2) + 1j * rng.uniform(-0.8, 0.8, size=2)
             assert abs(ss.phi_hat(cfg, 0.2, z) - ss.phi_hat(cfg, 0.2, -z)) < 1e-12
 
-    def test_under_resolved_oscillation(self):
-        cfg = ss.DampedSumConfig(p=1.0, quad_points=64)
-        with pytest.raises(ss.QuadratureUnderResolved):
-            ss.phi_hat(cfg, 0.5, np.array([200.0 + 0j]))
+    @pytest.mark.parametrize("eps", ss.DampedSumConfig().eps_schedule)
+    def test_p1_closed_form(self, eps):
+        # the p = 1 density (1/eps) exp(-2|x|/eps) has transform 1/(1 + (pi eps z)^2),
+        # analytic in the strip |Im z| < 1/(pi eps)
+        cfg = ss.DampedSumConfig(p=1.0)
+        strip = cfg.c / (2.0 * math.pi * eps)
+        real = np.linspace(-200.0, 200.0, 41)
+        z = np.concatenate([real, real[::4] + 0.9j * strip, real[::4] - 0.5j * strip,
+                            [0.9j * strip, 0.3 + 0.45j * strip]])
+        got = phi_hat_1d_grid(cfg, eps, z)
+        assert np.max(np.abs(got - 1.0 / (1.0 + (math.pi * eps * z) ** 2))) < 1e-13
 
-    def test_window_too_small_for_tail(self):
-        cfg = ss.DampedSumConfig(p=1.0, quad_halfwidth=0.5)
-        with pytest.raises(ss.QuadratureUnderResolved):
-            ss.phi_hat(cfg, 0.5, np.array([0.3 + 0j]))
+    def test_p1_strip_edge(self):
+        cfg = ss.DampedSumConfig(p=1.0)
+        edge = cfg.c / (2.0 * math.pi * 0.5)
+        # at 0.99 of the strip exp(2 pi |Im z| L) alone would overflow
+        z = np.array([0.99j * edge, 0.7 - 0.99j * edge])
+        got = phi_hat_1d_grid(cfg, 0.5, z)
+        assert np.max(np.abs(got - 1.0 / (1.0 + (math.pi * 0.5 * z) ** 2))) < 1e-12
+        with pytest.raises(ss.ConvergenceDomain, match="strip"):
+            phi_hat_1d_grid(cfg, 0.5, np.array([0.3 + 1j * edge]))
+        with pytest.raises(ss.ConvergenceDomain, match="strip"):
+            ss.phi_hat(cfg, 0.5, np.array([0.1, 0.2 - 2j * edge]))
+        # the window grows like 1/(1 - r) at the fraction r of the strip;
+        # past MAX_CELLS cells the quadrature refuses rather than exhaust memory
+        with pytest.raises(ss.ConvergenceDomain, match="cells"):
+            phi_hat_1d_grid(cfg, 0.5, np.array([30.0 + 0.9999j * edge]))
+
+    @pytest.mark.parametrize("eps", [0.5, 0.0625])
+    def test_p15_fast_oscillation(self, eps):
+        # QAWF integrates the even density against cos(2 pi z x) on [0, inf);
+        # it is good to a few 1e-11 here
+        cfg = ss.DampedSumConfig(p=1.5)
+        ref, _ = quad(lambda x: eps ** (-1.0 / 1.5) * math.exp(-(cfg.c / eps) * x ** 1.5),
+                      0.0, np.inf, weight="cos", wvar=2.0 * math.pi * 300.0)
+        assert abs(phi_hat_1d_grid(cfg, eps, np.array([300.0]))[0] - 2.0 * ref) < 1e-10
+
+
+@pytest.mark.parametrize("func,kwargs", [
+    (ss.DampedSumConfig, {"quad_halfwidth": 8.0}),
+    (ss.DampedSumConfig, {"quad_points": 4000}),
+    (lambda **kw: ss.solid_angle_gaussian(ss.simple_cone([0, 0], np.eye(2)), [0, 0], **kw),
+     {"eps_schedule": (0.5, 0.25)}),
+    (lambda **kw: ss.solid_angle_mc(ss.simple_cone([0, 0], np.eye(2)), [0, 0], **kw), {"epsilon": 0.5}),
+    (ss.triangle_example, {"oracle_samples": 100}),
+], ids=["quad_halfwidth", "quad_points", "eps_schedule", "epsilon", "oracle_samples"])
+def test_removed_keywords_are_type_errors(func, kwargs):
+    with pytest.raises(TypeError):
+        func(**kwargs)
 
 
 class TestConeTransform:
