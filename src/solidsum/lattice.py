@@ -315,9 +315,12 @@ def damped_direct_sum(body, s, cfg: DampedSumConfig, eps: float) -> DampedSumRes
 def alpha_polytope_direct(P: Polytope, s, p: float = 2.0,
                           n_samples: int = 20_000, seed: int = 0) -> Estimate:
     """Solid-angle generating sum of a polytope: finite sum over its lattice
-    points of omega_P(m) * exp(2*pi*i*<s, m>), with exact planar weights when
-    available (dim <= 2, p in {1, 2}) and Monte Carlo weights otherwise; the
-    ground truth for the Brion identity's polytope side."""
+    points of omega_P(m) * exp(2*pi*i*<s, m>), with the weights of
+    ``lattice_weights``: exact planar weights for p in {1, 2}, exact wedge
+    weights at points with two tight facets for p = 2 in dim >= 3, and Monte
+    Carlo weights otherwise.  Its error is the Monte Carlo error of the
+    sampled weights only.  The ground truth for the Brion identity's
+    polytope side."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     pts, weights, std_errors = lattice_weights(P, 1.0, p=p, n_samples=n_samples, seed=seed)
     phases = np.exp(TWO_PI_I * (pts @ s))

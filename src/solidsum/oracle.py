@@ -1,9 +1,9 @@
 """Brute-force ground truth for solid-angle lattice sums.
 
 Everything here enumerates lattice points geometrically and weights them by
-classified solid angles (interior 1, facet-interior 1/2, vertex = tangent-cone
-angle); no transform-space machinery is involved, so these values make honest
-oracles for the analytic evaluators.
+classified solid angles (interior 1, facet-interior 1/2, edge point = wedge
+angle, vertex = tangent-cone angle); no transform-space machinery is
+involved, so these values make honest oracles for the analytic evaluators.
 """
 
 from __future__ import annotations
@@ -20,6 +20,13 @@ from .geometry import BOUNDARY_TOL, Polytope, half_spaces, lattice_points, verte
 
 @dataclass(frozen=True)
 class OracleResult:
+    """A solid-angle weighted lattice-point count.
+
+    ``std_error`` is the Monte Carlo standard error of the sampled weights
+    only (summed in quadrature); exact weights contribute nothing to it, so
+    it is 0 when no weight was sampled.
+    """
+
     value: float
     std_error: float
     n_lattice_points: int
@@ -37,14 +44,25 @@ def _mc_halfspace_cone_angle(A_tight: np.ndarray, p: float, n_samples: int,
     return frac, (se if se > 0 else 1.0 / n_samples)
 
 
-def _check_method(P: Polytope, p: float, method: str) -> bool:
-    """Validate a weighting method; True when planar vertex angles are exact."""
+def _wedge_weight(a_i: np.ndarray, a_j: np.ndarray) -> float:
+    """p = 2 solid angle of the wedge {y : a_i . y <= 0, a_j . y <= 0} for
+    unit normals a_i, a_j, in any dimension: (pi - angle(a_i, a_j)) / (2 pi)."""
+    c = float(a_i @ a_j)
+    angle = math.atan2(float(np.linalg.norm(a_j - c * a_i)), c)
+    return (math.pi - angle) / (2.0 * math.pi)
+
+
+def _check_method(P: Polytope, p: float, method: str) -> tuple:
+    """Validate a weighting method.  Returns whether planar vertex angles are
+    exact, and whether points with two tight facets in dim >= 3 take the
+    exact wedge angle."""
     exact_ok = P.dim <= 2 and p in (1.0, 2.0)
     if method == "exact2d" and not exact_ok:
         raise UnsupportedCombination(f"exact weights need dim <= 2 and p in {{1,2}}, got dim={P.dim}, p={p}")
     if method not in ("auto", "exact2d", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    return exact_ok and method != "mc"
+    exact = method != "mc"
+    return exact and exact_ok, exact and P.dim >= 3 and p == 2.0
 
 
 def point_weight(P: Polytope, t: float, m, p: float = 2.0, method: str = "auto",
@@ -52,12 +70,16 @@ def point_weight(P: Polytope, t: float, m, p: float = 2.0, method: str = "auto",
     """Solid angle of the dilate t*P at a point, with its standard error.
 
     Classification is by facet incidence: no tight facet gives weight 1, one
-    tight facet gives 1/2, and a vertex gets its tangent-cone angle (exact in
-    the plane for p in {1, 2}, Monte Carlo otherwise).  In the plane, a point
-    with two tight facets is at the vertex those facets share, read off the
-    incidence table.
+    tight facet gives 1/2, and a point with more tight facets gets the angle
+    of its tangent cone.  In the plane, a point with two tight facets is at
+    the vertex those facets share, read off the incidence table; its angle is
+    exact for p in {1, 2}.  In dim >= 3 at p = 2, a point with exactly two
+    tight facets (an edge point in 3-D) gets the exact wedge angle
+    ``(pi - angle(a_i, a_j)) / (2 pi)`` of the two unit normals.  Every other
+    corner, and every corner under ``method="mc"``, gets a Monte Carlo angle
+    seeded by ``seed`` and the point.
     """
-    use_exact = _check_method(P, p, method)
+    planar_exact, wedge_exact = _check_method(P, p, method)
 
     m = np.asarray(m, dtype=float)
     A, b = half_spaces(P)
@@ -70,9 +92,12 @@ def point_weight(P: Polytope, t: float, m, p: float = 2.0, method: str = "auto",
         return 1.0, 0.0
     if n_tight == 1 or P.dim == 1:
         return 0.5, 0.0
+    if n_tight == 2 and wedge_exact:
+        i, j = np.flatnonzero(tight)
+        return _wedge_weight(A[i], A[j]), 0.0
 
     shared = np.flatnonzero(np.all(P._facets[2][:, tight], axis=1))
-    if use_exact and shared.size:
+    if planar_exact and shared.size:
         # dilation leaves tangent-cone directions unchanged
         cone = vertex_simple_cones(P, int(shared[0]))[0]
         est = solid_angle_exact_2d(cone) if p == 2.0 else solid_angle_exact_2d_l1(cone)
@@ -90,18 +115,28 @@ def lattice_weights(P: Polytope, t: float, p: float = 2.0, method: str = "auto",
 
     The facet slacks of all points come from one matrix product, which
     settles every point with at most one tight facet (weight 1 or 1/2, no
-    error).  Only points with two or more tight facets (vertices, and in 3-D
-    edge points) go through ``point_weight``, with the same per-point seeds.
+    error).  In dim >= 3 at p = 2 (unless ``method="mc"``), points with
+    exactly two tight facets take the exact wedge angle of their facet pair,
+    from the helper ``point_weight`` uses.  The
+    remaining points with two or more tight facets (vertices, in 3-D) go
+    through ``point_weight``, with the same per-point seeds.
     """
-    _check_method(P, p, method)
+    _, wedge_exact = _check_method(P, p, method)
     pts = lattice_points(P, t)
     A, b = half_spaces(P)
     slack = t * b - pts @ A.T
-    n_tight = np.count_nonzero(np.abs(slack) <= BOUNDARY_TOL, axis=1)
+    tight = np.abs(slack) <= BOUNDARY_TOL
+    n_tight = np.count_nonzero(tight, axis=1)
     weights = np.where(n_tight == 0, 1.0, 0.5)
     weights[np.min(slack, axis=1) < -BOUNDARY_TOL] = 0.0
     std_errors = np.zeros(len(pts))
-    for i in np.flatnonzero((n_tight >= 2) & (weights > 0.0)):
+    corner = (n_tight >= 2) & (weights > 0.0)
+    if wedge_exact:
+        wedge = corner & (n_tight == 2)
+        pairs = np.nonzero(tight[wedge])[1].reshape(-1, 2)
+        weights[wedge] = [_wedge_weight(A[i], A[j]) for i, j in pairs]
+        corner &= ~wedge
+    for i in np.flatnonzero(corner):
         weights[i], std_errors[i] = point_weight(P, t, pts[i], p=p, method=method,
                                                  n_samples=n_samples, seed=seed)
     return pts, weights, std_errors

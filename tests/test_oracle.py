@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import solidsum as ss
+from solidsum.geometry import BOUNDARY_TOL
 
 SQRT3 = math.sqrt(3.0)
 
@@ -89,6 +90,8 @@ class TestAlphaOracle:
 # ----------------------------- bulk weights vs the per-point loop -----------
 
 IRRATIONAL = [(0.1, -0.3), (math.pi, 0.2), (2.2, math.e), (-0.7, 1.9)]
+FOUR_CUBE = ss.load_polytope(4, [(x, y, z, w) for x in (0, 1) for y in (0, 1)
+                                 for z in (0, 1) for w in (0, 1)])
 
 
 def loop_reference(P, t, **kw):
@@ -194,6 +197,106 @@ class TestBulkWeights:
         ss.discrete_volume(square, 150.0)
         assert sorted(calls) == [(0, 0), (0, 150), (150, 0), (150, 150)]
         calls.clear()
-        # the 4 vertices and the 6 * (t - 1) edge points of the 3-simplex
+        # at p = 2 the 6 * (t - 1) edge points of the 3-simplex take their
+        # exact wedge angle in bulk: only the 4 vertices are sampled
         ss.discrete_volume(tetrahedron, 3.0, n_samples=500)
+        assert sorted(calls) == [(0, 0, 0), (0, 0, 3), (0, 3, 0), (3, 0, 0)]
+        calls.clear()
+        # method="mc" samples the edge points too
+        ss.discrete_volume(tetrahedron, 3.0, method="mc", n_samples=500)
         assert len(calls) == 4 + 6 * 2
+
+    @pytest.mark.parametrize("fixture, t", [("cube", 3.0), ("octahedron", 2.0), ("triangular_prism", 2.5)])
+    def test_exact_wedges_match_loop(self, request, fixture, t):
+        res = assert_matches_loop(request.getfixturevalue(fixture), t, n_samples=500, seed=2)
+        assert res.std_error > 0.0
+
+    def test_four_cube_matches_loop(self):
+        res = assert_matches_loop(FOUR_CUBE, 2.0, n_samples=200, seed=2)
+        assert res.std_error > 0.0
+
+
+# ----------------------------- exact p = 2 wedge weights --------------------
+
+def vos_weight(a, b, c):
+    """Solid angle over 4 pi of the cone spanned by a, b, c in R^3 (Van
+    Oosterom-Strackee)."""
+    a, b, c = (np.asarray(v, dtype=float) for v in (a, b, c))
+    la, lb, lc = map(np.linalg.norm, (a, b, c))
+    num = abs(float(np.dot(a, np.cross(b, c))))
+    den = la * lb * lc + np.dot(a, b) * lc + np.dot(a, c) * lb + np.dot(b, c) * la
+    return 2.0 * math.atan2(num, den) / (4.0 * math.pi)
+
+
+def simplex_vertex_weights(t):
+    """Exact vertex weights of the dilated standard 3-simplex, keyed by point."""
+    V = [np.array(v, dtype=float) for v in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    return {tuple(int(c) for c in t * v): vos_weight(*[w - v for w in V if w is not v]) for v in V}
+
+
+def tight_count(P, t, m):
+    A, b = ss.half_spaces(P)
+    return int(np.sum(np.abs(t * b - A @ np.asarray(m, dtype=float)) <= BOUNDARY_TOL))
+
+
+class TestWedgeWeights:
+    def test_cube_edges_quarter(self, cube):
+        res = ss.discrete_volume(cube, 3.0, n_samples=500, keep_weights=True)
+        edges = [w for m, w in res.per_point_weights if tight_count(cube, 3.0, m) == 2]
+        assert len(edges) == 12 * 2
+        assert all(w == 0.25 for w in edges)
+
+    def test_simplex_edges(self, tetrahedron):
+        t = 4.0
+        res = ss.discrete_volume(tetrahedron, t, n_samples=500, keep_weights=True)
+        outer = math.acos(1.0 / SQRT3) / (2.0 * math.pi)
+        n_origin = n_outer = 0
+        for m, w in res.per_point_weights:
+            if tight_count(tetrahedron, t, m) != 2:
+                continue
+            if m.count(0) == 2:  # an edge through the origin: two coordinate planes
+                assert w == 0.25
+                n_origin += 1
+            else:  # a coordinate plane and the slanted facet
+                assert w == pytest.approx(outer, rel=0.0, abs=1e-15)
+                n_outer += 1
+        assert (n_origin, n_outer) == (3 * 3, 3 * 3)
+
+    def test_octahedron_edges(self, octahedron):
+        res = ss.discrete_volume(octahedron, 2.0, n_samples=500, keep_weights=True)
+        want = (math.pi - math.acos(1.0 / 3.0)) / (2.0 * math.pi)
+        edges = [w for m, w in res.per_point_weights if tight_count(octahedron, 2.0, m) == 2]
+        assert len(edges) == 12
+        assert all(w == pytest.approx(want, rel=0.0, abs=1e-15) for w in edges)
+
+    def test_four_cube_two_tight_facets(self):
+        assert ss.point_weight(FOUR_CUBE, 2, (0, 0, 1, 1)) == (0.25, 0.0)
+
+    def test_mc_method_samples_edges(self, cube):
+        w, se = ss.point_weight(cube, 3.0, (0, 0, 1), method="mc", n_samples=2000)
+        assert se > 0.0 and abs(w - 0.25) <= 4 * se
+
+    @pytest.mark.parametrize("t", range(2, 11))
+    def test_simplex_polynomial_with_exact_vertices(self, tetrahedron, t):
+        # with the 4 sampled vertex weights replaced by closed forms, every
+        # weight is exact: the count is the solid-angle polynomial
+        vertices = simplex_vertex_weights(t)
+        a1 = math.fsum(simplex_vertex_weights(1).values())
+        res = ss.discrete_volume(tetrahedron, float(t), n_samples=200, keep_weights=True)
+        total = math.fsum(vertices.get(m, w) for m, w in res.per_point_weights)
+        assert abs(total - (t ** 3 / 6 + (a1 - 1 / 6) * t)) <= 1e-12
+
+    def test_simplex_error_bar_honest(self, tetrahedron):
+        # only the 4 vertex weights are sampled, so the bar is about 6x
+        # tighter than with sampled edges; it must still cover the miss, with
+        # z-scores spread like a unit normal at each t (runs whose samples
+        # did not depend on the seed would all give one z-score)
+        a1 = math.fsum(simplex_vertex_weights(1).values())
+        for t in (6, 8):
+            ref = t ** 3 / 6 + (a1 - 1 / 6) * t
+            z = []
+            for seed in range(100, 140):
+                res = ss.discrete_volume(tetrahedron, float(t), seed=seed)
+                assert abs(res.value - ref) <= 4 * res.std_error
+                z.append((res.value - ref) / res.std_error)
+            assert 0.5 <= float(np.std(z, ddof=1)) <= 1.5
