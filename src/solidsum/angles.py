@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import BadEpsilon, DegenerateCone, NotPointed, UnsupportedDimension
 from .geometry import (
@@ -252,6 +251,7 @@ def solid_angle_gaussian(cone: SimpleCone, x, p: float = 2.0, n_samples: int = 1
 
 def _lp_cdf(u, p: float, c: float, eps: float):
     """CDF of the 1-D density eps^(-1/p) exp(-(c/eps)|u|^p)."""
+    from scipy.special import gammainc  # only the soft indicator needs scipy here
     u = np.asarray(u, dtype=float)
     g = gammainc(1.0 / p, (c / eps) * np.abs(u) ** p)
     return 0.5 * (1.0 + np.sign(u) * g)

@@ -1,13 +1,21 @@
 """Polytopes, vertex tangent cones, cone triangulation, faces, lattice points.
 
 Polytopes are stored by their vertices (V-representation).  Each polytope
-builds its convex hull at most once, on first use, and keeps from it only the
-facet inequalities (H-representation) and the vertex-facet incidence table;
-edges, faces and face tangent cones are all read off that table.  The
-inequalities, the table, the faces and the triangulated vertex cones are
-cached on the polytope, the arrays read-only and the rest as tuples.  All
-objects are otherwise immutable after construction and every operation is a
-pure function.
+builds its convex hull at most once and keeps from it only the facet
+inequalities (H-representation) and the vertex-facet incidence table; edges,
+faces and face tangent cones are all read off that table.  ``load_polytope``
+builds the hull while it selects the extreme points, and the loaded polytope
+starts with that hull's inequalities; any other polytope (a dilate, say)
+builds its own on first use.  The inequalities, the table, the faces and the
+triangulated vertex cones are cached on the polytope, the arrays read-only
+and the rest as tuples.  All objects are otherwise immutable after
+construction and every operation is a pure function.
+
+The hull is built per dimension: the two end points in 1-D, Andrew's
+monotone chain in numpy in 2-D, and Qhull (``scipy.spatial``, imported on
+first use) in dim >= 3.  The planar path therefore loads no scipy module;
+scipy is also imported, on first use, by the pointedness LP fallback
+(``_is_pointed``) and the soft-indicator CDF (``angles._lp_cdf``).
 """
 
 from __future__ import annotations
@@ -19,8 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (
     BadIndex,
@@ -57,7 +63,8 @@ class Polytope:
     def _facets(self) -> tuple:
         """(A, b, inc): unit facet inequalities A x <= b and the incidence
         table, inc[i, f] true when vertex i lies on facet f."""
-        return _facet_table(self)
+        _, A, b = _hull(self.vertices)
+        return _facet_table(self.vertices, A, b)
 
     @cached_property
     def _faces(self) -> tuple:
@@ -142,11 +149,18 @@ def load_polytope(dim: int, vertex_rows) -> Polytope:
         raise DegenerateInput(f"a full-dimensional {dim}-polytope needs at least {dim + 1} vertices")
     if _affine_rank(V) < dim:
         raise DegenerateInput(f"affine hull has dimension < {dim}")
-    keep = _extreme_point_indices(V)
+    keep, A, b = _hull(V)
     if len(keep) < V.shape[0]:
         dropped = sorted(set(range(V.shape[0])) - set(keep))
         warnings.warn(f"dropping non-extreme vertices at indices {dropped}", stacklevel=2)
-    return Polytope(dim=dim, vertices=_readonly(V[keep]))
+    V = _readonly(V[keep])
+    return _with_facets(Polytope(dim=dim, vertices=V), _facet_table(V, A, b))
+
+
+def _with_facets(P: Polytope, facets: tuple) -> Polytope:
+    """Fill P's facet cache from a table already built for its vertices."""
+    P.__dict__["_facets"] = facets
+    return P
 
 
 def _affine_rank(V: np.ndarray) -> int:
@@ -158,16 +172,55 @@ def _affine_rank(V: np.ndarray) -> int:
     return int(np.sum(svals > 1e-10 * scale))
 
 
-def _extreme_point_indices(V: np.ndarray) -> list:
-    if V.shape[1] == 1:
-        lo = int(np.argmin(V[:, 0]))
-        hi = int(np.argmax(V[:, 0]))
-        return sorted({lo, hi})
+def _hull(V: np.ndarray) -> tuple:
+    """Convex hull of the rows of V: the ascending indices of its extreme
+    points, and its facet inequalities A x <= b with unit rows of A."""
+    d = V.shape[1]
+    if d == 1:
+        lo, hi = int(np.argmin(V[:, 0])), int(np.argmax(V[:, 0]))
+        return sorted({lo, hi}), np.array([[-1.0], [1.0]]), np.array([-V[lo, 0], V[hi, 0]])
+    if d == 2:
+        return _polygon_hull(V)
+    from scipy.spatial import ConvexHull, QhullError
     try:
         hull = ConvexHull(V)
     except QhullError as exc:
         raise DegenerateInput(f"convex hull failed: {exc}") from exc
-    return sorted(int(i) for i in hull.vertices)
+    eqs = hull.equations  # rows [a | c] with a x + c <= 0
+    norms = np.linalg.norm(eqs[:, :-1], axis=1)
+    return sorted(int(i) for i in hull.vertices), eqs[:, :-1] / norms[:, None], -eqs[:, -1] / norms
+
+
+def _polygon_hull(V: np.ndarray) -> tuple:
+    """Andrew's monotone chain over the distinct points, sorted by (x, y).
+
+    A point within BOUNDARY_TOL of the chord between its hull neighbours is
+    not extreme; among exact duplicates the lowest index is kept.  The facet
+    rows are the outward unit normals of the counterclockwise edges.
+    """
+    pts, first = np.unique(V, axis=0, return_index=True)
+    xy = pts.tolist()
+
+    def chain(order) -> list:
+        out = []
+        for i in order:
+            while len(out) >= 2:
+                (ax, ay), (bx, by), (cx, cy) = xy[out[-2]], xy[out[-1]], xy[i]
+                cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
+                if cross > BOUNDARY_TOL * math.hypot(cx - ax, cy - ay):
+                    break
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    n = len(pts)
+    ring = chain(range(n)) + chain(range(n - 1, -1, -1))  # counterclockwise
+    if len(ring) < 3:
+        raise DegenerateInput("convex hull failed: the points are collinear")
+    corners = pts[ring]
+    E = np.roll(corners, -1, axis=0) - corners
+    A = np.stack([E[:, 1], -E[:, 0]], axis=1) / np.hypot(E[:, 0], E[:, 1])[:, None]
+    return sorted(int(i) for i in first[ring]), A, np.einsum("ij,ij->i", A, corners)
 
 
 _COORD_FORMS = "number, decimal string, 'a/b', or 'sqrt(k)'"
@@ -220,7 +273,8 @@ def polytope_from_json(source) -> Polytope:
     for v in poly.vertices:
         idx = next(i for i, row in enumerate(rows) if np.array_equal(row, v))
         sources.append(tuple(str(c) for c in data["vertices"][idx]))
-    return Polytope(dim=poly.dim, vertices=poly.vertices, coord_sources=tuple(sources))
+    return _with_facets(Polytope(dim=poly.dim, vertices=poly.vertices, coord_sources=tuple(sources)),
+                        poly._facets)
 
 
 def dilate(P: Polytope, t: float) -> Polytope:
@@ -240,16 +294,7 @@ def half_spaces(P: Polytope):
     return A, b
 
 
-def _facet_table(P: Polytope) -> tuple:
-    V = P.vertices
-    if P.dim == 1:
-        lo, hi = float(V[:, 0].min()), float(V[:, 0].max())
-        A, b = np.array([[-1.0], [1.0]]), np.array([-lo, hi])
-    else:
-        eqs = ConvexHull(V).equations  # rows [a | c] with a x + c <= 0
-        norms = np.linalg.norm(eqs[:, :-1], axis=1)
-        A = eqs[:, :-1] / norms[:, None]
-        b = -eqs[:, -1] / norms
+def _facet_table(V: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple:
     inc = np.abs(V @ A.T - b) <= BOUNDARY_TOL
     # a simplicial hull splits a facet into pieces with one incident-vertex set
     _, keep = np.unique(inc.T, axis=0, return_index=True)
@@ -314,7 +359,19 @@ def vertex_tangent_cone(P: Polytope, v_index: int) -> Cone:
 # ----------------------------- triangulation -------------------------------
 
 def _is_pointed(generators: np.ndarray) -> bool:
-    """A cone is pointed iff some u has <u, g_i> > 0 for every generator."""
+    """A cone is pointed iff some u has <u, g_i> > 0 for every generator.
+
+    Decided by the LP: maximize delta subject to G u >= delta and
+    -1 <= u <= 1 for the unit generators G; pointed iff delta > 1e-9.  The
+    LP is tried last.  The sum u of the unit generators, scaled to
+    ``u / ||u||_inf``, is a feasible point of it with delta =
+    ``min(G u) / ||u||_inf``.  When that clears 1e-9 by more than the
+    rounding of ``G u``, so does the LP's optimum, and the verdict is the
+    same without solving it.  The certificate holds for two generators at
+    an angle below pi (every vertex cone of a polygon) and for generators
+    that meet pairwise at no obtuse angle, where ``G u >= 1``; scipy's
+    ``linprog`` is imported only when it fails.
+    """
     gens = np.atleast_2d(generators)
     norms = np.linalg.norm(gens, axis=1)
     if np.any(norms <= 0.0):
@@ -323,7 +380,11 @@ def _is_pointed(generators: np.ndarray) -> bool:
     k, d = G.shape
     if k == 1:
         return True
-    # maximize delta s.t. G u >= delta, -1 <= u <= 1
+    u = G.sum(axis=0)
+    # rounding moves G u by less than 2 d k^2 ulp, so the margin keeps this sound
+    if np.min(G @ u) > 1e-9 * np.max(np.abs(u)) + 1e-15 * d * k * k:
+        return True
+    from scipy.optimize import linprog
     c = np.zeros(d + 1)
     c[-1] = -1.0
     A_ub = np.hstack([-G, np.ones((k, 1))])

@@ -268,18 +268,23 @@ class TestHalfSpaceCache:
             A2, b2 = half_spaces(P)
             assert A2 is A and b2 is b
 
+    @staticmethod
+    def _count_hulls(monkeypatch) -> list:
+        import solidsum.geometry as geometry
+        builds = []
+        real = geometry._hull
+
+        def counting(V):
+            builds.append(V.shape[1])
+            return real(V)
+
+        monkeypatch.setattr(geometry, "_hull", counting)
+        return builds
+
     @pytest.mark.parametrize("fixture, t", [("square", 3.0), ("triangle", 150.25), ("tetrahedron", 2.0)])
     def test_one_hull_per_polytope(self, fixture, t, request, monkeypatch):
-        import solidsum.geometry as geometry
-        P = request.getfixturevalue(fixture)
-        builds = []
-        real = geometry.ConvexHull
-
-        def counting(*args, **kwargs):
-            builds.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(geometry, "ConvexHull", counting)
+        builds = self._count_hulls(monkeypatch)
+        P = request.getfixturevalue(fixture)  # loaded here, so the load's hull counts
         for _ in range(2):
             half_spaces(P)
             ss.lattice_points(P, t)
@@ -289,3 +294,133 @@ class TestHalfSpaceCache:
         # a dilate is a new polytope with its own hull
         half_spaces(ss.dilate(P, 2.0))
         assert len(builds) == 2
+
+    def test_json_load_builds_one_hull(self, monkeypatch):
+        builds = self._count_hulls(monkeypatch)
+        with pytest.warns(UserWarning, match=r"indices \[4\]"):
+            P = ss.polytope_from_json({"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                                               ["1/4", "1/4", "1/4"]]})
+        assert P.n_vertices == 4 and P.coord_sources[1] == ("1", "0", "0")
+        half_spaces(P)
+        ss.faces(P)
+        ss.vertex_simple_cones(P, 0)
+        assert builds == [3]
+
+
+def _planar_cloud(rng, kind: int) -> np.ndarray:
+    """A random planar cloud: Gaussian (interior points), integer grid
+    (collinear boundary points, repeats) or uniform with exact duplicates,
+    at a scale from 0.1 to 100."""
+    n = int(rng.integers(3, 40))
+    if kind == 0:
+        V = rng.normal(size=(n, 2))
+    elif kind == 1:
+        V = rng.integers(0, int(rng.integers(2, 7)) + 1, size=(n, 2)).astype(float)
+    else:
+        V = rng.uniform(-1.0, 1.0, size=(n, 2))
+        V = np.vstack([V, V[rng.integers(0, n, size=int(rng.integers(1, 5)))]])
+        V = V[rng.permutation(len(V))]
+    return V * 10.0 ** rng.uniform(-1.0, 2.0)
+
+
+class TestPolygonHull:
+    def test_matches_qhull(self):
+        from solidsum.geometry import _hull
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        for trial in range(1500):
+            V = _planar_cloud(rng, trial % 3)
+            if np.linalg.matrix_rank(V[1:] - V[0]) < 2:
+                continue
+            keep, A, b = _hull(V)
+            hull = ConvexHull(V)
+            # Qhull keeps an arbitrary copy of a repeated point; map it to the lowest index
+            _, inverse = np.unique(V, axis=0, return_inverse=True)
+            inverse = inverse.ravel()
+            lowest = {}
+            for i, c in enumerate(inverse):
+                lowest.setdefault(int(c), i)
+            assert keep == sorted(lowest[int(inverse[i])] for i in hull.vertices), trial
+            norms = np.linalg.norm(hull.equations[:, :-1], axis=1)
+            A_q = hull.equations[:, :-1] / norms[:, None]
+            b_q = -hull.equations[:, -1] / norms
+            assert len(A) == len(A_q), trial
+            scale = np.abs(V).max()
+            for row, off in zip(A, b):
+                j = int(np.argmin(np.abs(A_q - row).sum(axis=1)))
+                assert np.abs(A_q[j] - row).max() <= 4.4e-16, trial
+                assert abs(b_q[j] - off) <= 1e-14 * scale, trial
+            checked += 1
+        assert checked > 1400
+
+    def test_vertex_near_an_edge(self):
+        square = [(0, 0), (2, 0), (2, 2), (0, 2)]
+        with pytest.warns(UserWarning, match=r"indices \[4\]"):
+            P = ss.load_polytope(2, square + [(1.0, -1e-12)])
+        assert P.n_vertices == 4 and len(half_spaces(P)[0]) == 4
+        P = ss.load_polytope(2, square + [(1.0, -1e-6)])
+        assert P.n_vertices == 5 and len(half_spaces(P)[0]) == 5
+        assert sum(len(ss.vertex_simple_cones(P, i)) for i in range(5)) == 5
+
+    def test_lowest_duplicate_kept(self):
+        with pytest.warns(UserWarning, match=r"indices \[2, 3, 5\]"):
+            P = ss.load_polytope(2, [(0, 0), (1, 0), (0, 0), (0.2, 0.2), (0, 1), (1, 0)])
+        assert P.n_vertices == 3
+
+
+def _random_cone(rng, i: int) -> np.ndarray:
+    """Generators of a random cone in d = 2 or 3 with 2..6 rays: Gaussian
+    (often not pointed), pointed, of width close to pi, or containing a line."""
+    d = 2 + i % 2
+    k = int(rng.integers(2, 7))
+    kind = (i // 2) % 4
+    g = rng.normal(size=(k, d))
+    if kind == 1:
+        g *= np.sign(g @ rng.normal(size=d))[:, None]
+    elif kind == 2:
+        delta = 10.0 ** rng.uniform(-10.0, -1.0)
+        e = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        ang = np.concatenate([[0.0, math.pi - delta], rng.uniform(0.0, math.pi - delta, k - 2)])
+        g = np.cos(ang)[:, None] * e[0] + np.sin(ang)[:, None] * e[1]
+        if d == 3:
+            g = g + 10.0 ** rng.uniform(-12.0, -2.0) * rng.normal(size=(k, 1)) * e[2]
+    elif kind == 3:
+        g[-1] = -g[0] * rng.uniform(0.5, 2.0)
+    return g
+
+
+class TestIsPointed:
+    def test_certificate_agrees_with_lp(self):
+        from scipy.optimize import linprog
+
+        from solidsum.geometry import _is_pointed
+        rng = np.random.default_rng(7)
+        verdicts = []
+        for i in range(500):
+            g = _random_cone(rng, i)
+            G = g / np.linalg.norm(g, axis=1)[:, None]
+            k, d = G.shape
+            c = np.zeros(d + 1)
+            c[-1] = -1.0
+            res = linprog(c, A_ub=np.hstack([-G, np.ones((k, 1))]), b_ub=np.zeros(k),
+                          bounds=[(-1.0, 1.0)] * d + [(None, None)], method="highs")
+            lp = bool(res.success and -res.fun > 1e-9)
+            assert _is_pointed(g) == lp, i
+            verdicts.append(lp)
+        assert 100 < sum(verdicts) < 400  # both verdicts are well represented
+
+    def test_vertex_cones_never_reach_the_lp(self, monkeypatch):
+        import scipy.optimize
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the pointedness LP was called")
+
+        monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+        polys = [ss.load_polytope(2, [(0, 0), (1, 0), (1, 1), (0, 1)]), ss.sqrt3_triangle(),
+                 ss.load_polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                 ss.load_polytope(3, [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])]
+        for P in polys:
+            for i in range(P.n_vertices):
+                assert ss.vertex_simple_cones(P, i)
+        with pytest.raises(AssertionError, match="LP was called"):
+            ss.triangulate_cone([0.0, 0.0], [[1.0, 0.0], [-1.0, 1e-12]])
