@@ -6,16 +6,21 @@ Transform-space sums
 
     sum_m sum_cones cone_transform(cone, m + s) * phi_hat(m + s)
 
-are evaluated for every level of the damping schedule in one pass over the
-largest box: only the separable factor phi_hat depends on eps, so the summed
-cone-rational factor r(m) is formed once and contracted, one axis at a time,
-with per-level 1-D phi_hat tables that vanish outside each level's own box.
-The pass walks the box in slabs along the first axis and never lists its
-points: each cone's denominators <w_j, m+s> and phase exp(2*pi*i*<apex, m+s>)
-are broadcast over a slab from per-axis tables, in real arithmetic when s is
-real.  Given a direction x to approach the pole points along, the same pass
-returns the value at s of a cone sum that is entire there, as the sum over
-all vertex cones of a polytope is (Brion): the exact s -> 0 limit of
+are evaluated for every level of the damping schedule at once: only the
+separable factor phi_hat depends on eps, and its per-level 1-D tables vanish
+outside each level's own box.  A coordinate cone, whose generators lie along
+distinct coordinate axes, has a term that is a product of one factor per
+axis; when no denominator comes within POLE_GUARD of zero in the largest
+box, its sums are products of 1-D contractions with those tables, at O(d n)
+cost for a box of n^d points.  The other cones are summed by one pass over
+the largest box: the summed cone-rational factor r(m) is formed once and
+contracted, one axis at a time, with the same tables.  The pass walks the
+box in slabs along the first axis and never lists its points: each cone's
+denominators <w_j, m+s> and phase exp(2*pi*i*<apex, m+s>) are broadcast over
+a slab from per-axis tables, in real arithmetic when s is real.  Given a
+direction x to approach the pole points along, the same pass returns the
+value at s of a cone sum that is entire there, as the sum over all vertex
+cones of a polytope is (Brion): the exact s -> 0 limit of
 ``macdonald_volume``.  The Laurent coefficients at the pole points of all
 cones in a slab come from one closed-form power-series call.  Direct-space
 sums accumulate (1_body * phi_eps)(m) * exp(2*pi*i*<s, m>) at one eps.  The
@@ -156,26 +161,46 @@ def _pole_terms(C, a, zero, b, c, order: int):
     return rows
 
 
+def _axis_scales(W: np.ndarray):
+    """The per-axis scales of a coordinate cone, one whose generator matrix W
+    has exactly one nonzero per row and per column: entry k is the nonzero
+    W[j, k] of column k, so <w_j, z> = W[j, k] z_k.  None for any other cone."""
+    nonzero = W != 0.0
+    if (nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all():
+        return W.sum(axis=0)
+    return None
+
+
 def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> DampedLevels:
     """Truncated transform-space sum of simple cones at every eps level.
 
-    ``terms`` are the SimpleCones, each entering with weight 1.  One pass over
-    the largest box forms r(m) = sum of the cone terms and the sum of their
-    magnitudes; each level's value, gross and shell tail follow by
-    contracting them with that level's phi_hat tables.  The box is walked in
-    slabs along the first axis; per cone, the denominators <w_j, m+s> and the
-    phase exp(2 pi i <apex, m+s>) are broadcast over the slab from per-axis
-    tables of m_k + s_k and exp(2 pi i apex_k (m_k + s_k)), in real arithmetic
-    when s is real (the phase then has modulus 1).  Raises PoleHit when some
-    m + s in the largest box comes within POLE_GUARD of a denominator zero,
-    unless a direction x is given: the value at s is then taken where the sum
-    of the terms is entire.  A term with a_j = <w_j, m+s> = 0 for j in Z has
-    a pole of order |Z| <= d along s + sigma * x; its Laurent coefficients
-    r_n(m), the coefficient of sigma^-n, come from one closed-form series
-    call per slab for the pole points of all cones, r_0 enters the sum, and
-    PoleHit is raised where the summed r_n, n >= 1, do not cancel (a cone
-    list whose sum is not entire there), or for a direction with some
-    |<w_j, x>| <= POLE_GUARD."""
+    ``terms`` are the SimpleCones, each entering with weight 1.  Each level's
+    value is sum_m r(m) prod_k phi_hat(m_k + s_k), with r(m) the sum of the
+    cone terms, and its gross and shell tail are the same contraction of the
+    summed term magnitudes with magnitude tables.
+
+    A coordinate cone (see ``_axis_scales``) whose per-axis denominators
+    w_k (m_k + s_k) clear POLE_GUARD over the largest box has a term that is
+    a product of one factor per axis, phase_k / (w_k (m_k + s_k)); its sums
+    are products of d one-dimensional contractions, and its magnitude
+    factors are |1 / (w_k (m_k + s_k))| times the constant phase modulus.
+
+    Every other cone is summed by one pass over the largest box, which forms
+    r(m) and the sum of the magnitudes and contracts them with every level's
+    tables.  The box is walked in slabs along the first axis; per cone, the
+    denominators <w_j, m+s> and the phase exp(2 pi i <apex, m+s>) are
+    broadcast over the slab from per-axis tables of m_k + s_k and
+    exp(2 pi i apex_k (m_k + s_k)), in real arithmetic when s is real (the
+    phase then has modulus 1).  The box pass is skipped when no such cone
+    remains.  Raises PoleHit when some m + s in the largest box comes within
+    POLE_GUARD of a denominator zero, unless a direction x is given: the
+    value at s is then taken where the sum of the terms is entire.  A term
+    with a_j = <w_j, m+s> = 0 for j in Z has a pole of order |Z| <= d along
+    s + sigma * x; its Laurent coefficients r_n(m), the coefficient of
+    sigma^-n, come from one closed-form series call per slab for the pole
+    points of all cones, r_0 enters the sum, and PoleHit is raised where the
+    summed r_n, n >= 1, do not cancel (a cone list whose sum is not entire
+    there), or for a direction with some |<w_j, x>| <= POLE_GUARD."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     d = s.size
     x = None if direction is None else tuple(float(v) for v in direction)
@@ -187,7 +212,7 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
     n_levels = len(cfg.eps_schedule)
     axes = ms + (s if s.imag.any() else s.real)[:, None]  # row k: m_k + s_k, real at real s
 
-    prepared = []
+    prepared, factors = [], []
     for cone in terms:
         if cone.dim != d:
             raise ValueError(f"cone dimension {cone.dim} != len(s) = {d}")
@@ -197,12 +222,47 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
             modulus = math.exp(-2.0 * math.pi * float(cone.apex @ s.imag))  # |phase|, constant
         else:
             phase, modulus = None, 1.0
+        scales = _axis_scales(cone.generators)
+        if scales is not None:
+            denoms = scales[:, None] * axes  # row k: w_k (m_k + s_k), as the box pass forms them
+            if np.abs(denoms).min() > POLE_GUARD:
+                inv = 1.0 / denoms
+                factors.append((det, modulus, inv if phase is None else phase * inv, np.abs(inv)))
+                continue
         b = None if x is None else cone.generators @ x
         c = 0.0 if phase is None or x is None else float(cone.apex @ x)
         prepared.append((det, modulus, cone.generators, phase, b, c))
 
     value = np.zeros(n_levels, dtype=complex)
     mags_sum = np.zeros((d + 1) * n_levels)
+    if factors:
+        dets, moduli, g, h = (np.array(v) for v in zip(*factors))  # g, h: [cone, k, m_k]
+        prod_value = np.ones((n_levels, dets.size), dtype=complex)
+        prod_mags = np.ones((mags_sum.size, dets.size))
+        for k in range(d):
+            prod_value *= tables[k] @ g[:, k].T
+            prod_mags *= mag_tables[k] @ h[:, k].T
+        value += prod_value @ dets
+        mags_sum += prod_mags @ (moduli * dets)
+    if prepared:
+        box_value, box_mags = _box_pass(prepared, ms, axes, tables, mag_tables, x is None)
+        value += box_value
+        mags_sum += box_mags
+    pref = (-TWO_PI_I) ** (-d)
+    value *= pref
+    mags_sum *= abs(pref)
+    gross = mags_sum[:n_levels]
+    tail = mags_sum[n_levels:].reshape(d, n_levels).sum(axis=0)
+    return DampedLevels(value, tail, gross)
+
+
+def _box_pass(prepared, ms, axes, tables, mag_tables, raise_at_poles: bool):
+    """Sum of the prepared cone terms over the largest box ms^d, slab by slab,
+    contracted with every level's tables: the values and the magnitude rows,
+    both before the prefactor (-2 pi i)^-d."""
+    d = axes.shape[0]
+    value = np.zeros(tables[0].shape[0], dtype=complex)
+    mags_sum = np.zeros(mag_tables[0].shape[0])
     for i0, i1 in _slabs(ms.size, d):
         grid = (i1 - i0,) + (ms.size,) * (d - 1)
         slab_axes = [axes[0, i0:i1]] + list(axes[1:])
@@ -214,7 +274,7 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
             mags = np.abs(denoms)
             nearest = mags.min(axis=0)
             poles = np.flatnonzero(nearest <= POLE_GUARD)
-            if poles.size and x is None:
+            if poles.size and raise_at_poles:
                 row = int(np.argmin(nearest))
                 j = int(np.argmin(mags[:, row]))
                 m_bad = _lattice_point(ms, grid, i0, row)
@@ -260,12 +320,7 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
                 raise PoleHit(f"poles do not cancel across the cones at m={m_bad}", lattice_point=m_bad)
         value += _contract(r.reshape(grid), [tables[0][:, i0:i1]] + tables[1:])
         mags_sum += _contract(r_abs.reshape(grid), [mag_tables[0][:, i0:i1]] + mag_tables[1:])
-    pref = (-TWO_PI_I) ** (-d)
-    value *= pref
-    mags_sum *= abs(pref)
-    gross = mags_sum[:n_levels]
-    tail = mags_sum[n_levels:].reshape(d, n_levels).sum(axis=0)
-    return DampedLevels(value, tail, gross)
+    return value, mags_sum
 
 
 def _lattice_point(ms: np.ndarray, grid: tuple, i0: int, flat: int) -> tuple:

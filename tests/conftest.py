@@ -52,6 +52,11 @@ def quadrant():
     return ss.simple_cone([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
 
 
+def unit_cube(d):
+    """The cube [0, 1]^d."""
+    return ss.load_polytope(d, [[(i >> k) & 1 for k in range(d)] for i in range(2 ** d)])
+
+
 def random_pointed_cone_2d(rng, min_cross=0.1):
     while True:
         g = rng.normal(size=(2, 2))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import solidsum as ss
+from conftest import unit_cube
 from solidsum import lattice
 from solidsum.lattice import DampedSumResult, damped_direct_sum, damped_transform_levels
 from solidsum.transforms import phi_hat_1d_grid
@@ -114,36 +115,71 @@ def segment_terms():
     return [ss.simple_cone([0.31], [[1.0]]), ss.simple_cone([1.7], [[-2.0]])]
 
 
-COMPLEX_S = (0.21 + 0.13j, 0.37 - 0.08j, 0.11 + 0.05j)
-REAL_S = (0.21, 0.37, 0.11)  # pole-free for the fixtures' vertex cones: the engine sums in real dtype
+def permuted_cone():
+    """A coordinate cone with scaled, permuted generators and an irrational apex."""
+    return ss.simple_cone([0.3 * SQRT3, -math.sqrt(5.0)], [[0.0, -2.5], [math.sqrt(2.0), 0.0]])
+
+
+ENGINE_TERMS = {
+    "segment": segment_terms,
+    "triangle": lambda: shifted_vertex_terms(ss.sqrt3_triangle(), 1.37),
+    "tetrahedron": lambda: shifted_vertex_terms(
+        ss.load_polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]), 1.3),
+    # coordinate cones only: summed as products of 1-D contractions
+    "square": lambda: shifted_vertex_terms(unit_cube(2), 1.37),
+    "cube": lambda: shifted_vertex_terms(unit_cube(3), 1.37),
+    "4-cube": lambda: shifted_vertex_terms(unit_cube(4), 1.37),
+    "permuted": lambda: [permuted_cone(), permuted_cone().shifted([1.1, 0.4])],
+    # coordinate cones next to general ones, which take the box pass
+    "mixed": lambda: (shifted_vertex_terms(unit_cube(2), 1.37) + shifted_vertex_terms(ss.sqrt3_triangle(), 0.8)
+                      + [permuted_cone()]),
+}
+
+COMPLEX_S = (0.21 + 0.13j, 0.37 - 0.08j, 0.11 + 0.05j, 0.29 + 0.07j)
+REAL_S = (0.21, 0.37, 0.11, 0.29)  # pole-free for the fixtures' vertex cones: the engine sums in real dtype
 
 ENGINE_CASES = {
-    # (dim, config, chunk limit, s); the default schedule has radii 30 (six
+    # (terms, config, chunk limit, s); the default schedule has radii 30 (six
     # levels), 39, 55, 77 and 109
-    "1d-default": (1, {}, None, COMPLEX_S),
-    "2d-default": (2, {}, None, COMPLEX_S),
-    "2d-real-s": (2, {}, None, REAL_S),
-    "2d-fixed-R": (2, {"truncation_radius": 12}, None, COMPLEX_S),
-    "2d-p1.5": (2, {"p": 1.5, "eps_schedule": (0.05, 0.02, 0.01)}, None, COMPLEX_S),
-    "3d-fixed-R": (3, {"eps_schedule": (0.5, 0.25, 0.125, 0.0625), "truncation_radius": 8}, None, COMPLEX_S),
+    "1d-default": ("segment", {}, None, COMPLEX_S),
+    "2d-default": ("triangle", {}, None, COMPLEX_S),
+    "2d-real-s": ("triangle", {}, None, REAL_S),
+    "2d-fixed-R": ("triangle", {"truncation_radius": 12}, None, COMPLEX_S),
+    "2d-p1.5": ("triangle", {"p": 1.5, "eps_schedule": (0.05, 0.02, 0.01)}, None, COMPLEX_S),
+    "3d-fixed-R": ("tetrahedron", {"eps_schedule": (0.5, 0.25, 0.125, 0.0625), "truncation_radius": 8}, None,
+                   COMPLEX_S),
     # radii 30, 30, 34: the 69^3 box is split into slabs of four rows
-    "3d-mixed-chunked": (3, {"eps_schedule": (0.05, 0.02, 0.01)}, None, COMPLEX_S),
-    "3d-mixed-chunked-real-s": (3, {"eps_schedule": (0.05, 0.02, 0.01)}, None, REAL_S),
+    "3d-mixed-chunked": ("tetrahedron", {"eps_schedule": (0.05, 0.02, 0.01)}, None, COMPLEX_S),
+    "3d-mixed-chunked-real-s": ("tetrahedron", {"eps_schedule": (0.05, 0.02, 0.01)}, None, REAL_S),
     # slabs of three rows, with shell tails far above rounding
-    "3d-fixed-R-slabs": (3, {"eps_schedule": (0.5, 0.25, 0.125, 0.0625), "truncation_radius": 8}, 1000, COMPLEX_S),
+    "3d-fixed-R-slabs": ("tetrahedron", {"eps_schedule": (0.5, 0.25, 0.125, 0.0625), "truncation_radius": 8}, 1000,
+                         COMPLEX_S),
+    "square-default": ("square", {}, None, COMPLEX_S),
+    "square-real-s": ("square", {}, None, REAL_S),
+    "square-p1.5": ("square", {"p": 1.5, "eps_schedule": (0.05, 0.02, 0.01)}, None, COMPLEX_S),
+    "cube-mixed-radii": ("cube", {"eps_schedule": (0.05, 0.02, 0.01)}, None, COMPLEX_S),
+    "cube-mixed-radii-real-s": ("cube", {"eps_schedule": (0.05, 0.02, 0.01)}, None, REAL_S),
+    "cube-fixed-R": ("cube", {"eps_schedule": (0.5, 0.25, 0.125, 0.0625), "truncation_radius": 8}, None,
+                     COMPLEX_S),
+    "permuted-default": ("permuted", {}, None, COMPLEX_S),
+    "permuted-real-s": ("permuted", {}, None, REAL_S),
+    "4-cube-fixed-R": ("4-cube", {"eps_schedule": (0.5, 0.25, 0.125), "truncation_radius": 6}, None, COMPLEX_S),
+    "4-cube-fixed-R-real-s": ("4-cube", {"eps_schedule": (0.5, 0.25, 0.125), "truncation_radius": 6}, None,
+                              REAL_S),
+    "mixed-default": ("mixed", {}, None, COMPLEX_S),
+    "mixed-slabs": ("mixed", {"truncation_radius": 12}, 100, REAL_S),
 }
 
 
 class TestLevelsEngine:
     @pytest.mark.parametrize("case", list(ENGINE_CASES))
-    def test_matches_per_level_reference(self, case, triangle, tetrahedron, monkeypatch):
-        d, cfg_kw, chunk_limit, s = ENGINE_CASES[case]
+    def test_matches_per_level_reference(self, case, monkeypatch):
+        name, cfg_kw, chunk_limit, s = ENGINE_CASES[case]
         if chunk_limit is not None:
             monkeypatch.setattr(lattice, "CHUNK_LIMIT", chunk_limit)
         cfg = ss.DampedSumConfig(**cfg_kw)
-        terms = {1: segment_terms(), 2: shifted_vertex_terms(triangle, 1.37),
-                 3: shifted_vertex_terms(tetrahedron, 1.3)}[d]
-        s = np.array(s[:d])
+        terms = ENGINE_TERMS[name]()
+        s = np.array(s[:terms[0].dim])
         lev = damped_transform_levels(terms, s, cfg)
         ref = per_level_reference(terms, s, cfg)
         assert lev.value.shape == lev.tail.shape == lev.gross.shape == (len(cfg.eps_schedule),)
@@ -183,6 +219,64 @@ class TestLevelsEngine:
         assert want.value.lattice_point == (5, -3, 2)
         assert got.value.lattice_point == want.value.lattice_point
         assert got.value.generator_index == 0
+
+    def test_coordinate_cone_pole_in_largest_box_only(self):
+        # a coordinate cone with a pole point in the box stays on the box
+        # pass: w_0 (m + s) vanishes at the single lattice point 41, inside the
+        # boxes of radius 55, 77 and 109 only
+        cone = ss.simple_cone([0.3 * SQRT3], [[-2.5]])
+        s = np.array([-41.0 + 0j])
+        cfg = ss.DampedSumConfig()
+        with pytest.raises(ss.PoleHit) as want:
+            per_level_reference([cone], s, cfg)
+        with pytest.raises(ss.PoleHit) as got:
+            damped_transform_levels([cone], s, cfg)
+        assert want.value.lattice_point == (41,)
+        assert got.value.lattice_point == want.value.lattice_point
+        assert got.value.generator_index == 0
+
+    def test_coordinate_cone_pole_line(self):
+        # the permuted cone's generator 0 is -2.5 e_1, so its pole points are
+        # the line m_1 = 41, which lies in the largest boxes only
+        s = np.array([0.2, -41.0], dtype=complex)
+        cfg = ss.DampedSumConfig()
+        with pytest.raises(ss.PoleHit):
+            per_level_reference([permuted_cone()], s, cfg)
+        with pytest.raises(ss.PoleHit) as got:
+            damped_transform_levels([permuted_cone()] + shifted_vertex_terms(unit_cube(2), 1.37), s, cfg)
+        assert got.value.lattice_point[1] == 41
+        assert got.value.generator_index == 0
+
+    @staticmethod
+    def no_box_pass(monkeypatch):
+        def outer(*args):
+            raise AssertionError("box pass entered")
+
+        monkeypatch.setattr(lattice, "_outer", outer)
+
+    @pytest.mark.parametrize("name", ["segment", "square", "cube", "4-cube", "permuted"])
+    def test_coordinate_cones_skip_box_pass(self, name, monkeypatch):
+        terms = ENGINE_TERMS[name]()
+        self.no_box_pass(monkeypatch)
+        lev = damped_transform_levels(terms, np.array(COMPLEX_S[:terms[0].dim]), ss.DampedSumConfig())
+        assert np.all(np.isfinite(lev.value)) and np.all(lev.gross > 0)
+
+    def test_general_cone_takes_box_pass(self, monkeypatch):
+        self.no_box_pass(monkeypatch)
+        with pytest.raises(AssertionError, match="box pass entered"):
+            damped_transform_levels(ENGINE_TERMS["mixed"](), np.array(COMPLEX_S[:2]), ss.DampedSumConfig())
+
+    def test_volume_takes_pole_series(self, square, monkeypatch):
+        # at s = 0 every coordinate cone has pole points, so macdonald_volume
+        # still sums them on the box pass through the Laurent series
+        calls = []
+        pole_terms = lattice._pole_terms
+        monkeypatch.setattr(lattice, "_pole_terms", lambda *a: calls.append(1) or pole_terms(*a))
+        for t in (1.0, 1.37, 2.0):
+            est = ss.macdonald_volume(square, t)
+            want = t * t if t.is_integer() else (math.floor(t) + 0.5) ** 2
+            assert abs(est.value - want) <= est.error
+        assert calls
 
 
 def truncated_product_pole_terms(C, a, zero, b, c, order):

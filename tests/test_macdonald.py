@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import solidsum as ss
-from conftest import random_pole_free_s
+from conftest import random_pole_free_s, unit_cube
 
 SQRT3 = math.sqrt(3.0)
 
@@ -50,6 +50,22 @@ class TestMacdonaldSum:
                 ev = ss.macdonald_sum(P, 1.0, s)
                 alpha = ss.alpha_polytope_direct(P, s)
                 assert abs(sum(c for _, c in ev.per_vertex) - alpha.value) < 1e-4
+
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("t", [1.0, 1.37, 2.0])
+    def test_cube_closed_form(self, d, t):
+        # the cube's vertex cones are coordinate cones, summed as products of
+        # 1-D contractions, so the default config evaluates in any dimension;
+        # the sum factors over the axes, with weight 1/2 at j = 0 and j = t
+        P = unit_cube(d)
+        for s in (np.array([0.21 + 0.13j, 0.37 - 0.08j, 0.11 + 0.05j, 0.29 + 0.07j][:d]),
+                  np.array([0.21, 0.37, 0.11, 0.29][:d])):
+            ev = ss.macdonald_sum(P, t, s)
+            j = np.arange(math.floor(t) + 1)
+            w = np.where((j == 0) | (j == t), 0.5, 1.0)
+            want = math.prod(np.sum(w * np.exp(2j * math.pi * j * sk)) for sk in s)
+            assert abs(ev.value - want) <= ev.error
 
 
 def simplex_closed_form(t):
@@ -119,7 +135,7 @@ class TestMacdonaldVolume:
     @pytest.mark.parametrize("t", [1.0, 2.0])
     def test_four_cube(self, t):
         # simple vertex cones need no triangulation, in any dimension
-        P = ss.load_polytope(4, [[(i >> k) & 1 for k in range(4)] for i in range(16)])
+        P = unit_cube(4)
         cfg = ss.DampedSumConfig(eps_schedule=(0.5, 0.25, 0.125), truncation_radius=6)
         est = ss.macdonald_volume(P, t, cfg=cfg)
         assert abs(est.value - t ** 4) < 1e-13 * t ** 4
@@ -317,6 +333,13 @@ class TestMacdonaldReciprocity:
         s = np.array([0.26 + 0.12j, 0.38 - 0.07j, 0.19 + 0.21j])
         rep = ss.verify_macdonald(tetrahedron, 1.0, s, cfg)
         assert rep.residual < 1e-5
+
+
+    def test_four_cube(self):
+        s = np.array([0.26 + 0.12j, 0.38 - 0.07j, 0.19 + 0.21j, 0.31 - 0.04j])
+        rep = ss.verify_macdonald(unit_cube(4), 1.37, s)
+        assert rep.passed
+        assert rep.residual <= rep.details["lhs_error"] + rep.details["rhs_error"]
 
 
 class TestConjecture:
