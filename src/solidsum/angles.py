@@ -25,7 +25,7 @@ from .geometry import (
     Polytope,
     SimpleCone,
     body_half_spaces,
-    cone_halfplanes_2d,
+    cone_half_spaces,
     half_spaces,
     triangulate_cone,
 )
@@ -190,7 +190,7 @@ def solid_angle_exact_2d_l1(cone) -> SolidAngleEstimate:
     """
     g1, g2 = _two_generators(cone)
     _check_pointed_2d(g1, g2)
-    A, _ = cone_halfplanes_2d(np.zeros(2), g1, g2)
+    A, _ = cone_half_spaces(np.zeros(2), np.stack([g1, g2]))
     poly = _DIAMOND
     for row in A:
         poly = clip_polygon_halfplane(poly, row, 0.0)

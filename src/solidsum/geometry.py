@@ -2,8 +2,9 @@
 
 Polytopes are stored by their vertices (V-representation).  Each polytope
 builds its convex hull at most once and keeps from it only the facet
-inequalities (H-representation) and the vertex-facet incidence table; edges,
-faces and face tangent cones are all read off that table.  ``load_polytope``
+inequalities (H-representation) and the vertex-facet incidence table; faces
+(the facets' vertex sets closed under intersection), edges and face tangent
+cones are all read off that table, in any dimension.  ``load_polytope``
 builds the hull while it selects the extreme points, and the loaded polytope
 starts with that hull's inequalities; any other polytope (a dilate, say)
 builds its own on first use.  The inequalities, the table, the faces and the
@@ -11,11 +12,15 @@ triangulated vertex cones are cached on the polytope, the arrays read-only
 and the rest as tuples.  All objects are otherwise immutable after
 construction and every operation is a pure function.
 
+A non-simple cone is triangulated the same way in every dimension: the hull
+of the origin and its generators cut by a plane gives the cone's facets and
+extreme rays, and a pulling triangulation is read off that incidence table.
+
 The hull is built per dimension: the two end points in 1-D, Andrew's
 monotone chain in numpy in 2-D, and Qhull (``scipy.spatial``, imported on
 first use) in dim >= 3.  The planar path therefore loads no scipy module;
 scipy is also imported, on first use, by the pointedness LP fallback
-(``_is_pointed``) and the soft-indicator CDF (``angles._lp_cdf``).
+(``_pointing_direction``) and the soft-indicator CDF (``angles._lp_cdf``).
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ from .errors import (
     DegenerateInput,
     DimensionMismatch,
     NotPointed,
-    UnsupportedDimension,
 )
 
 BOUNDARY_TOL = 1e-9    # membership/incidence tolerance (unit facet normals)
@@ -68,7 +72,15 @@ class Polytope:
 
     @cached_property
     def _faces(self) -> tuple:
-        return _face_list(self)
+        """The face list of ``faces``."""
+        facets = {frozenset(np.flatnonzero(col).tolist()) for col in self._facets[2].T}
+        found, new = set(), facets
+        while new:
+            found |= new
+            new = {F & G for F in new for G in facets if not F.isdisjoint(G)} - found
+        out = [(_affine_rank(self.vertices[sorted(F)]), tuple(sorted(F))) for F in found]
+        out.append((self.dim, tuple(range(self.n_vertices))))
+        return tuple(Face(k, f, (-1) ** k) for k, f in sorted(out))
 
     @cached_property
     def _vertex_cones(self) -> tuple:
@@ -302,44 +314,30 @@ def _facet_table(V: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple:
     return _readonly(A[keep]), _readonly(b[keep]), _readonly(inc[:, keep], bool)
 
 
-def cone_halfplanes_2d(apex, g1, g2):
-    """H-representation {a_i . x <= b_i} of the planar cone spanned by g1, g2."""
-    cross = g1[0] * g2[1] - g1[1] * g2[0]
-    sgn = 1.0 if cross > 0 else -1.0
-    n1 = np.array([-g1[1], g1[0]])
-    n2 = np.array([-g2[1], g2[0]])
-    A = np.stack([-sgn * n1, sgn * n2])
-    b = A @ np.asarray(apex, dtype=float)
-    return A, b
+def cone_half_spaces(apex, W):
+    """H-representation A x <= b, with unit rows of A, of the simple cone
+    apex + lambda W (lambda >= 0, generators as the rows of W), in any
+    dimension: row j is the outward normal of the facet that misses w_j."""
+    A = -np.linalg.inv(W).T
+    A /= np.linalg.norm(A, axis=1)[:, None]
+    return A, A @ np.asarray(apex, dtype=float)
 
 
 def body_half_spaces(body):
-    """H-representation A x <= b of a polytope or of a simple cone (dim <= 2)."""
+    """H-representation A x <= b, with unit rows of A, of a polytope or of a
+    simple cone."""
     if isinstance(body, Polytope):
         return half_spaces(body)
     if isinstance(body, SimpleCone):
-        if body.dim == 1:
-            g = float(body.generators[0, 0])
-            sgn = -1.0 if g > 0 else 1.0
-            return np.array([[sgn]]), np.array([sgn * float(body.apex[0])])
-        if body.dim == 2:
-            return cone_halfplanes_2d(body.apex, body.generators[0], body.generators[1])
-        raise UnsupportedDimension("cone half-spaces support dim <= 2")
+        return cone_half_spaces(body.apex, body.generators)
     raise TypeError(f"unsupported body type {type(body).__name__}")
 
 
 # ----------------------------- adjacency -----------------------------------
 
 def edges(P: Polytope) -> list:
-    """Edges (1-faces) as sorted index pairs: the vertex pairs whose common
-    facets have rank dim - 1."""
-    if P.dim == 1:
-        return [(0, 1)] if P.n_vertices == 2 else []
-    A, _, inc = P._facets
-    shared = inc.astype(int) @ inc.T.astype(int)
-    cand = zip(*np.nonzero(np.triu(shared >= P.dim - 1, 1)))
-    return [(int(i), int(j)) for i, j in cand
-            if np.linalg.matrix_rank(A[inc[i] & inc[j]]) == P.dim - 1]
+    """Edges (1-faces) as sorted index pairs, read off the cached face list."""
+    return [f.vertex_indices for f in P._faces if f.dim == 1]
 
 
 def vertex_tangent_cone(P: Polytope, v_index: int) -> Cone:
@@ -358,19 +356,21 @@ def vertex_tangent_cone(P: Polytope, v_index: int) -> Cone:
 
 # ----------------------------- triangulation -------------------------------
 
-def _is_pointed(generators: np.ndarray) -> bool:
-    """A cone is pointed iff some u has <u, g_i> > 0 for every generator.
+def _pointing_direction(generators: np.ndarray):
+    """A unit u with <u, g_i> > 0 for every generator, or None when the cone
+    they span is not pointed.
 
     Decided by the LP: maximize delta subject to G u >= delta and
     -1 <= u <= 1 for the unit generators G; pointed iff delta > 1e-9.  The
     LP is tried last.  The sum u of the unit generators, scaled to
     ``u / ||u||_inf``, is a feasible point of it with delta =
     ``min(G u) / ||u||_inf``.  When that clears 1e-9 by more than the
-    rounding of ``G u``, so does the LP's optimum, and the verdict is the
-    same without solving it.  The certificate holds for two generators at
-    an angle below pi (every vertex cone of a polygon) and for generators
-    that meet pairwise at no obtuse angle, where ``G u >= 1``; scipy's
-    ``linprog`` is imported only when it fails.
+    rounding of ``G u``, so does the LP's optimum, and u is returned without
+    solving it.  The certificate holds for two generators at an angle below
+    pi (every vertex cone of a polygon) and for generators that meet
+    pairwise at no obtuse angle, where ``G u >= 1``; scipy's ``linprog`` is
+    imported only when it fails.  Otherwise u is the LP's optimum, or, where
+    that misses G u > 0 by the solver's tolerance, a solution of G u >= 1.
     """
     gens = np.atleast_2d(generators)
     norms = np.linalg.norm(gens, axis=1)
@@ -378,73 +378,77 @@ def _is_pointed(generators: np.ndarray) -> bool:
         raise DegenerateCone("zero generator")
     G = gens / norms[:, None]
     k, d = G.shape
-    if k == 1:
-        return True
     u = G.sum(axis=0)
     # rounding moves G u by less than 2 d k^2 ulp, so the margin keeps this sound
-    if np.min(G @ u) > 1e-9 * np.max(np.abs(u)) + 1e-15 * d * k * k:
-        return True
-    from scipy.optimize import linprog
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-G, np.ones((k, 1))])
-    bounds = [(-1.0, 1.0)] * d + [(None, None)]
-    res = linprog(c, A_ub=A_ub, b_ub=np.zeros(k), bounds=bounds, method="highs")
-    return bool(res.success and -res.fun > 1e-9)
+    if np.min(G @ u) <= 1e-9 * np.max(np.abs(u)) + 1e-15 * d * k * k:
+        from scipy.optimize import linprog
+        c = np.zeros(d + 1)
+        c[-1] = -1.0
+        A_ub = np.hstack([-G, np.ones((k, 1))])
+        bounds = [(-1.0, 1.0)] * d + [(None, None)]
+        res = linprog(c, A_ub=A_ub, b_ub=np.zeros(k), bounds=bounds, method="highs")
+        if not (res.success and -res.fun > 1e-9):
+            return None
+        u = res.x[:d]
+        if np.min(G @ u) <= 0.0:  # the LP holds to 1e-7, which delta need not clear
+            res = linprog(np.zeros(d), A_ub=-G, b_ub=-np.ones(k), bounds=[(None, None)] * d, method="highs")
+            if res.status != 0:
+                return None
+            u = res.x
+    return u / np.linalg.norm(u)
 
 
 def triangulate_cone(apex, generators) -> list:
-    """Fan-triangulate a pointed cone into simple cones with disjoint interiors.
+    """Triangulate a pointed cone into simple cones with disjoint interiors,
+    in any dimension.
 
-    A cone with exactly dim generators is simple in any dimension; others are
-    triangulated for dim <= 3.  The fan is anchored at the lexicographically
-    smallest generator so the output is deterministic.  Raises NotPointed
-    when the generators span a line through the apex.
+    A cone with exactly dim generators is simple and returned as it is.  Any
+    other cone is cut by a plane <u, x> = 1 with u in its interior; the hull
+    of the origin and the cut points gives the cone's facets (the hull facets
+    through the origin) and its extreme rays (the other hull vertices), so
+    interior and repeated generators drop out.  The pulling triangulation
+    (``_pull``) then cones the lexicographically smallest extreme ray over
+    the triangulated facets that miss it, so the output is deterministic.
+    Raises NotPointed when the generators do not span a pointed cone and
+    DegenerateCone when they do not span the space.
     """
     apex = np.atleast_1d(np.asarray(apex, dtype=float))
     gens = np.atleast_2d(np.asarray(generators, dtype=float))
-    d = gens.shape[1]
-    if not _is_pointed(gens):
+    k, d = gens.shape
+    u = _pointing_direction(gens)
+    if u is None:
         raise NotPointed("generators do not span a pointed cone")
-    if gens.shape[0] == d:
+    if k == d:
         return [simple_cone(apex, gens)]
-    if d == 1:
-        return [simple_cone(apex, gens[:1])]
-    if d == 2:
-        # extreme rays = angular extremes (pointed => angular width < pi)
-        ref = gens[np.lexsort(gens.T[::-1])][0]
-        ref = ref / np.linalg.norm(ref)
-        ang = np.arctan2(gens @ np.array([-ref[1], ref[0]]), gens @ ref)
-        return [simple_cone(apex, gens[[int(np.argmin(ang)), int(np.argmax(ang))]])]
-    if d == 3:
-        order = _cyclic_generator_order(gens)
-        first = order[0]
-        pieces = []
-        for i in range(1, len(order) - 1):
-            tri = gens[[first, order[i], order[i + 1]]]
-            if abs(np.linalg.det(tri)) > DET_RTOL * np.prod(np.linalg.norm(tri, axis=1)):
-                pieces.append(simple_cone(apex, tri))
-        return pieces
-    raise UnsupportedDimension(f"non-simple cone triangulation supports dim <= 3, got {d}")
+    if np.linalg.matrix_rank(gens) < d:
+        raise DegenerateCone(f"generators do not span dimension {d}")
+    cut = gens / (gens @ u)[:, None]
+    keep, A, b = _hull(np.vstack([np.zeros(d), cut]))
+    rays = sorted((i - 1 for i in keep[1:]), key=lambda i: tuple(gens[i]))  # keep[0] is the origin
+    X = np.vstack([np.zeros(d), cut[rays]])
+    inc = _facet_table(X, A, b)[2]
+    facets = [frozenset((np.flatnonzero(col[1:]) + 1).tolist()) for col in inc.T if col[0]]
+    return [simple_cone(apex, gens[[rays[i - 1] for i in piece]])
+            for piece in _pull(frozenset(range(1, len(X))), facets, X)]
 
 
-def _cyclic_generator_order(gens: np.ndarray) -> list:
-    """Cyclic order of 3-D generators around the cone axis, starting at the
-    lexicographically smallest generator."""
-    norms = np.linalg.norm(gens, axis=1)
-    G = gens / norms[:, None]
-    axis = G.mean(axis=0)
-    axis /= np.linalg.norm(axis)
-    a = np.zeros(3)
-    a[int(np.argmin(np.abs(axis)))] = 1.0
-    u = np.cross(axis, a)
-    u /= np.linalg.norm(u)
-    v = np.cross(axis, u)
-    ang = np.arctan2(G @ v, G @ u)
-    order = [int(i) for i in np.argsort(ang)]
-    start = min(range(len(order)), key=lambda i: tuple(gens[order[i]]))
-    order = order[start:] + order[:start]
-    return order
+def _pull(rays: frozenset, facets: list, X: np.ndarray) -> list:
+    """Pulling triangulation of the cone over the points X[rays] (row 0 of X
+    is the origin), given its facets as sets of rays: the smallest ray,
+    coned over the pieces of every facet that misses it.  A facet's own
+    facets are its intersections with the other facets that have one
+    dimension less.  Returns tuples of row indices into X, one per simple
+    cone."""
+    rank = _affine_rank(X[[0, *rays]])
+    if len(rays) == rank:
+        return [tuple(sorted(rays))]
+    r = min(rays)
+    pieces = []
+    for F in sorted(facets, key=sorted):
+        if r not in F:
+            ridges = {F & G for G in facets if _affine_rank(X[[0, *(F & G)]]) == rank - 2}
+            pieces += [(r, *piece) for piece in _pull(F, list(ridges), X)]
+    return pieces
 
 
 def vertex_simple_cones(P: Polytope, v_index: int) -> tuple:
@@ -488,24 +492,15 @@ def lattice_points(P: Polytope, t: float) -> np.ndarray:
 # ----------------------------- faces ---------------------------------------
 
 def faces(P: Polytope) -> tuple:
-    """All nonempty faces (vertices, edges, ..., P itself) for dim <= 3.
+    """All nonempty faces (vertices, edges, ..., P itself), in any dimension,
+    sorted by dimension and then by vertex indices.
 
-    Built once per polytope from its incidence table and cached on it.
+    Every proper face is an intersection of facets, so the list is the
+    closure of the incidence table's facet columns under intersection; a
+    face's dimension is the affine rank of its vertices.  Built once per
+    polytope and cached on it.
     """
-    if P.dim > 3:
-        raise UnsupportedDimension(f"face enumeration supports dim <= 3, got {P.dim}")
     return P._faces
-
-
-def _face_list(P: Polytope) -> tuple:
-    out = [Face(0, (i,), 1) for i in range(P.n_vertices)]
-    if P.dim >= 2:
-        out += [Face(1, e, -1) for e in edges(P)]
-    if P.dim == 3:
-        inc = P._facets[2]
-        out += [Face(2, tuple(int(i) for i in np.flatnonzero(col)), 1) for col in inc.T]
-    out.append(Face(P.dim, tuple(range(P.n_vertices)), (-1) ** P.dim))
-    return tuple(out)
 
 
 def face_tangent_cone_active_facets(P: Polytope, face: Face):

@@ -57,6 +57,11 @@ def unit_cube(d):
     return ss.load_polytope(d, [[(i >> k) & 1 for k in range(d)] for i in range(2 ** d)])
 
 
+def cross_polytope(d):
+    """The cross-polytope conv(+-e_k) in dimension d."""
+    return ss.load_polytope(d, [[sign * float(j == k) for j in range(d)] for k in range(d) for sign in (1, -1)])
+
+
 def random_pointed_cone_2d(rng, min_cross=0.1):
     while True:
         g = rng.normal(size=(2, 2))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 import solidsum as ss
+from conftest import cross_polytope
 from solidsum.geometry import edges, half_spaces, normalize_generator
 
 SQRT3 = math.sqrt(3.0)
@@ -117,6 +118,10 @@ class TestTriangulateCone:
         with pytest.raises(ss.NotPointed):
             ss.triangulate_cone([0, 0], [[1, 0], [-1, 0]])
 
+    def test_coplanar_generators(self):
+        with pytest.raises(ss.DegenerateCone):
+            ss.triangulate_cone(np.zeros(3), [[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 1, 0]])
+
     def test_square_cone_split(self):
         gens = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=float)
         pieces = ss.triangulate_cone([0, 0, 0], gens)
@@ -142,6 +147,59 @@ class TestTriangulateCone:
         ok = ~band
         assert np.array_equal(in_pieces[ok] > 0, parent[ok])
         assert int(in_pieces[ok].max()) <= 1
+
+
+def _assert_partition(gens, pieces, seed: int, n: int = 4000) -> None:
+    """Every sampled point of the cone spanned by gens lies in exactly one
+    piece, and no sampled point outside it lies in any.  Membership in the
+    cone is decided by non-negative least squares; points within 1e-9 of a
+    piece's boundary are skipped."""
+    from scipy.optimize import nnls
+    gens = np.asarray(gens, dtype=float)
+    X = np.random.default_rng(seed).normal(size=(n, gens.shape[1]))
+    lam = np.stack([X @ np.linalg.inv(p.generators) for p in pieces])
+    ok = ~np.any(np.abs(lam) < 1e-9, axis=(0, 2))
+    count = np.sum(np.all(lam > 0, axis=2), axis=0)
+    inside = np.array([nnls(gens.T, x)[1] <= 1e-12 for x in X])
+    assert ok.sum() > 0.99 * n
+    assert 0.01 * n < np.sum(ok & inside)
+    assert np.all(count[ok & inside] == 1)
+    assert np.all(count[ok & ~inside] == 0)
+
+
+SQUARE_CONE = [[1, 0, 1], [-1, 0, 1], [0, 1, 1], [0, -1, 1]]
+
+
+class TestConePartition:
+    @pytest.mark.parametrize("gens, n_pieces", [
+        (SQUARE_CONE + [[0, 0, 1]], 2),                          # interior generator
+        ([[0, 0, 1]] + SQUARE_CONE + [[0.1, -0.2, 1]], 2),     # interior generators first and last
+        (SQUARE_CONE + [[0.5, 0.5, 1], [-1, -1, 2]], 2),        # mid-facet generators
+        (SQUARE_CONE + [[1, 0, 1], [0, 3, 3]], 2),              # repeated rays
+        ([[math.cos(a), math.sin(a), 1.5] for a in np.linspace(0.3, 6.0, 7)]
+         + [[0.2, 0.1, 1], [0.4, 0.0, 2.0]], 5),
+        ([[1, 0], [0, 1], [1, 1], [2, 1]], 1),
+    ])
+    def test_pieces_partition_the_cone(self, gens, n_pieces):
+        d = len(gens[0])
+        pieces = ss.triangulate_cone(np.zeros(d), gens)
+        assert len(pieces) == n_pieces
+        rays = {tuple(g) for g in np.asarray(gens, dtype=float)}
+        assert all(tuple(g) in rays for p in pieces for g in p.generators)
+        _assert_partition(gens, pieces, seed=len(gens))
+
+    def test_four_dim_vertex_cones(self):
+        sphere = np.random.default_rng(5).normal(size=(12, 4))
+        polys = [cross_polytope(4), ss.load_polytope(4, (sphere / np.linalg.norm(sphere, axis=1)[:, None]).tolist())]
+        non_simple = 0
+        for P in polys:
+            for i in range(P.n_vertices):
+                gens = ss.vertex_tangent_cone(P, i).generators
+                _assert_partition(gens, ss.triangulate_cone(np.zeros(4), gens), seed=i, n=2000)
+                non_simple += len(gens) > 4
+        assert non_simple >= 12
+        # the octahedral vertex figure of the cross-polytope splits into 4
+        assert len(ss.vertex_simple_cones(polys[0], 0)) == 4
 
 
 class TestLatticePoints:
@@ -197,12 +255,10 @@ class TestFaces:
         assert half_spaces(P)[0].shape == (6, 3)
         assert all(len(ss.vertex_tangent_cone(P, i).generators) == 3 for i in range(8))
 
-    def test_unsupported_dimension(self):
-        cross = [row for i in range(4) for row in
-                 (np.eye(4)[i].tolist(), (-np.eye(4)[i]).tolist())]
-        P = ss.load_polytope(4, cross)
-        with pytest.raises(ss.UnsupportedDimension):
-            ss.faces(P)
+    def test_cross_polytope_4d(self):
+        face_list = ss.faces(cross_polytope(4))
+        assert [sum(f.dim == k for f in face_list) for k in range(5)] == [8, 24, 32, 16, 1]
+        assert sum(f.sign for f in face_list) == 1
 
 
 @st.composite
@@ -393,7 +449,7 @@ class TestIsPointed:
     def test_certificate_agrees_with_lp(self):
         from scipy.optimize import linprog
 
-        from solidsum.geometry import _is_pointed
+        from solidsum.geometry import _pointing_direction
         rng = np.random.default_rng(7)
         verdicts = []
         for i in range(500):
@@ -405,7 +461,10 @@ class TestIsPointed:
             res = linprog(c, A_ub=np.hstack([-G, np.ones((k, 1))]), b_ub=np.zeros(k),
                           bounds=[(-1.0, 1.0)] * d + [(None, None)], method="highs")
             lp = bool(res.success and -res.fun > 1e-9)
-            assert _is_pointed(g) == lp, i
+            u = _pointing_direction(g)
+            assert (u is not None) == lp, i
+            if u is not None:
+                assert np.all(g @ u > 0), i
             verdicts.append(lp)
         assert 100 < sum(verdicts) < 400  # both verdicts are well represented
 

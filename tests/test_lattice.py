@@ -415,6 +415,15 @@ class TestDirectSum:
         est_t = ss.richardson_limit(eps, [one_level(quadrant_terms, s, e).value for e in eps])
         assert abs(est_t.value - closed) < 1e-6
 
+    def test_cone_independent_of_generator_length(self):
+        # the margins are distances to the facets, compared with the
+        # quadrature cutoff, so rescaling a generator moves no weight
+        cfg = ss.DampedSumConfig(truncation_radius=8)
+        s = np.array([0.2 + 0.15j, 0.3 + 0.1j])
+        values = [damped_direct_sum(ss.simple_cone([0.37, 0.21], [[k, 0.0], [0.4 * k, 1.1 * k]]), s, cfg, 0.05).value
+                  for k in (0.2, 1.0, 3.0, 30.0)]
+        assert max(abs(v - values[1]) for v in values) < 1e-14
+
     def test_real_argument_outside_convergence_domain(self, quadrant):
         cfg = ss.DampedSumConfig()
         with pytest.raises(ss.ConvergenceDomain):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import solidsum as ss
-from conftest import random_pole_free_s, unit_cube
+from conftest import cross_polytope, random_pole_free_s, unit_cube
 
 SQRT3 = math.sqrt(3.0)
 
@@ -140,6 +140,16 @@ class TestMacdonaldVolume:
         est = ss.macdonald_volume(P, t, cfg=cfg)
         assert abs(est.value - t ** 4) < 1e-13 * t ** 4
         assert abs(est.value - t ** 4) <= est.error
+
+    @pytest.mark.parametrize("t", [1.0, 2.0])
+    def test_four_cross_polytope(self, t):
+        # every vertex cone is non-simple (an octahedral vertex figure, four
+        # pieces); Macdonald's closed form is (2/3)(t^4 + t^2).  A coarse
+        # schedule fits the polynomial's structure without being exact, so
+        # the gate is the closed form
+        cfg = ss.DampedSumConfig(eps_schedule=(1 / 4, 1 / 8, 1 / 16, 1 / 32), truncation_radius=16)
+        est = ss.macdonald_volume(cross_polytope(4), t, cfg=cfg)
+        assert abs(est.value - 2 / 3 * (t ** 4 + t ** 2)) <= est.error
 
     def test_no_generic_direction(self, tetrahedron, monkeypatch):
         # (1,1,1) is orthogonal to the edge (-1,1,0) of the 3-simplex
@@ -385,6 +395,11 @@ class TestBrianchonGram:
         res = ss.brianchon_gram_check(P, n_points=100, seed=7)
         assert res.passed
         assert res.n_failures == 0
+
+    @pytest.mark.parametrize("make", [cross_polytope, unit_cube])
+    def test_four_dim(self, make):
+        res = ss.brianchon_gram_check(make(4), n_points=300, seed=7)
+        assert res.passed and res.n_failures == 0
 
 
 IRRATIONAL_POLYGON = [(0.1, -0.3), (math.pi, 0.2), (2.2, math.e), (-0.7, 1.9)]
