@@ -3,9 +3,14 @@
 Three routes to the l^p solid angle of a point with respect to a convex body:
 
 * exact 2-D values (planar angle / 2*pi for p = 2, diamond clipping for p = 1),
-* geometric Monte Carlo over a small l^p ball,
+* geometric Monte Carlo: the share of the unit l^p ball inside the tangent
+  cone at the point (``mc_cone_angle``),
 * the Gaussian-limit route: mass of a mass-one generalized Gaussian inside the
   body, importance-sampled and extrapolated over a decreasing eps schedule.
+
+Every body is read through its H-representation ``body_half_spaces``: the
+facets whose slack at a point is within ``BOUNDARY_TOL`` of 0 cut out the
+tangent cone there, which is all the solid angle depends on.
 
 ``soft_indicator`` evaluates the finite-eps convolution (1_body * phi_eps)(x)
 deterministically by strip quadrature; the damped direct-space lattice sums
@@ -20,15 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadEpsilon, DegenerateCone, NotPointed, UnsupportedDimension
-from .geometry import (
-    Cone,
-    Polytope,
-    SimpleCone,
-    body_half_spaces,
-    cone_half_spaces,
-    half_spaces,
-    triangulate_cone,
-)
+from .geometry import BOUNDARY_TOL, Cone, SimpleCone, body_half_spaces, cone_half_spaces
 from .numerics import gauss_legendre_panels
 from .transforms import clip_cutoff, mass_one_constant
 
@@ -68,59 +65,43 @@ def _chunk_sizes(n: int) -> list:
     return [base + (1 if i < extra else 0) for i in range(N_CHUNKS)]
 
 
-def _membership_test(body):
-    """Vectorized indicator for a polytope or cone."""
-    if isinstance(body, Polytope):
-        A, b = half_spaces(body)
-        return lambda Y: np.all(Y @ A.T <= b + 1e-12, axis=1)
-    if isinstance(body, SimpleCone):
-        inv = np.linalg.inv(body.generators)
-        apex = body.apex
-        return lambda Y: np.all((Y - apex) @ inv >= -1e-12, axis=1)
-    if isinstance(body, Cone):
-        pieces = triangulate_cone(body.apex, body.generators)
-        tests = [_membership_test(pc) for pc in pieces]
-        return lambda Y: np.any(np.stack([t(Y) for t in tests]), axis=0)
-    raise TypeError(f"unsupported body type {type(body).__name__}")
-
-
-def _default_ball_radius(body, x) -> float:
-    if isinstance(body, (SimpleCone, Cone)):
-        return 1.0  # cones are scale invariant at the apex
-    A, b = half_spaces(body)
-    dists = np.abs(b - A @ np.asarray(x, dtype=float))
-    dists = dists[dists > 1e-9]
-    return float(dists.min() / 2.0) if dists.size else 1.0
+def mc_cone_angle(A: np.ndarray, p: float, chunks) -> tuple:
+    """Monte Carlo l^p solid angle of the cone {y : A y <= 0} at its apex:
+    the share of uniform samples of the unit l^p ball that it holds, and the
+    binomial standard error of that share (floored at 1/n when every sample
+    agrees).  ``chunks`` yields ``(size, generator)`` pairs, one draw each."""
+    hits = n = 0
+    for size, rng in chunks:
+        Y = sample_lp_ball(rng, size, A.shape[1], p)
+        hits += int(np.count_nonzero(np.all(Y @ A.T <= 1e-12, axis=1)))
+        n += size
+    frac = hits / n
+    se = math.sqrt(frac * (1.0 - frac) / n)
+    return frac, (se if se > 0 else 1.0 / n)
 
 
 def solid_angle_mc(body, x, p: float = 2.0, n_samples: int = 100_000,
                    seed: int = 0) -> SolidAngleEstimate:
-    """Fraction of a small l^p ball at x that lies in the body (geometric MC).
+    """l^p solid angle of a polytope or cone at any point x, by Monte Carlo.
 
-    For a polytope the ball's radius is half the distance from x to the
-    nearest facet plane not through x, so the ball meets only the faces
-    through x; a cone is scale invariant at its apex and gets radius 1.
-    Deterministic for a given seed: samples are drawn in N_CHUNKS = 16 fixed
-    chunks with seeds spawned from ``seed``.  The partition fixes the random
-    stream, so changing it changes every Monte Carlo value.
+    The facets of ``body_half_spaces(body)`` whose slack at x is within
+    BOUNDARY_TOL of 0 cut out the tangent cone at x, and ``mc_cone_angle``
+    samples it; a point with a slack below -BOUNDARY_TOL is outside and gets
+    0, an interior point 1, both with the 1/n error floor.  Deterministic
+    for a given seed: samples are drawn in N_CHUNKS = 16 fixed chunks with
+    seeds spawned from ``seed``.  The partition fixes the random stream, so
+    changing it changes every Monte Carlo value.
     """
-    radius = _default_ball_radius(body, x)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    x = np.asarray(x, dtype=float)
-    inside = _membership_test(body)
-    hits = 0
+    A, b = body_half_spaces(body)
+    slack = b - A @ np.asarray(x, dtype=float)
+    if np.min(slack) < -BOUNDARY_TOL:
+        return SolidAngleEstimate(0.0, 1.0 / n_samples, MC_BALL)
     seeds = np.random.SeedSequence(seed).spawn(N_CHUNKS)
-    for size, ss in zip(_chunk_sizes(n_samples), seeds):
-        if size == 0:
-            continue
-        rng = np.random.default_rng(ss)
-        Y = x + radius * sample_lp_ball(rng, size, x.size, p)
-        hits += int(np.sum(inside(Y)))
-    frac = hits / n_samples
-    se = math.sqrt(frac * (1.0 - frac) / n_samples)
-    if se == 0.0:
-        se = 1.0 / n_samples  # conservative floor at the binomial extremes
+    chunks = ((size, np.random.default_rng(ss))
+              for size, ss in zip(_chunk_sizes(n_samples), seeds) if size)
+    frac, se = mc_cone_angle(A[np.abs(slack) <= BOUNDARY_TOL], p, chunks)
     return SolidAngleEstimate(frac, se, MC_BALL)
 
 
@@ -212,8 +193,7 @@ def solid_angle_gaussian(cone: SimpleCone, x, p: float = 2.0, n_samples: int = 1
     """
     x = np.asarray(x, dtype=float)
     c = mass_one_constant(p)
-    inv = np.linalg.inv(cone.generators)
-    apex = cone.apex
+    A, b = body_half_spaces(cone)
     scales = np.array([(e / c) ** (1.0 / p) for e in GAUSSIAN_EPS])
 
     sum_xi = 0.0
@@ -230,7 +210,7 @@ def solid_angle_gaussian(cone: SimpleCone, x, p: float = 2.0, n_samples: int = 1
         ind = np.empty((len(scales), size), dtype=float)
         for k, sc in enumerate(scales):
             Y = x + sc * base
-            ind[k] = np.all((Y - apex) @ inv >= -1e-12, axis=1)
+            ind[k] = np.all(Y @ A.T <= b + 1e-12, axis=1)
         xi = 2.0 * ind[2] - ind[1]
         sum_xi += float(xi.sum())
         sum_xi2 += float(np.dot(xi, xi))
@@ -326,15 +306,10 @@ def soft_indicator(body, x, p: float, eps: float) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     c = mass_one_constant(p)
     if x.size == 1:
-        if isinstance(body, Polytope):
-            lo, hi = float(body.vertices.min()), float(body.vertices.max())
-            return float(_lp_cdf(hi - x[0], p, c, eps) - _lp_cdf(lo - x[0], p, c, eps))
-        if isinstance(body, SimpleCone):
-            a = float(body.apex[0])
-            if body.generators[0, 0] > 0:
-                return float(1.0 - _lp_cdf(a - x[0], p, c, eps))
-            return float(_lp_cdf(a - x[0], p, c, eps))
-        raise TypeError(f"unsupported body type {type(body).__name__}")
+        A, b = body_half_spaces(body)
+        hi = np.min(b[A[:, 0] > 0], initial=np.inf)
+        lo = np.max(-b[A[:, 0] < 0], initial=-np.inf)
+        return float(_lp_cdf(hi - x[0], p, c, eps) - _lp_cdf(lo - x[0], p, c, eps))
     if x.size == 2:
         cut = clip_cutoff(p, c, eps)
         poly = _polygon_of(body, x, cut)

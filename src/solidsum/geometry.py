@@ -15,6 +15,7 @@ construction and every operation is a pure function.
 A non-simple cone is triangulated the same way in every dimension: the hull
 of the origin and its generators cut by a plane gives the cone's facets and
 extreme rays, and a pulling triangulation is read off that incidence table.
+The same facets are the cone's H-representation (``body_half_spaces``).
 
 The hull is built per dimension: the two end points in 1-D, Andrew's
 monotone chain in numpy in 2-D, and Qhull (``scipy.spatial``, imported on
@@ -324,12 +325,20 @@ def cone_half_spaces(apex, W):
 
 
 def body_half_spaces(body):
-    """H-representation A x <= b, with unit rows of A, of a polytope or of a
-    simple cone."""
+    """H-representation A x <= b, with unit rows of A, of a polytope, a
+    simple cone or a cone.  This is the one description of a body that
+    membership tests and solid angles read.  A ``Cone``'s rows are the
+    facets through the origin of the hull that ``triangulate_cone`` cuts it
+    with, so interior and repeated generators add no row."""
     if isinstance(body, Polytope):
         return half_spaces(body)
     if isinstance(body, SimpleCone):
         return cone_half_spaces(body.apex, body.generators)
+    if isinstance(body, Cone):
+        X, (_, A, b) = _cone_section(np.asarray(body.generators, dtype=float))
+        A, _, inc = _facet_table(X, A, b)
+        A = A[inc[0]]  # row 0 of X is the origin
+        return A, A @ body.apex
     raise TypeError(f"unsupported body type {type(body).__name__}")
 
 
@@ -369,8 +378,10 @@ def _pointing_direction(generators: np.ndarray):
     solving it.  The certificate holds for two generators at an angle below
     pi (every vertex cone of a polygon) and for generators that meet
     pairwise at no obtuse angle, where ``G u >= 1``; scipy's ``linprog`` is
-    imported only when it fails.  Otherwise u is the LP's optimum, or, where
-    that misses G u > 0 by the solver's tolerance, a solution of G u >= 1.
+    imported only when it fails.  Otherwise u is the LP's optimum.  The LP is
+    solved to feasibility tolerances of 1e-10, below the 1e-9 that delta
+    must clear, so the verdict is not set by solver noise and the optimum
+    has G u > 0.
     """
     gens = np.atleast_2d(generators)
     norms = np.linalg.norm(gens, axis=1)
@@ -386,15 +397,11 @@ def _pointing_direction(generators: np.ndarray):
         c[-1] = -1.0
         A_ub = np.hstack([-G, np.ones((k, 1))])
         bounds = [(-1.0, 1.0)] * d + [(None, None)]
-        res = linprog(c, A_ub=A_ub, b_ub=np.zeros(k), bounds=bounds, method="highs")
+        res = linprog(c, A_ub=A_ub, b_ub=np.zeros(k), bounds=bounds, method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
         if not (res.success and -res.fun > 1e-9):
             return None
         u = res.x[:d]
-        if np.min(G @ u) <= 0.0:  # the LP holds to 1e-7, which delta need not clear
-            res = linprog(np.zeros(d), A_ub=-G, b_ub=-np.ones(k), bounds=[(None, None)] * d, method="highs")
-            if res.status != 0:
-                return None
-            u = res.x
     return u / np.linalg.norm(u)
 
 
@@ -415,21 +422,32 @@ def triangulate_cone(apex, generators) -> list:
     apex = np.atleast_1d(np.asarray(apex, dtype=float))
     gens = np.atleast_2d(np.asarray(generators, dtype=float))
     k, d = gens.shape
+    if k == d and _pointing_direction(gens) is not None:
+        return [simple_cone(apex, gens)]
+    X, (keep, A, b) = _cone_section(gens)  # raises NotPointed for a line-containing cone
+    # rows of X that are extreme rays, by generator; keep[0] is the origin
+    rays = sorted(keep[1:], key=lambda i: tuple(gens[i - 1]))
+    X = X[[0, *rays]]
+    inc = _facet_table(X, A, b)[2]
+    facets = [frozenset((np.flatnonzero(col[1:]) + 1).tolist()) for col in inc.T if col[0]]
+    return [simple_cone(apex, gens[[rays[i - 1] - 1 for i in piece]])
+            for piece in _pull(frozenset(range(1, len(X))), facets, X)]
+
+
+def _cone_section(gens: np.ndarray) -> tuple:
+    """The origin and the generators cut by a plane <u, x> = 1 with u inside
+    their cone, as the rows of X (row 0 is the origin), and the hull
+    ``(keep, A, b)`` of those rows.  Raises NotPointed when the generators do
+    not span a pointed cone and DegenerateCone when they do not span the
+    space."""
+    d = gens.shape[1]
     u = _pointing_direction(gens)
     if u is None:
         raise NotPointed("generators do not span a pointed cone")
-    if k == d:
-        return [simple_cone(apex, gens)]
     if np.linalg.matrix_rank(gens) < d:
         raise DegenerateCone(f"generators do not span dimension {d}")
-    cut = gens / (gens @ u)[:, None]
-    keep, A, b = _hull(np.vstack([np.zeros(d), cut]))
-    rays = sorted((i - 1 for i in keep[1:]), key=lambda i: tuple(gens[i]))  # keep[0] is the origin
-    X = np.vstack([np.zeros(d), cut[rays]])
-    inc = _facet_table(X, A, b)[2]
-    facets = [frozenset((np.flatnonzero(col[1:]) + 1).tolist()) for col in inc.T if col[0]]
-    return [simple_cone(apex, gens[[rays[i - 1] for i in piece]])
-            for piece in _pull(frozenset(range(1, len(X))), facets, X)]
+    X = np.vstack([np.zeros(d), gens / (gens @ u)[:, None]])
+    return X, _hull(X)
 
 
 def _pull(rays: frozenset, facets: list, X: np.ndarray) -> list:

@@ -5,6 +5,7 @@ import pytest
 
 import solidsum as ss
 from conftest import random_pointed_cone_2d
+from solidsum.geometry import body_half_spaces
 
 SQRT3 = math.sqrt(3.0)
 
@@ -131,6 +132,27 @@ class TestMonteCarloBall:
         cone = ss.simple_cone([0, 0, 0], np.eye(3))
         est = ss.solid_angle_mc(cone, [0, 0, 0], n_samples=40_000, seed=6)
         assert abs(est.value - 0.125) <= 3 * est.std_error
+
+    def test_cone_off_apex(self, quadrant):
+        # the angle at a point of a cone is that of its tangent cone there,
+        # not the share of a unit ball around the point
+        edge = ss.solid_angle_mc(quadrant, [0.5, 0.0], n_samples=100_000, seed=1)
+        assert abs(edge.value - 0.5) <= 3 * edge.std_error
+        inside = ss.solid_angle_mc(quadrant, [0.2, 0.3], n_samples=100_000, seed=1)
+        outside = ss.solid_angle_mc(quadrant, [-0.2, 0.3], n_samples=100_000, seed=1)
+        assert (inside.value, outside.value) == (1.0, 0.0)
+
+    def test_non_simple_cone(self):
+        # square pyramid: solid angle 4 asin(1/3) of 4 pi; an interior and a
+        # repeated generator leave its facets, and so every sample, unchanged
+        gens = np.array([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)], dtype=float)
+        est = ss.solid_angle_mc(ss.Cone(np.zeros(3), gens), [0, 0, 0], n_samples=100_000, seed=1)
+        assert abs(est.value - math.asin(1 / 3) / math.pi) <= 3 * est.std_error
+        extra = np.vstack([gens, [(0, 0, 1), (2, 0, 2)]])
+        assert ss.solid_angle_mc(ss.Cone(np.zeros(3), extra), [0, 0, 0], n_samples=100_000, seed=1) == est
+        A, b = body_half_spaces(ss.Cone(np.ones(3), extra))
+        assert A.shape == (4, 3)
+        assert np.allclose(A @ np.ones(3), b, atol=1e-15)
 
 
 class TestGaussianLimit:

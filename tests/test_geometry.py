@@ -459,7 +459,9 @@ class TestIsPointed:
             c = np.zeros(d + 1)
             c[-1] = -1.0
             res = linprog(c, A_ub=np.hstack([-G, np.ones((k, 1))]), b_ub=np.zeros(k),
-                          bounds=[(-1.0, 1.0)] * d + [(None, None)], method="highs")
+                          bounds=[(-1.0, 1.0)] * d + [(None, None)], method="highs",
+                          options={"primal_feasibility_tolerance": 1e-10,
+                                   "dual_feasibility_tolerance": 1e-10})
             lp = bool(res.success and -res.fun > 1e-9)
             u = _pointing_direction(g)
             assert (u is not None) == lp, i

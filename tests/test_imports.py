@@ -1,5 +1,7 @@
-"""The planar path runs on numpy alone: scipy is imported only where it is used."""
+"""The planar path runs on numpy alone: scipy is imported only where it is
+used.  And no package module imports a name it never uses."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +39,20 @@ def test_planar_operations_import_no_scipy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["ok"]
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module imports and never reads (``__future__`` imports aside)."""
+    tree = ast.parse(source)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    package = Path(solidsum.__file__).resolve().parent
+    unused = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
+              for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
