@@ -2,7 +2,8 @@
 
 Three routes to the l^p solid angle of a point with respect to a convex body:
 
-* exact 2-D values (planar angle / 2*pi for p = 2, diamond clipping for p = 1),
+* exact 2-D values from a cone's two facet rows (the wedge angle over 2*pi
+  for p = 2, half the area the rows cut from the l^1 ball for p = 1),
 * geometric Monte Carlo: the share of the unit l^p ball inside the tangent
   cone at the point (``mc_cone_angle``),
 * the Gaussian-limit route: mass of a mass-one generalized Gaussian inside the
@@ -12,21 +13,25 @@ Every body is read through its H-representation ``body_half_spaces``: the
 facets whose slack at a point is within ``BOUNDARY_TOL`` of 0 cut out the
 tangent cone there, which is all the solid angle depends on.
 
-``soft_indicator`` evaluates the finite-eps convolution (1_body * phi_eps)(x)
-deterministically by strip quadrature; the damped direct-space lattice sums
-are built on it.
+In the plane, a body's rows and those of a clipping box or of the l^1 ball
+cut out a polygon {u : A u <= b}; the exact l^1 angle and ``soft_indicator``
+read only its corners (``_corners``) and its lower and upper edges
+(``_envelopes``).  ``soft_indicator`` evaluates the finite-eps convolution
+(1_body * phi_eps)(x) by quadrature between those edges; the damped
+direct-space lattice sums are built on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .errors import BadEpsilon, DegenerateCone, NotPointed, UnsupportedDimension
-from .geometry import BOUNDARY_TOL, Cone, SimpleCone, body_half_spaces, cone_half_spaces
-from .numerics import gauss_legendre_panels
+from .errors import BadEpsilon, DegenerateCone, UnsupportedDimension
+from .geometry import BOUNDARY_TOL, SimpleCone, body_half_spaces
+from .numerics import gauss_legendre_cells
 from .transforms import clip_cutoff, mass_one_constant
 
 EXACT_2D = "exact2d"
@@ -105,77 +110,72 @@ def solid_angle_mc(body, x, p: float = 2.0, n_samples: int = 100_000,
     return SolidAngleEstimate(frac, se, MC_BALL)
 
 
+# ----------------------------- planar H-polygons ---------------------------
+
+_BOX_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+_DIAMOND_ROWS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+def _corners(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Corners of the polygon {u : A u <= b}: the pairwise intersections of
+    its facet lines that satisfy every row within 1e-12, as rows."""
+    i, j = np.array(list(combinations(range(len(A)), 2))).T
+    det = A[i, 0] * A[j, 1] - A[i, 1] * A[j, 0]
+    i, j, det = i[det != 0], j[det != 0], det[det != 0]  # parallel lines never meet
+    u = np.stack([b[i] * A[j, 1] - b[j] * A[i, 1], A[i, 0] * b[j] - A[j, 0] * b[i]], axis=1) / det[:, None]
+    return u[np.all(u @ A.T <= b + 1e-12, axis=1)]
+
+
+def _envelopes(A: np.ndarray, b: np.ndarray, t: np.ndarray) -> tuple:
+    """Lower and upper edges of the polygon {u : A u <= b} at the abscissae
+    t: the max over rows with A[:, 1] < 0 and the min over rows with
+    A[:, 1] > 0 of (b - A[:, 0] t) / A[:, 1]."""
+    def edge(rows):
+        return (b[rows, None] - A[rows, :1] * t) / A[rows, 1:]
+    return (np.max(edge(A[:, 1] < 0), axis=0, initial=-np.inf),
+            np.min(edge(A[:, 1] > 0), axis=0, initial=np.inf))
+
+
 # ----------------------------- exact 2-D ------------------------------------
 
-def _two_generators(cone):
-    if not isinstance(cone, (SimpleCone, Cone)):
-        raise TypeError(f"unsupported cone type {type(cone).__name__}")
-    gens = cone.generators
-    if gens.shape != (2, 2):
-        raise DegenerateCone(f"expected 2 generators in the plane, got shape {gens.shape}")
-    return gens[0], gens[1]
+def _planar_rows(cone) -> np.ndarray:
+    """The two unit facet rows of a pointed planar cone (``body_half_spaces``);
+    raises DegenerateCone for any other shape."""
+    A, _ = body_half_spaces(cone)
+    if A.shape != (2, 2):
+        raise DegenerateCone(f"expected 2 facets in the plane, got rows of shape {A.shape}")
+    return A
 
 
-def _check_pointed_2d(g1, g2) -> None:
-    cross = g1[0] * g2[1] - g1[1] * g2[0]
-    scale = np.linalg.norm(g1) * np.linalg.norm(g2)
-    if scale == 0.0 or abs(cross) > 1e-14 * scale:
-        return
-    if np.dot(g1, g2) < 0:
-        raise NotPointed("generators span a line; the cone is a half-plane")
-    raise DegenerateCone("generators are parallel")
+def wedge_angle(a_i: np.ndarray, a_j: np.ndarray) -> float:
+    """p = 2 solid angle of the wedge {y : a_i . y <= 0, a_j . y <= 0} for
+    unit normals a_i, a_j, in any dimension: the angle between its two
+    facets, pi - angle(a_i, a_j), over 2 pi."""
+    c = float(a_i @ a_j)
+    r = a_j - c * a_i
+    return math.atan2(math.sqrt(r @ r), -c) / (2.0 * math.pi)
 
 
 def solid_angle_exact_2d(cone) -> SolidAngleEstimate:
-    """Planar angle between the two generators divided by 2*pi (p = 2)."""
-    g1, g2 = _two_generators(cone)
-    _check_pointed_2d(g1, g2)
-    cross = g1[0] * g2[1] - g1[1] * g2[0]
-    angle = math.atan2(abs(cross), float(np.dot(g1, g2)))
-    return SolidAngleEstimate(angle / (2.0 * math.pi), 0.0, EXACT_2D)
-
-
-_DIAMOND = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-
-
-def clip_polygon_halfplane(poly: np.ndarray, a, b: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a polygon against {x : <a, x> <= b}."""
-    a = np.asarray(a, dtype=float)
-    out = []
-    n = len(poly)
-    for i in range(n):
-        cur, nxt = poly[i], poly[(i + 1) % n]
-        c_in = np.dot(a, cur) <= b
-        n_in = np.dot(a, nxt) <= b
-        if c_in:
-            out.append(cur)
-        if c_in != n_in:
-            da = np.dot(a, nxt - cur)
-            t = (b - np.dot(a, cur)) / da
-            out.append(cur + t * (nxt - cur))
-    return np.asarray(out) if out else np.empty((0, 2))
-
-
-def polygon_area(poly: np.ndarray) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    """Planar angle of a cone divided by 2*pi (p = 2): the wedge angle of its
+    two facet rows."""
+    A = _planar_rows(cone)
+    return SolidAngleEstimate(wedge_angle(A[0], A[1]), 0.0, EXACT_2D)
 
 
 def solid_angle_exact_2d_l1(cone) -> SolidAngleEstimate:
-    """l^1 solid angle of a planar cone at its apex by diamond clipping.
+    """l^1 solid angle of a planar cone at its apex.
 
-    The unit cross-polytope {|x|+|y| <= 1} has area 2, so the angle equals
-    area(diamond intersect cone-at-origin) / 2.
+    The unit cross-polytope {|x|+|y| <= 1} has area 2, so the angle is half
+    the area of the polygon that the cone's facet rows and the diamond's
+    rows cut out.  Between consecutive corner abscissae both edges are
+    straight, so the strip midpoints give that area exactly.
     """
-    g1, g2 = _two_generators(cone)
-    _check_pointed_2d(g1, g2)
-    A, _ = cone_half_spaces(np.zeros(2), np.stack([g1, g2]))
-    poly = _DIAMOND
-    for row in A:
-        poly = clip_polygon_halfplane(poly, row, 0.0)
-    return SolidAngleEstimate(polygon_area(poly) / 2.0, 0.0, EXACT_2D)
+    A = np.vstack([_planar_rows(cone), _DIAMOND_ROWS])
+    b = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+    xs = np.sort(_corners(A, b)[:, 0])
+    lo, hi = _envelopes(A, b, 0.5 * (xs[1:] + xs[:-1]))
+    return SolidAngleEstimate(float(np.diff(xs) @ (hi - lo)) / 2.0, 0.0, EXACT_2D)
 
 
 # ----------------------------- Gaussian route --------------------------------
@@ -237,69 +237,19 @@ def _lp_cdf(u, p: float, c: float, eps: float):
     return 0.5 * (1.0 + np.sign(u) * g)
 
 
-def _polygon_of(body, x: np.ndarray, cut: float) -> np.ndarray:
-    """Convex polygon of body intersected with the quadrature box around x."""
-    box = np.array([
-        [x[0] - cut, x[1] - cut],
-        [x[0] + cut, x[1] - cut],
-        [x[0] + cut, x[1] + cut],
-        [x[0] - cut, x[1] + cut],
-    ])
-    A, b = body_half_spaces(body)
-    poly = box
-    for row, off in zip(A, b):
-        poly = clip_polygon_halfplane(poly, row, off)
-        if len(poly) == 0:
-            break
-    return poly
-
-
-def _strip_integral(poly: np.ndarray, x: np.ndarray, p: float, c: float, eps: float) -> float:
-    """Integral of the product density centered at x over a convex polygon,
-    sliced into vertical strips whose bounds are affine."""
-    if polygon_area(poly) == 0.0:
-        return 0.0
-    n = len(poly)
-    edge_list = [(poly[i], poly[(i + 1) % n]) for i in range(n)]
-    breaks = set(float(v[0]) for v in poly)
-    breaks.add(float(x[0]))  # density kink
-    for q0, q1 in edge_list:  # CDF kink where an edge crosses y = x[1]
-        y0, y1 = q0[1] - x[1], q1[1] - x[1]
-        if y0 * y1 < 0:
-            breaks.add(float(q0[0] + (q1[0] - q0[0]) * (-y0) / (y1 - y0)))
-    lo, hi = min(v[0] for v in poly), max(v[0] for v in poly)
-    xs = sorted(b for b in breaks if lo - 1e-13 <= b <= hi + 1e-13)
-    scale = (eps / c) ** (1.0 / p)
-    total = 0.0
-    for a, b in zip(xs, xs[1:]):
-        if b - a < 1e-13:
-            continue
-        mid = 0.5 * (a + b)
-        ys = []
-        for q0, q1 in edge_list:
-            x0, x1 = q0[0], q1[0]
-            if (x0 - mid) * (x1 - mid) < 0:
-                ys.append((q0, q1))
-        if len(ys) < 2:
-            continue
-        def edge_y(edge, t):
-            q0, q1 = edge
-            return q0[1] + (q1[1] - q0[1]) * (t - q0[0]) / (q1[0] - q0[0])
-        ys.sort(key=lambda e: edge_y(e, mid))
-        e_lo, e_hi = ys[0], ys[-1]
-        n_panels = max(1, math.ceil((b - a) / (0.7 * scale)))
-        t, w = gauss_legendre_panels(a, b, n_panels)
-        f1 = eps ** (-1.0 / p) * np.exp(-(c / eps) * np.abs(t - x[0]) ** p)
-        G = _lp_cdf(edge_y(e_hi, t) - x[1], p, c, eps) - _lp_cdf(edge_y(e_lo, t) - x[1], p, c, eps)
-        total += float(np.dot(w, f1 * G))
-    return total
-
-
 def soft_indicator(body, x, p: float, eps: float) -> float:
     """(1_body * phi_eps)(x) by deterministic quadrature (dim <= 2).
 
     This is the finite-eps smoothed solid angle; it converges to the l^p solid
     angle as eps -> 0 and equals it exactly at a cone apex.
+
+    In the plane, the body's rows shifted to x and the rows of the box where
+    the density has dropped by e^-45 cut out a polygon in u = y - x.  The
+    density times the difference of the 1-D CDFs at its upper and lower
+    edges (``_envelopes``) is integrated over u_0 on Gauss-Legendre cells
+    that end at the corners, where an edge meets u_1 = 0 (the CDF's kink),
+    and at 0, toward which they shrink geometrically (the density's |u|^p
+    kink); elsewhere they are 0.7 (eps/c)^(1/p) wide.
     """
     if eps <= 0:
         raise BadEpsilon(f"eps must be positive, got {eps}")
@@ -311,7 +261,18 @@ def soft_indicator(body, x, p: float, eps: float) -> float:
         lo = np.max(-b[A[:, 0] < 0], initial=-np.inf)
         return float(_lp_cdf(hi - x[0], p, c, eps) - _lp_cdf(lo - x[0], p, c, eps))
     if x.size == 2:
-        cut = clip_cutoff(p, c, eps)
-        poly = _polygon_of(body, x, cut)
-        return _strip_integral(poly, x, p, c, eps)
+        A, b = body_half_spaces(body)
+        A, b = np.vstack([A, _BOX_ROWS]), np.concatenate([b - A @ x, np.full(4, clip_cutoff(p, c, eps))])
+        corners = _corners(A, b)
+        if len(corners) == 0:
+            return 0.0
+        lo, hi = np.min(corners[:, 0]), np.max(corners[:, 0])
+        h = 0.7 * (eps / c) ** (1.0 / p)
+        graded = h * 0.5 ** np.arange(46)  # toward the density's |u|^p kink at 0
+        crossings = b[A[:, 0] != 0] / A[A[:, 0] != 0, 0]  # the CDF's kink, where an edge meets u_1 = 0
+        bounds = np.concatenate([corners[:, 0], [0.0], graded, -graded, crossings, np.arange(lo, hi, h)])
+        u, w = gauss_legendre_cells(np.unique(np.clip(bounds, lo, hi)))
+        below, above = _envelopes(A, b, u)
+        density = eps ** (-1.0 / p) * np.exp(-(c / eps) * np.abs(u) ** p)
+        return float(w @ (density * (_lp_cdf(above, p, c, eps) - _lp_cdf(below, p, c, eps))))
     raise UnsupportedDimension("soft_indicator quadrature supports dim <= 2")

@@ -114,6 +114,17 @@ class SimpleCone:
     def dim(self) -> int:
         return self.generators.shape[1]
 
+    @cached_property
+    def _half_spaces(self) -> tuple:
+        """(A, b): the inequalities A x <= b, with unit rows of A, read-only;
+        row j is the outward normal of the facet that misses generator j.
+        The generators are scaled to unit length first: the rows keep their
+        directions, and lengths far apart do not cost accuracy."""
+        W = self.generators
+        A = -np.linalg.inv(W / np.linalg.norm(W, axis=1)[:, None]).T
+        A /= np.linalg.norm(A, axis=1)[:, None]
+        return _readonly(A), _readonly(A @ self.apex)
+
     def shifted(self, apex) -> "SimpleCone":
         return SimpleCone(_readonly(np.asarray(apex, dtype=float)), self.generators, self.det)
 
@@ -315,25 +326,17 @@ def _facet_table(V: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple:
     return _readonly(A[keep]), _readonly(b[keep]), _readonly(inc[:, keep], bool)
 
 
-def cone_half_spaces(apex, W):
-    """H-representation A x <= b, with unit rows of A, of the simple cone
-    apex + lambda W (lambda >= 0, generators as the rows of W), in any
-    dimension: row j is the outward normal of the facet that misses w_j."""
-    A = -np.linalg.inv(W).T
-    A /= np.linalg.norm(A, axis=1)[:, None]
-    return A, A @ np.asarray(apex, dtype=float)
-
-
 def body_half_spaces(body):
     """H-representation A x <= b, with unit rows of A, of a polytope, a
     simple cone or a cone.  This is the one description of a body that
     membership tests and solid angles read.  A ``Cone``'s rows are the
     facets through the origin of the hull that ``triangulate_cone`` cuts it
-    with, so interior and repeated generators add no row."""
+    with, so interior and repeated generators add no row.  A polytope's and
+    a simple cone's rows are cached on it, read-only."""
     if isinstance(body, Polytope):
         return half_spaces(body)
     if isinstance(body, SimpleCone):
-        return cone_half_spaces(body.apex, body.generators)
+        return body._half_spaces
     if isinstance(body, Cone):
         X, (_, A, b) = _cone_section(np.asarray(body.generators, dtype=float))
         A, _, inc = _facet_table(X, A, b)

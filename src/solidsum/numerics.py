@@ -1,8 +1,9 @@
-"""Shared numeric helpers: extrapolation, panel quadrature, estimates."""
+"""Shared numeric helpers: extrapolation, cell quadrature, estimates."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -17,10 +18,6 @@ class Estimate:
     value: complex
     error: float
     method: str
-
-    @property
-    def real(self) -> float:
-        return float(np.real(self.value))
 
 
 def richardson_extrapolants(eps_values, values) -> np.ndarray:
@@ -54,17 +51,18 @@ def richardson_limit(eps_values, values, noise_floor: float = 0.0):
     return Estimate(complex(extrap[-1]), float(diffs[-1]), "richardson")
 
 
-def gauss_legendre_cells(bounds, nodes_per_panel: int = 16):
-    """Composite Gauss-Legendre nodes and weights over explicit cell bounds."""
+@cache
+def _gauss_legendre_16() -> tuple:
+    """The 16-node rule of every cell, built on first use, not at import (it costs about 1 MB)."""
+    return legendre.leggauss(16)
+
+
+def gauss_legendre_cells(bounds):
+    """Composite 16-node Gauss-Legendre nodes and weights over explicit cell bounds."""
     bounds = np.asarray(bounds, dtype=float)
-    x0, w0 = legendre.leggauss(nodes_per_panel)
+    x0, w0 = _gauss_legendre_16()
     half = 0.5 * (bounds[1:] - bounds[:-1])
     mid = 0.5 * (bounds[1:] + bounds[:-1])
     x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
     w = (half[:, None] * w0[None, :]).ravel()
     return x, w
-
-
-def gauss_legendre_panels(a: float, b: float, n_panels: int, nodes_per_panel: int = 16):
-    """Composite Gauss-Legendre nodes and weights on [a, b], uniform panels."""
-    return gauss_legendre_cells(np.linspace(a, b, n_panels + 1), nodes_per_panel)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angles import mc_cone_angle, solid_angle_exact_2d, solid_angle_exact_2d_l1
+from .angles import mc_cone_angle, solid_angle_exact_2d, solid_angle_exact_2d_l1, wedge_angle
 from .errors import UnsupportedCombination
 from .geometry import BOUNDARY_TOL, Polytope, half_spaces, lattice_points, vertex_simple_cones
 
@@ -31,14 +31,6 @@ class OracleResult:
     std_error: float
     n_lattice_points: int
     per_point_weights: tuple | None = None
-
-
-def _wedge_weight(a_i: np.ndarray, a_j: np.ndarray) -> float:
-    """p = 2 solid angle of the wedge {y : a_i . y <= 0, a_j . y <= 0} for
-    unit normals a_i, a_j, in any dimension: (pi - angle(a_i, a_j)) / (2 pi)."""
-    c = float(a_i @ a_j)
-    angle = math.atan2(float(np.linalg.norm(a_j - c * a_i)), c)
-    return (math.pi - angle) / (2.0 * math.pi)
 
 
 def _classify(P: Polytope, t: float, pts: np.ndarray, p: float, method: str) -> tuple:
@@ -63,7 +55,7 @@ def _classify(P: Polytope, t: float, pts: np.ndarray, p: float, method: str) -> 
     if method != "mc" and P.dim >= 3 and p == 2.0:
         wedge = (n_tight == 2) & np.isnan(weights)
         pairs = np.nonzero(tight[wedge])[1].reshape(-1, 2)
-        weights[wedge] = [_wedge_weight(A[i], A[j]) for i, j in pairs]
+        weights[wedge] = [wedge_angle(A[i], A[j]) for i, j in pairs]
     return weights, tight, A, method != "mc" and exact_ok
 
 
@@ -75,13 +67,13 @@ def point_weight(P: Polytope, t: float, m, p: float = 2.0, method: str = "auto",
     ``lattice_weights``): no tight facet gives weight 1, one tight facet
     gives 1/2, and in dim >= 3 at p = 2 exactly two tight facets give the
     exact wedge angle ``(pi - angle(a_i, a_j)) / (2 pi)`` of the two unit
-    normals.  A corner, a point with more tight facets, gets the angle of
-    its tangent cone, the cone the tight facets cut out.  In the plane the
-    corner is at the vertex those facets share, read off the incidence
-    table, and its angle is exact for p in {1, 2}.  Every other corner, and
-    every corner under ``method="mc"``, gets the Monte Carlo angle of
-    ``angles.mc_cone_angle``, from one chunk seeded by ``seed`` and the
-    point.
+    normals (``angles.wedge_angle``).  A corner, a point with more tight
+    facets, gets the angle of its tangent cone, the cone the tight facets
+    cut out.  In the plane the corner is at the vertex those facets share,
+    read off the incidence table, and its angle is exact for p in {1, 2}.
+    Every other corner, and every corner under ``method="mc"``, gets the
+    Monte Carlo angle of ``angles.mc_cone_angle``, from one chunk seeded by
+    ``seed`` and the point.
     """
     m = np.asarray(m, dtype=float)
     (w,), (tight,), A, planar_exact = _classify(P, t, m[None, :], p, method)

@@ -47,6 +47,21 @@ class TestExact2D:
         with pytest.raises(ss.DegenerateCone):
             ss.solid_angle_exact_2d(ss.Cone(np.zeros(2), np.array([[1.0, 0.0], [2.0, 0.0]])))
 
+    def test_facet_rows_of_a_fan(self):
+        # an interior and a repeated generator leave the two facets unchanged
+        fan = ss.Cone(np.zeros(2), np.array([(1, 0), (1, 1), (0.5, 2), (1, 1)], dtype=float))
+        edges = ss.simple_cone([0, 0], [(1, 0), (0.5, 2)])
+        for angle, want in [(ss.solid_angle_exact_2d, 0.21101043481131537), (ss.solid_angle_exact_2d_l1, 0.2)]:
+            assert angle(fan).value == pytest.approx(want, abs=1e-15)
+            assert angle(edges).value == pytest.approx(want, abs=1e-15)
+        # thin and near-straight wedges, against the angle between the generators
+        for theta in (1e-9, 1e-7, 1e-5, math.pi - 1e-9):
+            for a in (0.3, 2.0, -2.5):
+                g = np.array([(math.cos(a), math.sin(a)), (math.cos(a + theta), math.sin(a + theta))])
+                want = math.atan2(abs(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]), g[0] @ g[1]) / (2 * math.pi)
+                got = ss.solid_angle_exact_2d(ss.simple_cone([0, 0], g)).value
+                assert abs(got - want) <= 1e-15
+
     @pytest.mark.parametrize("angle", [ss.solid_angle_exact_2d, ss.solid_angle_exact_2d_l1])
     def test_bare_tuple_rejected(self, angle):
         with pytest.raises(TypeError):
@@ -222,6 +237,45 @@ class TestSoftIndicator:
                 want *= 0.5 * (erf(r * (1 - x[k])) - erf(r * (0 - x[k])))
             got = ss.soft_indicator(square, list(x), 2.0, eps)
             assert got == pytest.approx(want, abs=1e-11)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_matches_nested_quad_on_a_polygon(self, p):
+        # an irregular polygon with a vertical facet, against nested adaptive
+        # quadrature with breaks at the vertices, at x_0 and where an edge
+        # crosses u_1 = x_1
+        from scipy.integrate import quad
+        V = np.array([(0, 0), (1.3, -0.2), (1.3, 0.9), (0.4, 1.6), (-0.5, 0.7)], dtype=float)
+        P = ss.load_polytope(2, V)
+        edges = list(zip(V, np.roll(V, -1, axis=0)))
+        c = (2 * math.gamma(1 / p + 1)) ** p
+
+        def span(t):
+            ys = [q0[1] + (q1[1] - q0[1]) * (t - q0[0]) / (q1[0] - q0[0])
+                  for q0, q1 in edges if min(q0[0], q1[0]) <= t <= max(q0[0], q1[0]) and q0[0] != q1[0]]
+            return min(ys), max(ys)
+
+        for eps in (0.5, 0.05, 0.005):
+            f = lambda u: eps ** (-1 / p) * math.exp(-(c / eps) * abs(u) ** p)
+            width = (50 * eps / c) ** (1 / p)  # the density is below e^-50 beyond it
+            for x in [(0.5, 0.6), (1.3, 0.3), (0.4, 1.6), (1.5, 1.2)]:
+                def inner(t):
+                    lo, hi = span(t)
+                    lo, hi = max(lo, x[1] - width), min(hi, x[1] + width)
+                    if lo >= hi:
+                        return 0.0
+                    pts = [x[1]] if lo < x[1] < hi else None
+                    return quad(lambda y: f(y - x[1]), lo, hi, points=pts,
+                                epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+                a, b = max(V[:, 0].min(), x[0] - width), min(V[:, 0].max(), x[0] + width)
+                want = 0.0
+                if a < b:
+                    kinks = [q0[0] + (q1[0] - q0[0]) * (x[1] - q0[1]) / (q1[1] - q0[1])
+                             for q0, q1 in edges if (q0[1] - x[1]) * (q1[1] - x[1]) < 0]
+                    pts = [v for v in [*V[:, 0], x[0], *kinks] if a < v < b]
+                    want = quad(lambda t: f(t - x[0]) * inner(t), a, b, points=pts or None,
+                                epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+                assert ss.soft_indicator(P, list(x), p, eps) == pytest.approx(want, abs=1e-10), (eps, x)
 
     def test_bad_eps(self, square):
         with pytest.raises(ss.BadEpsilon):

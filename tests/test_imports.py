@@ -1,5 +1,7 @@
 """The planar path runs on numpy alone: scipy is imported only where it is
-used.  And no package module imports a name it never uses."""
+used.  No package module imports a name it never uses, and every
+module-level private name is read somewhere in the package besides its
+definition."""
 
 import ast
 import subprocess
@@ -56,3 +58,35 @@ def test_no_unused_imports():
     unused = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _private_definitions(tree) -> dict:
+    """Module-level private names (``_x``, not dunders), each with the
+    top-level statement that defines it."""
+    defined = {}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined.update({name: stmt for name in names if name.startswith("_") and not name.startswith("__")})
+    return defined
+
+
+def _names_read(node) -> set:
+    """Names a node reads, as a variable or as an attribute."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_every_private_name_is_read():
+    package = Path(solidsum.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    reads = [(stmt, _names_read(stmt)) for tree in trees.values() for stmt in tree.body]
+    unread = {f"{module}:{name}" for module, tree in trees.items()
+              for name, where in _private_definitions(tree).items()
+              if not any(name in names for stmt, names in reads if stmt is not where)}
+    assert sorted(unread) == []

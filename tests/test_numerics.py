@@ -3,7 +3,7 @@ import pytest
 
 import solidsum as ss
 from solidsum.numerics import (
-    gauss_legendre_panels,
+    gauss_legendre_cells,
     richardson_extrapolants,
     richardson_limit,
 )
@@ -47,5 +47,5 @@ def test_extrapolants_linear_in_values():
 
 
 def test_gauss_legendre_panels_polynomial_exact():
-    x, w = gauss_legendre_panels(-1.0, 2.0, 4)
+    x, w = gauss_legendre_cells(np.linspace(-1.0, 2.0, 5))
     assert w @ x ** 7 == pytest.approx((2.0 ** 8 - 1.0) / 8.0, abs=1e-12)
