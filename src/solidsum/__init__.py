@@ -6,9 +6,6 @@ Brianchon-Gram identities.
 """
 
 from .angles import (
-    EXACT_2D,
-    GAUSSIAN_LIMIT,
-    MC_BALL,
     SolidAngleEstimate,
     soft_indicator,
     solid_angle_exact_2d,
@@ -29,7 +26,6 @@ from .errors import (
     PoleHit,
     ScheduleTooShort,
     SolidSumError,
-    UnsupportedCombination,
     UnsupportedDimension,
 )
 from .geometry import (

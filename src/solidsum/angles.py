@@ -34,10 +34,6 @@ from .geometry import BOUNDARY_TOL, SimpleCone, body_half_spaces
 from .numerics import gauss_legendre_cells
 from .transforms import clip_cutoff, mass_one_constant
 
-EXACT_2D = "exact2d"
-MC_BALL = "mc_ball"
-GAUSSIAN_LIMIT = "gaussian_limit"
-
 N_CHUNKS = 16   # fixed sample partition; it fixes the random stream, so changing it changes every MC value
 GAUSSIAN_EPS = (0.0625, 0.03125, 0.015625)  # halving levels: Richardson weights 2 and -1 are exact
 
@@ -46,7 +42,6 @@ GAUSSIAN_EPS = (0.0625, 0.03125, 0.015625)  # halving levels: Richardson weights
 class SolidAngleEstimate:
     value: float
     std_error: float
-    method: str
 
 
 def _clip01(v: float) -> float:
@@ -55,19 +50,31 @@ def _clip01(v: float) -> float:
 
 # ----------------------------- sampling ------------------------------------
 
-def sample_lp_ball(rng: np.random.Generator, n: int, d: int, p: float) -> np.ndarray:
-    """Uniform samples from the unit l^p ball."""
+def _exponential_power(rng: np.random.Generator, n: int, d: int, p: float) -> np.ndarray:
+    """An (n, d) array of independent draws from the density proportional to
+    exp(-|u|^p): a gamma(1/p) magnitude to the power 1/p, with a random sign."""
     mags = rng.gamma(1.0 / p, size=(n, d)) ** (1.0 / p)
     signs = rng.integers(0, 2, size=(n, d)) * 2 - 1
-    g = signs * mags
+    return signs * mags
+
+
+def sample_lp_ball(rng: np.random.Generator, n: int, d: int, p: float) -> np.ndarray:
+    """Uniform samples from the unit l^p ball."""
+    g = _exponential_power(rng, n, d, p)
     w = rng.standard_exponential(n)
     denom = (np.sum(np.abs(g) ** p, axis=1) + w) ** (1.0 / p)
     return g / denom[:, None]
 
 
-def _chunk_sizes(n: int) -> list:
+def _seeded_chunks(n: int, seed: int):
+    """``(size, generator)`` pairs that split n samples into N_CHUNKS fixed
+    chunks, each drawn from its own stream spawned from ``seed``; empty
+    chunks are skipped."""
     base, extra = divmod(n, N_CHUNKS)
-    return [base + (1 if i < extra else 0) for i in range(N_CHUNKS)]
+    sizes = [base + (i < extra) for i in range(N_CHUNKS)]
+    for size, ss in zip(sizes, np.random.SeedSequence(seed).spawn(N_CHUNKS)):
+        if size:
+            yield size, np.random.default_rng(ss)
 
 
 def mc_cone_angle(A: np.ndarray, p: float, chunks) -> tuple:
@@ -93,8 +100,8 @@ def solid_angle_mc(body, x, p: float = 2.0, n_samples: int = 100_000,
     BOUNDARY_TOL of 0 cut out the tangent cone at x, and ``mc_cone_angle``
     samples it; a point with a slack below -BOUNDARY_TOL is outside and gets
     0, an interior point 1, both with the 1/n error floor.  Deterministic
-    for a given seed: samples are drawn in N_CHUNKS = 16 fixed chunks with
-    seeds spawned from ``seed``.  The partition fixes the random stream, so
+    for a given seed: samples are drawn in N_CHUNKS = 16 fixed chunks
+    (``_seeded_chunks``).  The partition fixes the random stream, so
     changing it changes every Monte Carlo value.
     """
     if n_samples < 1:
@@ -102,12 +109,9 @@ def solid_angle_mc(body, x, p: float = 2.0, n_samples: int = 100_000,
     A, b = body_half_spaces(body)
     slack = b - A @ np.asarray(x, dtype=float)
     if np.min(slack) < -BOUNDARY_TOL:
-        return SolidAngleEstimate(0.0, 1.0 / n_samples, MC_BALL)
-    seeds = np.random.SeedSequence(seed).spawn(N_CHUNKS)
-    chunks = ((size, np.random.default_rng(ss))
-              for size, ss in zip(_chunk_sizes(n_samples), seeds) if size)
-    frac, se = mc_cone_angle(A[np.abs(slack) <= BOUNDARY_TOL], p, chunks)
-    return SolidAngleEstimate(frac, se, MC_BALL)
+        return SolidAngleEstimate(0.0, 1.0 / n_samples)
+    return SolidAngleEstimate(*mc_cone_angle(A[np.abs(slack) <= BOUNDARY_TOL], p,
+                                             _seeded_chunks(n_samples, seed)))
 
 
 # ----------------------------- planar H-polygons ---------------------------
@@ -160,7 +164,7 @@ def solid_angle_exact_2d(cone) -> SolidAngleEstimate:
     """Planar angle of a cone divided by 2*pi (p = 2): the wedge angle of its
     two facet rows."""
     A = _planar_rows(cone)
-    return SolidAngleEstimate(wedge_angle(A[0], A[1]), 0.0, EXACT_2D)
+    return SolidAngleEstimate(wedge_angle(A[0], A[1]), 0.0)
 
 
 def solid_angle_exact_2d_l1(cone) -> SolidAngleEstimate:
@@ -175,7 +179,7 @@ def solid_angle_exact_2d_l1(cone) -> SolidAngleEstimate:
     b = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
     xs = np.sort(_corners(A, b)[:, 0])
     lo, hi = _envelopes(A, b, 0.5 * (xs[1:] + xs[:-1]))
-    return SolidAngleEstimate(float(np.diff(xs) @ (hi - lo)) / 2.0, 0.0, EXACT_2D)
+    return SolidAngleEstimate(float(np.diff(xs) @ (hi - lo)) / 2.0, 0.0)
 
 
 # ----------------------------- Gaussian route --------------------------------
@@ -199,14 +203,8 @@ def solid_angle_gaussian(cone: SimpleCone, x, p: float = 2.0, n_samples: int = 1
     sum_xi = 0.0
     sum_xi2 = 0.0
     sum_prev = 0.0
-    seeds = np.random.SeedSequence(seed).spawn(N_CHUNKS)
-    for size, ss in zip(_chunk_sizes(n_samples), seeds):
-        if size == 0:
-            continue
-        rng = np.random.default_rng(ss)
-        mags = rng.gamma(1.0 / p, size=(size, x.size)) ** (1.0 / p)
-        signs = rng.integers(0, 2, size=(size, x.size)) * 2 - 1
-        base = signs * mags
+    for size, rng in _seeded_chunks(n_samples, seed):
+        base = _exponential_power(rng, size, x.size, p)
         ind = np.empty((len(scales), size), dtype=float)
         for k, sc in enumerate(scales):
             Y = x + sc * base
@@ -224,7 +222,7 @@ def solid_angle_gaussian(cone: SimpleCone, x, p: float = 2.0, n_samples: int = 1
     se = math.hypot(mc_se, resid)
     if se == 0.0:
         se = 1.0 / n  # conservative floor when every draw agrees
-    return SolidAngleEstimate(_clip01(value), se, GAUSSIAN_LIMIT)
+    return SolidAngleEstimate(_clip01(value), se)
 
 
 # ----------------------------- soft indicator --------------------------------

@@ -202,11 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = command("oracle", [poly, mc], "brute-force discrete volume")
     sp.add_argument("--t", required=True, type=float)
-    sp.add_argument("--method", choices=["auto", "exact2d", "mc"], default="auto",
-                    help="auto: exact planar angles for p in {1,2}, and at p = 2 in dim >= 3 "
-                         "exact angles at points with two tight facets, Monte Carlo elsewhere; "
-                         "exact2d: insist on exact planar angles; mc: Monte Carlo at every "
-                         "point with two or more tight facets")
     sp.add_argument("--keep-weights", action="store_true")
 
     return parser
@@ -311,9 +306,8 @@ def _cmd_triangle_example(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    result = discrete_volume(_load(args), args.t, p=args.p, method=args.method,
-                             n_samples=args.samples, seed=args.seed,
-                             keep_weights=args.keep_weights)
+    result = discrete_volume(_load(args), args.t, p=args.p, n_samples=args.samples,
+                             seed=args.seed, keep_weights=args.keep_weights)
     _emit(args, result)
     return 0
 

@@ -54,7 +54,3 @@ class NonConvergent(SolidSumError):
 
 class ImaginaryResidue(SolidSumError):
     pass
-
-
-class UnsupportedCombination(SolidSumError):
-    pass

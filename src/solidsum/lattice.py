@@ -381,4 +381,4 @@ def alpha_polytope_direct(P: Polytope, s, p: float = 2.0,
     phases = np.exp(TWO_PI_I * (pts @ s))
     total = np.sum(weights * phases)
     var = np.sum((std_errors * np.abs(phases)) ** 2)
-    return Estimate(complex(total), math.sqrt(var), "direct")
+    return Estimate(complex(total), math.sqrt(var))

@@ -94,7 +94,7 @@ def _eps_limit(eps, levels: DampedLevels) -> Estimate:
     est = richardson_limit(eps, levels.value, noise_floor=noise)
     e1, e2 = eps[-2], eps[-1]
     tail = (e1 * levels.tail[-1] + e2 * levels.tail[-2]) / (e1 - e2)
-    return Estimate(est.value, float(est.error + noise + tail), est.method)
+    return Estimate(est.value, float(est.error + noise + tail))
 
 
 def macdonald_sum(P: Polytope, t: float, s, cfg: DampedSumConfig | None = None) -> MacdonaldEvaluation:
@@ -153,7 +153,7 @@ def macdonald_volume(P: Polytope, t: float, cfg: DampedSumConfig | None = None) 
     c0 = est.value
     if abs(c0.imag) > 1e-6 * (1.0 + abs(c0.real)):
         raise ImaginaryResidue(f"imaginary part {c0.imag:.2e} in the s -> 0 limit")
-    return Estimate(float(c0.real), float(est.error + abs(c0.imag)), "constant_term")
+    return Estimate(float(c0.real), float(est.error + abs(c0.imag)))
 
 
 # ----------------------------- verifiers ------------------------------------

@@ -13,11 +13,10 @@ from .errors import NonConvergent, ScheduleTooShort
 
 @dataclass(frozen=True)
 class Estimate:
-    """Numeric value with an error estimate and the method that produced it."""
+    """Numeric value with an error estimate."""
 
     value: complex
     error: float
-    method: str
 
 
 def richardson_extrapolants(eps_values, values) -> np.ndarray:
@@ -40,7 +39,7 @@ def richardson_limit(eps_values, values, noise_floor: float = 0.0):
     vals = np.asarray(values)
     extrap = richardson_extrapolants(eps_values, vals)
     if extrap.size == 1:
-        return Estimate(complex(extrap[0]), float(abs(extrap[0] - vals[-1])), "richardson")
+        return Estimate(complex(extrap[0]), float(abs(extrap[0] - vals[-1])))
     diffs = np.abs(np.diff(extrap))
     scale = max(float(np.max(np.abs(vals))), 1.0)
     if diffs.size >= 3:
@@ -48,7 +47,7 @@ def richardson_limit(eps_values, values, noise_floor: float = 0.0):
         floor = max(1e-14 * scale, noise_floor)
         if np.all(d3 > floor) and d3[1] > d3[0] and d3[2] > d3[1]:
             raise NonConvergent(f"extrapolant differences grow: {d3.tolist()}")
-    return Estimate(complex(extrap[-1]), float(diffs[-1]), "richardson")
+    return Estimate(complex(extrap[-1]), float(diffs[-1]))
 
 
 @cache

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import mc_cone_angle, solid_angle_exact_2d, solid_angle_exact_2d_l1, wedge_angle
-from .errors import UnsupportedCombination
 from .geometry import BOUNDARY_TOL, Polytope, half_spaces, lattice_points, vertex_simple_cones
 
 
@@ -33,34 +32,28 @@ class OracleResult:
     per_point_weights: tuple | None = None
 
 
-def _classify(P: Polytope, t: float, pts: np.ndarray, p: float, method: str) -> tuple:
+def _classify(P: Polytope, t: float, pts: np.ndarray, p: float) -> tuple:
     """Weights of the points ``pts`` in the dilate t*P from their facet
     slacks, all from one matrix product: 0 outside, 1 with no tight facet,
     1/2 with one (and at any boundary point in 1-D), and, in dim >= 3 at
-    p = 2 unless ``method="mc"``, the exact wedge angle with exactly two.
-    Every other point, a corner, gets nan.  Checks ``method`` first.
-    Returns the weights, the tight mask, the facet rows A and whether planar
-    corner angles are exact."""
-    exact_ok = P.dim <= 2 and p in (1.0, 2.0)
-    if method == "exact2d" and not exact_ok:
-        raise UnsupportedCombination(f"exact weights need dim <= 2 and p in {{1,2}}, got dim={P.dim}, p={p}")
-    if method not in ("auto", "exact2d", "mc"):
-        raise ValueError(f"unknown method {method!r}")
+    p = 2, the exact wedge angle with exactly two.  Every other point, a
+    corner, gets nan.  Returns the weights, the tight mask and the facet
+    rows A."""
     A, b = half_spaces(P)
     slack = t * b - pts @ A.T
     tight = np.abs(slack) <= BOUNDARY_TOL
     n_tight = np.count_nonzero(tight, axis=1)
     weights = np.where(n_tight == 0, 1.0, np.where((n_tight == 1) | (P.dim == 1), 0.5, np.nan))
     weights[np.min(slack, axis=1) < -BOUNDARY_TOL] = 0.0
-    if method != "mc" and P.dim >= 3 and p == 2.0:
+    if P.dim >= 3 and p == 2.0:
         wedge = (n_tight == 2) & np.isnan(weights)
         pairs = np.nonzero(tight[wedge])[1].reshape(-1, 2)
         weights[wedge] = [wedge_angle(A[i], A[j]) for i, j in pairs]
-    return weights, tight, A, method != "mc" and exact_ok
+    return weights, tight, A
 
 
-def point_weight(P: Polytope, t: float, m, p: float = 2.0, method: str = "auto",
-                 n_samples: int = 20_000, seed: int = 0) -> tuple:
+def point_weight(P: Polytope, t: float, m, p: float = 2.0, n_samples: int = 20_000,
+                 seed: int = 0) -> tuple:
     """Solid angle of the dilate t*P at a point, with its standard error.
 
     The point is classified by its facet slacks (``_classify``, shared with
@@ -71,17 +64,16 @@ def point_weight(P: Polytope, t: float, m, p: float = 2.0, method: str = "auto",
     facets, gets the angle of its tangent cone, the cone the tight facets
     cut out.  In the plane the corner is at the vertex those facets share,
     read off the incidence table, and its angle is exact for p in {1, 2}.
-    Every other corner, and every corner under ``method="mc"``, gets the
-    Monte Carlo angle of ``angles.mc_cone_angle``, from one chunk seeded by
-    ``seed`` and the point.
+    Every other corner gets the Monte Carlo angle of ``angles.mc_cone_angle``,
+    from one chunk seeded by ``seed`` and the point.
     """
     m = np.asarray(m, dtype=float)
-    (w,), (tight,), A, planar_exact = _classify(P, t, m[None, :], p, method)
+    (w,), (tight,), A = _classify(P, t, m[None, :], p)
     if not np.isnan(w):
         return float(w), 0.0
 
     shared = np.flatnonzero(np.all(P._facets[2][:, tight], axis=1))
-    if planar_exact and shared.size:
+    if P.dim == 2 and p in (1.0, 2.0) and shared.size:
         # dilation leaves tangent-cone directions unchanged
         cone = vertex_simple_cones(P, int(shared[0]))[0]
         est = solid_angle_exact_2d(cone) if p == 2.0 else solid_angle_exact_2d_l1(cone)
@@ -92,31 +84,29 @@ def point_weight(P: Polytope, t: float, m, p: float = 2.0, method: str = "auto",
     return mc_cone_angle(A[tight], p, [(n_samples, rng)])
 
 
-def lattice_weights(P: Polytope, t: float, p: float = 2.0, method: str = "auto",
-                    n_samples: int = 20_000, seed: int = 0) -> tuple:
+def lattice_weights(P: Polytope, t: float, p: float = 2.0, n_samples: int = 20_000,
+                    seed: int = 0) -> tuple:
     """Lattice points of the dilate t*P with their solid-angle weights and
     standard errors, as arrays ``(points, weights, std_errors)``.
 
     One matrix of facet slacks classifies every point (``_classify``, the
     classifier ``point_weight`` uses), which settles all but the corners
     with no error.  Each corner (a vertex point, in 3-D) goes through
-    ``point_weight``, with the same per-point seeds as a scalar loop.
+    ``point_weight``, which gives it the exact angle where one exists and a
+    sampled one otherwise, with the same per-point seeds as a scalar loop.
     """
     pts = lattice_points(P, t)
-    weights = _classify(P, t, pts, p, method)[0]
+    weights = _classify(P, t, pts, p)[0]
     std_errors = np.zeros(len(pts))
     for i in np.flatnonzero(np.isnan(weights)):
-        weights[i], std_errors[i] = point_weight(P, t, pts[i], p=p, method=method,
-                                                 n_samples=n_samples, seed=seed)
+        weights[i], std_errors[i] = point_weight(P, t, pts[i], p=p, n_samples=n_samples, seed=seed)
     return pts, weights, std_errors
 
 
-def discrete_volume(P: Polytope, t: float, p: float = 2.0, method: str = "auto",
-                    n_samples: int = 20_000, seed: int = 0,
-                    keep_weights: bool = False) -> OracleResult:
+def discrete_volume(P: Polytope, t: float, p: float = 2.0, n_samples: int = 20_000,
+                    seed: int = 0, keep_weights: bool = False) -> OracleResult:
     """Solid-angle weighted lattice-point count of the dilate t*P."""
-    pts, weights, std_errors = lattice_weights(P, t, p=p, method=method,
-                                               n_samples=n_samples, seed=seed)
+    pts, weights, std_errors = lattice_weights(P, t, p=p, n_samples=n_samples, seed=seed)
     mc = std_errors[std_errors > 0.0]  # only Monte Carlo weights carry an error
     return OracleResult(
         value=math.fsum(weights.tolist()),

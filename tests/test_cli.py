@@ -187,6 +187,7 @@ def test_every_registered_flag_is_read(square_path, triangle_path, tmp_path):
     ["macdonald", "--t", "1", "--sigma", "0.01,0.005,0.002,0.001,0.0005"],
     ["macdonald", "--t", "1", "--fit-degree", "3"],
     ["macdonald", "--t", "1", "--direction", "1,1,1"],
+    ["oracle", "--t", "1", "--method", "mc"],
 ])
 def test_removed_flags_are_input_errors(argv, square_path, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,7 @@
 """The planar path runs on numpy alone: scipy is imported only where it is
-used.  No package module imports a name it never uses, and every
-module-level private name is read somewhere in the package besides its
-definition."""
+used.  No package module imports a name it never uses, every module-level
+private name is read somewhere in the package besides its definition, and
+every error class is raised somewhere."""
 
 import ast
 import subprocess
@@ -90,3 +90,18 @@ def test_every_private_name_is_read():
               for name, where in _private_definitions(tree).items()
               if not any(name in names for stmt, names in reads if stmt is not where)}
     assert sorted(unread) == []
+
+
+def _raised_names(tree) -> set:
+    """Names a module raises, as ``raise X`` or ``raise X(...)``."""
+    excs = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+    return {exc.id for exc in excs if isinstance(exc, ast.Name)}
+
+
+def test_every_error_class_is_raised():
+    package = Path(solidsum.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    raised = set().union(*map(_raised_names, trees.values()))
+    errors = [stmt.name for stmt in trees["errors.py"].body if isinstance(stmt, ast.ClassDef)]
+    assert [name for name in errors if name != "SolidSumError" and name not in raised] == []

@@ -42,21 +42,18 @@ class TestDiscreteVolume:
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_exact_vs_mc(self, triangle, p):
-        exact = ss.discrete_volume(triangle, 1.0, p=p, method="exact2d")
-        mc = ss.discrete_volume(triangle, 1.0, p=p, method="mc", n_samples=40_000, seed=3)
-        assert abs(exact.value - mc.value) <= 3 * max(mc.std_error, 1e-9)
+        exact = ss.discrete_volume(triangle, 1.0, p=p)
+        mc = [ss.solid_angle_mc(triangle, m, p=p, n_samples=40_000, seed=3 + i)
+              for i, m in enumerate(ss.lattice_points(triangle, 1.0))]
+        value = math.fsum(est.value for est in mc)
+        std_error = math.sqrt(math.fsum(est.std_error ** 2 for est in mc))
+        assert abs(exact.value - value) <= 3 * std_error
 
     def test_monotone_in_t(self):
         # origin interior: angles of existing points never decrease
         P = ss.load_polytope(2, [(-1, -1), (1.5, -1), (1.5, 1), (-1, 1)])
         vals = [ss.discrete_volume(P, t).value for t in (0.5, 1.0, 1.5, 2.0, 2.5)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-    def test_exact2d_unsupported_combination(self, tetrahedron, square):
-        with pytest.raises(ss.UnsupportedCombination):
-            ss.discrete_volume(tetrahedron, 1.0, method="exact2d")
-        with pytest.raises(ss.UnsupportedCombination):
-            ss.discrete_volume(square, 1.0, p=3.0, method="exact2d")
 
     def test_tetrahedron_mc(self, tetrahedron):
         # 4 vertex cones; the corner at the origin is the octant (1/8)
@@ -137,10 +134,11 @@ class TestBulkWeights:
         assert_matches_loop(ss.load_polytope(2, IRRATIONAL), t)
 
     def test_l1_exact(self, triangle):
-        assert_matches_loop(triangle, 5.0, p=1.0, method="exact2d")
+        assert_matches_loop(triangle, 5.0, p=1.0)
 
     def test_planar_mc(self, triangle):
-        res = assert_matches_loop(triangle, 3.0, method="mc", n_samples=2000, seed=4)
+        # at p = 3 there is no exact planar angle: the corners are sampled
+        res = assert_matches_loop(triangle, 3.0, p=3.0, n_samples=2000, seed=4)
         assert res.std_error > 0.0
 
     def test_simplex_mc(self, tetrahedron):
@@ -167,7 +165,6 @@ class TestBulkWeights:
         P = ss.load_polytope(2, [(3e-6, 0), (1, 0), (1, 1e-4)])
         want = ss.solid_angle_exact_2d(ss.vertex_simple_cones(P, 0)[0]).value
         assert want == pytest.approx(1.5915542e-05, rel=1e-7)
-        assert ss.point_weight(P, 1, (0, 0), method="exact2d") == (want, 0.0)
         assert ss.point_weight(P, 1, (0, 0)) == (want, 0.0)
 
     def test_empty_dilate(self):
@@ -175,14 +172,6 @@ class TestBulkWeights:
         res = ss.discrete_volume(P, 1.0, keep_weights=True)
         assert (res.value, res.std_error, res.n_lattice_points) == (0.0, 0.0, 0)
         assert res.per_point_weights == ()
-
-    def test_exact2d_3d_raises_without_corner_points(self):
-        # no lattice point at all, so no point_weight call raises it
-        P = ss.load_polytope(3, [(0.2, 0.2, 0.2), (0.8, 0.2, 0.2), (0.2, 0.8, 0.2), (0.2, 0.2, 0.8)])
-        with pytest.raises(ss.UnsupportedCombination):
-            ss.discrete_volume(P, 1.0, method="exact2d")
-        with pytest.raises(ValueError):
-            ss.discrete_volume(P, 1.0, method="exact")
 
     def test_point_weight_only_at_corners(self, square, tetrahedron, monkeypatch):
         import solidsum.oracle as oracle
@@ -201,10 +190,6 @@ class TestBulkWeights:
         # exact wedge angle in bulk: only the 4 vertices are sampled
         ss.discrete_volume(tetrahedron, 3.0, n_samples=500)
         assert sorted(calls) == [(0, 0, 0), (0, 0, 3), (0, 3, 0), (3, 0, 0)]
-        calls.clear()
-        # method="mc" samples the edge points too
-        ss.discrete_volume(tetrahedron, 3.0, method="mc", n_samples=500)
-        assert len(calls) == 4 + 6 * 2
 
     @pytest.mark.parametrize("fixture, t", [("cube", 3.0), ("octahedron", 2.0), ("triangular_prism", 2.5)])
     def test_exact_wedges_match_loop(self, request, fixture, t):
@@ -273,8 +258,9 @@ class TestWedgeWeights:
         assert ss.point_weight(FOUR_CUBE, 2, (0, 0, 1, 1)) == (0.25, 0.0)
 
     def test_mc_method_samples_edges(self, cube):
-        w, se = ss.point_weight(cube, 3.0, (0, 0, 1), method="mc", n_samples=2000)
-        assert se > 0.0 and abs(w - 0.25) <= 4 * se
+        # the sampled angle at an edge point agrees with the exact wedge weight
+        est = ss.solid_angle_mc(ss.dilate(cube, 3), (0, 0, 1), n_samples=2000)
+        assert est.std_error > 0.0 and abs(est.value - 0.25) <= 4 * est.std_error
 
     @pytest.mark.parametrize("t", range(2, 11))
     def test_simplex_polynomial_with_exact_vertices(self, tetrahedron, t):
