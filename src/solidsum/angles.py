@@ -195,6 +195,8 @@ def solid_angle_gaussian(cone: SimpleCone, x, p: float = 2.0, n_samples: int = 1
     the extrapolation noise-stable.  The error adds to the Monte Carlo error
     the gap to the extrapolant one level coarser.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     x = np.asarray(x, dtype=float)
     c = mass_one_constant(p)
     A, b = body_half_spaces(cone)

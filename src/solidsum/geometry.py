@@ -15,13 +15,16 @@ construction and every operation is a pure function.
 A non-simple cone is triangulated the same way in every dimension: the hull
 of the origin and its generators cut by a plane gives the cone's facets and
 extreme rays, and a pulling triangulation is read off that incidence table.
-The same facets are the cone's H-representation (``body_half_spaces``).
+The same facets are the cone's H-representation (``body_half_spaces``),
+cached on the cone.
 
-The hull is built per dimension: the two end points in 1-D, Andrew's
-monotone chain in numpy in 2-D, and Qhull (``scipy.spatial``, imported on
-first use) in dim >= 3.  The planar path therefore loads no scipy module;
-scipy is also imported, on first use, by the pointedness LP fallback
-(``_pointing_direction``) and the soft-indicator CDF (``angles._lp_cdf``).
+The hull is built per dimension, in numpy: the two end points in 1-D,
+Andrew's monotone chain in 2-D, and in dim >= 3 the facet expansion of
+Quickhull around an exact enumeration of the facets of a growing set of
+hull points (``_facet_hull``).  Building a hull therefore loads no scipy
+module; scipy is imported, on first use, only by the pointedness LP
+fallback (``_pointing_direction``) and the soft-indicator CDF
+(``angles._lp_cdf``).
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -96,6 +100,16 @@ class Cone(object):
 
     apex: np.ndarray        # (dim,)
     generators: np.ndarray  # (k, dim) rows
+
+    @cached_property
+    def _half_spaces(self) -> tuple:
+        """(A, b): the inequalities A x <= b, with unit rows of A, read-only;
+        the facets through the origin of the hull that ``triangulate_cone``
+        cuts the cone with."""
+        X, (_, A, b) = _cone_section(np.asarray(self.generators, dtype=float))
+        A, _, inc = _facet_table(X, A, b)
+        A = A[inc[0]]  # row 0 of X is the origin
+        return _readonly(A), _readonly(A @ self.apex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,14 +219,93 @@ def _hull(V: np.ndarray) -> tuple:
         return sorted({lo, hi}), np.array([[-1.0], [1.0]]), np.array([-V[lo, 0], V[hi, 0]])
     if d == 2:
         return _polygon_hull(V)
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        hull = ConvexHull(V)
-    except QhullError as exc:
-        raise DegenerateInput(f"convex hull failed: {exc}") from exc
-    eqs = hull.equations  # rows [a | c] with a x + c <= 0
-    norms = np.linalg.norm(eqs[:, :-1], axis=1)
-    return sorted(int(i) for i in hull.vertices), eqs[:, :-1] / norms[:, None], -eqs[:, -1] / norms
+    return _facet_hull(V)
+
+
+def _facet_hull(V: np.ndarray) -> tuple:
+    """Hull in dim d >= 3 by the facet expansion of Quickhull (Barber,
+    Dobkin and Huhdanpaa, ACM TOMS 22, 1996) around an exact facet
+    enumeration.
+
+    A working set E of rows starts with the lowest and the highest row along
+    each axis, or with every row when those do not span the space.  The
+    facet planes of hull(E) are the planes through d rows of E with every row
+    of E on one side within BOUNDARY_TOL (``_support_planes``).  A row more
+    than BOUNDARY_TOL beyond such a plane is outside hull(E); the farthest
+    one beyond each plane maximizes a linear functional, so it lies on the
+    hull, and it joins E.  When no row is beyond any plane, hull(E) is the
+    hull.  Planes with the same incident rows are merged (``_facet_table``);
+    a row is extreme when the normals of its facets span the space, and
+    among rows within BOUNDARY_TOL of each other the lowest index is kept.
+    """
+    n, d = V.shape
+    E = list(dict.fromkeys(np.concatenate([np.argmin(V, axis=0), np.argmax(V, axis=0)]).tolist()))
+    if _affine_rank(V[E]) < d:
+        E = list(range(n))
+        if _affine_rank(V) < d:
+            raise DegenerateInput(f"convex hull failed: the points do not span dimension {d}")
+    A, b = np.empty((0, d)), np.empty(0)
+    new = 0  # E[new:] joined in the last round
+    while True:
+        inside = np.all(V[E[new:]] @ A.T - b <= BOUNDARY_TOL, axis=0)
+        A_new, b_new = _support_planes(V[E], new)
+        A, b = np.vstack([A[inside], A_new]), np.concatenate([b[inside], b_new])
+        slack = V @ A.T - b
+        beyond = np.flatnonzero(np.max(slack, axis=0) > BOUNDARY_TOL)
+        if beyond.size == 0:
+            break
+        new = len(E)
+        E += sorted(set(np.argmax(slack[:, beyond], axis=0).tolist()))
+    A, b, inc = _facet_table(V, A, b)
+    rows = [i for i in np.flatnonzero(np.count_nonzero(inc, axis=1) >= d)
+            if np.linalg.matrix_rank(A[inc[i]]) == d]
+    W = V[rows]
+    close = np.max(np.abs(W[:, None, :] - W[None, :, :]), axis=2) <= BOUNDARY_TOL
+    return [int(i) for i, dup in zip(rows, np.tril(close, -1).any(axis=1)) if not dup], A, b
+
+
+def _support_planes(X: np.ndarray, new: int) -> tuple:
+    """The planes through d rows of X, one of them at a position >= new,
+    that have every row of X on one side within BOUNDARY_TOL, as outward
+    unit normals A and offsets b.  A plane's normal is the generalized cross
+    product of its rows' differences (``_cofactors``); a set of rows whose
+    normal is shorter than DET_RTOL times the product of the differences'
+    lengths spans no plane."""
+    k, d = X.shape
+    sets = np.array([(*c, j) for j in range(new, k) for c in combinations(range(j), d - 1)],
+                    dtype=int).reshape(-1, d)
+    A_out, b_out = [], []
+    for chunk in range(0, len(sets), 4096):
+        P = X[sets[chunk:chunk + 4096]]
+        D = P[:, 1:] - P[:, :1]
+        N = _cofactors(D)
+        norms = np.linalg.norm(N, axis=1)
+        ok = norms > DET_RTOL * np.prod(np.linalg.norm(D, axis=2), axis=1)
+        A = N[ok] / norms[ok, None]
+        b = np.einsum("ij,ij->i", A, P[ok, 0])
+        slack = X @ A.T - b
+        out, inner = np.max(slack, axis=0) <= BOUNDARY_TOL, np.min(slack, axis=0) >= -BOUNDARY_TOL
+        sign = np.where(out, 1.0, -1.0)[out | inner]
+        A_out.append(sign[:, None] * A[out | inner])
+        b_out.append(sign * b[out | inner])
+    return np.vstack([np.empty((0, d)), *A_out]), np.concatenate([np.empty(0), *b_out])
+
+
+def _cofactors(D: np.ndarray) -> np.ndarray:
+    """Generalized cross products of the d - 1 rows of each D[i]: entry j is
+    (-1)^j times the minor without column j, so the result is normal to
+    every row and vanishes when the rows are dependent."""
+    d = D.shape[-1]
+    return np.stack([(-1) ** j * _det(np.delete(D, j, axis=-1)) for j in range(d)], axis=-1)
+
+
+def _det(M: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square matrices by cofactor expansion
+    along the first row, exact on small integer entries."""
+    m = M.shape[-1]
+    if m == 1:
+        return M[..., 0, 0]
+    return sum((-1) ** j * M[..., 0, j] * _det(np.delete(M[..., 1:, :], j, axis=-1)) for j in range(m))
 
 
 def _polygon_hull(V: np.ndarray) -> tuple:
@@ -331,17 +424,12 @@ def body_half_spaces(body):
     simple cone or a cone.  This is the one description of a body that
     membership tests and solid angles read.  A ``Cone``'s rows are the
     facets through the origin of the hull that ``triangulate_cone`` cuts it
-    with, so interior and repeated generators add no row.  A polytope's and
-    a simple cone's rows are cached on it, read-only."""
+    with, so interior and repeated generators add no row.  The rows are
+    built once per body and cached on it, read-only."""
     if isinstance(body, Polytope):
         return half_spaces(body)
-    if isinstance(body, SimpleCone):
+    if isinstance(body, (SimpleCone, Cone)):
         return body._half_spaces
-    if isinstance(body, Cone):
-        X, (_, A, b) = _cone_section(np.asarray(body.generators, dtype=float))
-        A, _, inc = _facet_table(X, A, b)
-        A = A[inc[0]]  # row 0 of X is the origin
-        return A, A @ body.apex
     raise TypeError(f"unsupported body type {type(body).__name__}")
 
 

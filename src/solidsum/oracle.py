@@ -67,6 +67,8 @@ def point_weight(P: Polytope, t: float, m, p: float = 2.0, n_samples: int = 20_0
     Every other corner gets the Monte Carlo angle of ``angles.mc_cone_angle``,
     from one chunk seeded by ``seed`` and the point.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     m = np.asarray(m, dtype=float)
     (w,), (tight,), A = _classify(P, t, m[None, :], p)
     if not np.isnan(w):
@@ -95,6 +97,8 @@ def lattice_weights(P: Polytope, t: float, p: float = 2.0, n_samples: int = 20_0
     ``point_weight``, which gives it the exact angle where one exists and a
     sampled one otherwise, with the same per-point seeds as a scalar loop.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     pts = lattice_points(P, t)
     weights = _classify(P, t, pts, p)[0]
     std_errors = np.zeros(len(pts))

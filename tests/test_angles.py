@@ -205,6 +205,13 @@ class TestGaussianLimit:
             assert abs(total - target) <= 3 * err + 1e-12
 
 
+@pytest.mark.parametrize("n", [0, -5])
+@pytest.mark.parametrize("estimator", [ss.solid_angle_mc, ss.solid_angle_gaussian])
+def test_sample_count_must_be_positive(quadrant, estimator, n):
+    with pytest.raises(ValueError, match=r"n_samples must be >= 1"):
+        estimator(quadrant, [0, 0], n_samples=n)
+
+
 class TestSoftIndicator:
     def test_cone_apex_eps_free(self, quadrant):
         # scale invariance makes the finite-eps value exact at the apex

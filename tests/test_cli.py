@@ -131,6 +131,15 @@ def test_input_errors_exit_two(square_path):
     assert run(["macdonald-series", "--polytope", square_path]) == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_sample_count_must_be_positive(samples, tmp_path, capsys):
+    tet = tmp_path / "tet.json"
+    tet.write_text(json.dumps({"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}))
+    for argv in (["oracle", "--t", "2"], ["alpha", "--s", "0.3+0.1i,0.2,0.1"], ["solid-angle", "--x", "0,0,0"]):
+        assert run([*argv, "--polytope", str(tet), "--samples", samples]) == 2
+        assert "n_samples must be >= 1" in capsys.readouterr().err
+
+
 class RecordingNamespace(argparse.Namespace):
     """Namespace that records every attribute a handler reads."""
 

@@ -9,7 +9,7 @@ from scipy.spatial import ConvexHull
 
 import solidsum as ss
 from conftest import cross_polytope
-from solidsum.geometry import edges, half_spaces, normalize_generator
+from solidsum.geometry import body_half_spaces, edges, half_spaces, normalize_generator
 
 SQRT3 = math.sqrt(3.0)
 
@@ -362,6 +362,17 @@ class TestHalfSpaceCache:
         ss.vertex_simple_cones(P, 0)
         assert builds == [3]
 
+    def test_one_hull_per_cone(self, monkeypatch):
+        builds = self._count_hulls(monkeypatch)
+        gens = np.array([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)], dtype=float)
+        cone = ss.Cone(np.zeros(3), gens)
+        ss.solid_angle_mc(cone, [0, 0, 0], n_samples=2000, seed=1)
+        ss.solid_angle_mc(cone, [0, 0, 1], n_samples=2000, seed=2)
+        assert builds == [3]
+        A, b = body_half_spaces(cone)
+        assert not A.flags.writeable and not b.flags.writeable
+        assert body_half_spaces(cone)[0] is A
+
 
 def _planar_cloud(rng, kind: int) -> np.ndarray:
     """A random planar cloud: Gaussian (interior points), integer grid
@@ -379,6 +390,17 @@ def _planar_cloud(rng, kind: int) -> np.ndarray:
     return V * 10.0 ** rng.uniform(-1.0, 2.0)
 
 
+def _qhull_extreme_rows(V: np.ndarray, hull) -> list:
+    """Qhull's extreme points of the rows of V, ascending.  Qhull keeps an
+    arbitrary copy of a repeated point; it is mapped to the lowest index."""
+    _, inverse = np.unique(V, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    lowest = {}
+    for i, c in enumerate(inverse):
+        lowest.setdefault(int(c), i)
+    return sorted(lowest[int(inverse[i])] for i in hull.vertices)
+
+
 class TestPolygonHull:
     def test_matches_qhull(self):
         from solidsum.geometry import _hull
@@ -390,13 +412,7 @@ class TestPolygonHull:
                 continue
             keep, A, b = _hull(V)
             hull = ConvexHull(V)
-            # Qhull keeps an arbitrary copy of a repeated point; map it to the lowest index
-            _, inverse = np.unique(V, axis=0, return_inverse=True)
-            inverse = inverse.ravel()
-            lowest = {}
-            for i, c in enumerate(inverse):
-                lowest.setdefault(int(c), i)
-            assert keep == sorted(lowest[int(inverse[i])] for i in hull.vertices), trial
+            assert keep == _qhull_extreme_rows(V, hull), trial
             norms = np.linalg.norm(hull.equations[:, :-1], axis=1)
             A_q = hull.equations[:, :-1] / norms[:, None]
             b_q = -hull.equations[:, -1] / norms
@@ -422,6 +438,77 @@ class TestPolygonHull:
         with pytest.warns(UserWarning, match=r"indices \[2, 3, 5\]"):
             P = ss.load_polytope(2, [(0, 0), (1, 0), (0, 0), (0.2, 0.2), (0, 1), (1, 0)])
         assert P.n_vertices == 3
+
+
+def _solid_cloud(rng, d: int, kind: int) -> np.ndarray:
+    """A random cloud in dimension d: Gaussian (interior points), integer
+    grid (coplanar boundary points, repeats), on the unit sphere (every
+    point extreme) or uniform with exact duplicates, at a scale from 0.1 to
+    100."""
+    n = int(rng.integers(d + 2, 28))
+    if kind == 0:
+        V = rng.normal(size=(n, d))
+    elif kind == 1:
+        V = rng.integers(0, int(rng.integers(2, 5)) + 1, size=(n, d)).astype(float)
+    elif kind == 2:
+        V = rng.normal(size=(n, d))
+        V /= np.linalg.norm(V, axis=1)[:, None]
+    else:
+        V = rng.uniform(-1.0, 1.0, size=(n, d))
+        V = np.vstack([V, V[rng.integers(0, n, size=int(rng.integers(1, 5)))]])
+        V = V[rng.permutation(len(V))]
+    return V * 10.0 ** rng.uniform(-1.0, 2.0)
+
+
+class TestFacetHull:
+    def test_matches_qhull(self):
+        from solidsum.geometry import _facet_table, _hull
+        rng = np.random.default_rng(20261019)
+        checked = 0
+        for trial in range(240):
+            d = 3 + trial % 2
+            V = _solid_cloud(rng, d, (trial // 2) % 4)
+            if np.linalg.matrix_rank(V[1:] - V[0]) < d:
+                continue
+            keep, A, b = _hull(V)
+            hull = ConvexHull(V)
+            assert keep == _qhull_extreme_rows(V, hull), trial
+            # Qhull splits a facet into simplices; merge both sides' planes by incidence
+            norms = np.linalg.norm(hull.equations[:, :-1], axis=1)
+            A_q, b_q, _ = _facet_table(V, hull.equations[:, :-1] / norms[:, None], -hull.equations[:, -1] / norms)
+            A, b, _ = _facet_table(V, A, b)
+            assert len(A) == len(A_q), trial
+            scale = np.abs(V).max()
+            for row, off in zip(A, b):
+                j = int(np.argmin(np.abs(A_q - row).sum(axis=1)))
+                assert np.abs(A_q[j] - row).max() <= 1e-13, trial
+                assert abs(b_q[j] - off) <= 1e-13 * scale, trial
+            checked += 1
+        assert checked > 220
+
+    # off the cube's bottom facet the point is the lowest row, so the hull
+    # starts from it; off the octahedron's facet x + y + z = 1 it is no axis
+    # extreme, so the facet expansion has to find it
+    @pytest.mark.parametrize("body, centre, normal, facets, edges_with_apex", [
+        ([(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)], (1, 1, 0), (0, 0, -1), (6, 9), 16),
+        ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+         (1 / 3, 1 / 3, 1 / 3), (1 / SQRT3, 1 / SQRT3, 1 / SQRT3), (8, 10), 15),
+    ])
+    def test_vertex_near_a_facet(self, body, centre, normal, facets, edges_with_apex):
+        n = len(body)
+        with pytest.warns(UserWarning, match=rf"indices \[{n}\]"):
+            P = ss.load_polytope(3, body + [tuple(np.add(centre, 1e-12 * np.array(normal)))])
+        assert P.n_vertices == n and len(half_spaces(P)[0]) == facets[0]
+        P = ss.load_polytope(3, body + [tuple(np.add(centre, 1e-6 * np.array(normal)))])
+        assert P.n_vertices == n + 1 and len(half_spaces(P)[0]) == facets[1]
+        assert len(edges(P)) == edges_with_apex
+
+    def test_lowest_duplicate_kept(self):
+        simplex = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        rows = [simplex[0], simplex[1], simplex[0], (0.2, 0.2, 0.2), simplex[2], simplex[1], simplex[3]]
+        with pytest.warns(UserWarning, match=r"indices \[2, 3, 5\]"):
+            P = ss.load_polytope(3, rows)
+        assert P.vertices.tolist() == [list(map(float, v)) for v in simplex]
 
 
 def _random_cone(rng, i: int) -> np.ndarray:

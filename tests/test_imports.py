@@ -1,5 +1,5 @@
-"""The planar path runs on numpy alone: scipy is imported only where it is
-used.  No package module imports a name it never uses, every module-level
+"""Planar, 3-D and 4-D work runs on numpy alone: scipy is imported only
+where it is used.  No package module imports a name it never uses, every module-level
 private name is read somewhere in the package besides its definition, and
 every error class is raised somewhere."""
 
@@ -29,13 +29,24 @@ assert ss.verify_cone_reciprocity(quadrant, [0.5, 0.25], s).passed
 assert not scipy_modules(), scipy_modules()
 
 simplex = ss.load_polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-assert sum(len(ss.vertex_simple_cones(simplex, i)) for i in range(4)) == 4
-assert "scipy.spatial" in sys.modules and "scipy.optimize" not in sys.modules
+cube = ss.load_polytope(3, [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+cross = ss.load_polytope(4, [[sign * float(j == k) for j in range(4)] for k in range(4) for sign in (1, -1)])
+for P, n_cones, n_faces in ((simplex, 4, 15), (cube, 8, 27), (cross, 8 * 4, 81)):
+    assert sum(len(ss.vertex_simple_cones(P, i)) for i in range(P.n_vertices)) == n_cones
+    assert len(ss.faces(P)) == n_faces
+A1 = 0.20613008597704452  # 1/8 + 3 omega, omega the solid angle at (1, 0, 0)
+oracle = ss.discrete_volume(simplex, 3.0)
+assert abs(oracle.value - (4.5 + 3.0 * (A1 - 1.0 / 6.0))) < 4.0 * oracle.std_error
+fast = ss.DampedSumConfig(eps_schedule=tuple(0.5 * 0.5 ** k for k in range(6)), truncation_radius=30)
+volume = ss.macdonald_volume(simplex, 1.0, cfg=fast)
+assert abs(volume.value - A1) <= volume.error
+assert ss.brianchon_gram_check(simplex, 200, 0).passed
+assert not scipy_modules(), scipy_modules()
 print("ok")
 """
 
 
-def test_planar_operations_import_no_scipy():
+def test_operations_up_to_dimension_4_import_no_scipy():
     src = str(Path(solidsum.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", COLD_RUN, src],
                          capture_output=True, text=True, timeout=120)

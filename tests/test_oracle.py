@@ -5,6 +5,7 @@ import pytest
 
 import solidsum as ss
 from solidsum.geometry import BOUNDARY_TOL
+from solidsum.oracle import lattice_weights
 
 SQRT3 = math.sqrt(3.0)
 
@@ -286,3 +287,14 @@ class TestWedgeWeights:
                 assert abs(res.value - ref) <= 4 * res.std_error
                 z.append((res.value - ref) / res.std_error)
             assert 0.5 <= float(np.std(z, ddof=1)) <= 1.5
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_sample_count_must_be_positive(tetrahedron, n):
+    calls = [lambda: ss.discrete_volume(tetrahedron, 2.0, n_samples=n),
+             lambda: ss.point_weight(tetrahedron, 1.0, [0.2, 0.2, 0.2], n_samples=n),
+             lambda: lattice_weights(tetrahedron, 1.0, n_samples=n),
+             lambda: ss.alpha_polytope_direct(tetrahedron, [0.3, 0.2, 0.1], n_samples=n)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"n_samples must be >= 1"):
+            call()
