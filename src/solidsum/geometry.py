@@ -48,6 +48,16 @@ from .errors import (
 
 BOUNDARY_TOL = 1e-9    # membership/incidence tolerance (unit facet normals)
 DET_RTOL = 1e-12       # relative tolerance for generator independence
+FLAT_SLOPE = 1e-6      # smallest |last facet coefficient| that bounds a lattice row
+
+# lattice_points splits a row's span into seven pieces: its first three
+# points and its last three, which are tested, and the points between them,
+# which are not
+_PIECE_ENDS = np.array([0, 0, 0, 0, 1, 1, 1])      # the span's start, then its end
+_PIECE_OFFSETS = np.array([0, 1, 2, 3, -2, -1, 0])  # from that end
+# the least span width (last minus first point) at which a tested piece lies
+# in the span apart from the pieces before it
+_PIECE_MIN_WIDTH = np.array([0, 1, 2, 0, 5, 4, 3])
 
 
 def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
@@ -582,20 +592,89 @@ def normalize_generator(w) -> np.ndarray:
 # ----------------------------- lattice points ------------------------------
 
 def lattice_points(P: Polytope, t: float) -> np.ndarray:
-    """Integer points of the closed dilate t*P (points within BOUNDARY_TOL of
-    the boundary are included), by bounding-box scan + half-space tests.
+    """Integer points m of the closed dilate t*P, those with
+    ``m @ A.T <= t*b + BOUNDARY_TOL`` for the facet rows (A, b), so points
+    within BOUNDARY_TOL of the boundary are included.  Sorted
+    lexicographically, as int64.
 
-    The scan runs the box in lexicographic order, so the points come out
-    sorted."""
+    The box of the first d-1 coordinates is run row by row.  Each row meets
+    the dilate in an interval of the last coordinate, its run, whose ends
+    are read off the facets with a last coefficient of at least FLAT_SLOPE
+    in size.  Only the points within one unit of either end of the run get
+    the membership test; the points farther inside are members without
+    one.  A facet with a smaller last coefficient bounds no run: a row it
+    misses all along is empty, and a row where it cuts off a tested point
+    next to the untested ones is tested point by point.  So the work and
+    the memory grow with the number of rows and points, not with the
+    bounding box.
+    """
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     if t < 0:
         raise ValueError(f"dilation must be >= 0, got {t}")
     A, b = half_spaces(P)
+    d = P.dim
     V = t * P.vertices
-    lo = np.floor(V.min(axis=0) - BOUNDARY_TOL).astype(int)
-    hi = np.ceil(V.max(axis=0) + BOUNDARY_TOL).astype(int)
-    axes = [np.arange(lo[k], hi[k] + 1) for k in range(P.dim)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, P.dim)
-    return grid[np.all(grid @ A.T <= t * b + BOUNDARY_TOL, axis=1)]
+    lo = np.floor(V.min(axis=0) - BOUNDARY_TOL).astype(np.int64)
+    hi = np.ceil(V.max(axis=0) + BOUNDARY_TOL).astype(np.int64)
+    x_lo, x_hi = int(lo[-1]), int(hi[-1])
+    shape = hi[:-1] - lo[:-1] + 1
+    rows = np.indices(shape, dtype=np.int64).reshape(d - 1, shape.prod()).T + lo[:-1]
+    limit = t * b + BOUNDARY_TOL
+
+    def members(prefix, x):
+        m = np.empty((len(x), d), dtype=np.int64)
+        m[:, :-1] = prefix
+        m[:, -1] = x
+        return (m @ A.T <= limit).all(axis=1)
+
+    # on a row, facet i reads a_i * x <= room_i for the last coordinate x;
+    # the row's span is its run and one more point at each end, in the box
+    room = limit - rows @ A[:, :-1].T
+    a = A[:, -1]
+    steep = np.abs(a) >= FLAT_SLOPE
+    bound = room[:, steep] / a[steep]
+    up = a[steep] > 0
+    span = np.empty((len(rows), 2), dtype=np.int64)
+    span[:, 0] = np.ceil(bound[:, ~up].max(axis=1, initial=x_lo + 1)) - 1
+    span[:, 1] = np.floor(bound[:, up].min(axis=1, initial=x_hi - 1)) + 1
+    # a row that misses a facet all along the box is empty: this settles
+    # the rows that a facet too flat to bound a run cuts off whole
+    most = room + np.abs(a) * max(abs(x_lo), abs(x_hi))
+    span[(most < -BOUNDARY_TOL).any(axis=1)] = (x_hi + 1, x_lo - 1)
+
+    # the seven pieces of each row (see _PIECE_OFFSETS), each tested at its start
+    width = span[:, 1] - span[:, 0]
+    starts = span[:, _PIECE_ENDS] + _PIECE_OFFSETS
+    hit = members(np.repeat(rows, 7, axis=0), starts.ravel()).reshape(-1, 7)
+    lengths = (hit & (width[:, None] >= _PIECE_MIN_WIDTH)).astype(np.int64)
+    lengths[:, 3] = np.maximum(width - 5, 0)
+    counts = lengths.sum(axis=1)
+    # a row meets the dilate in an interval, so the points between two
+    # members are members; if a tested point next to them fails, a flat
+    # facet cuts the row, and all of it is tested
+    cut = (width > 5) & ~(hit[:, 2] & hit[:, 4])
+    n_cut = np.count_nonzero(cut)
+    if n_cut:
+        lengths[cut] = 0
+        row_x = np.arange(x_lo, x_hi + 1)
+        whole = members(np.repeat(rows[cut], len(row_x), axis=0), np.tile(row_x, n_cut))
+        counts[cut] = whole.reshape(n_cut, -1).sum(axis=1)
+
+    n = int(counts.sum())
+    pts = np.empty((n, d), dtype=np.int64)
+    pts[:, :-1] = np.repeat(rows, counts, axis=0)
+    # each piece's points count up from its start
+    lengths = lengths.ravel()
+    x = np.repeat(starts.ravel() - np.cumsum(lengths) + lengths, lengths)
+    x += np.arange(len(x))
+    if n_cut:
+        in_cut = np.repeat(cut, counts)
+        pts[in_cut, -1] = np.tile(row_x, n_cut)[whole]
+        pts[~in_cut, -1] = x
+    else:
+        pts[:, -1] = x
+    return pts
 
 
 # ----------------------------- faces ---------------------------------------

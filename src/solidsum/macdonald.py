@@ -81,6 +81,8 @@ def sqrt3_triangle() -> Polytope:
 def _vertex_terms(P: Polytope, t: float):
     """Per-vertex simple cones of the dilate t*P (apex t*v, generators
     unchanged: cones at the origin are dilation invariant)."""
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     return [(v, [c.shifted(t * v) for c in vertex_simple_cones(P, i)])
             for i, v in enumerate(P.vertices)]
 

@@ -38,13 +38,22 @@ def _classify(P: Polytope, t: float, pts: np.ndarray, p: float) -> tuple:
     1/2 with one (and at any boundary point in 1-D), and, in dim >= 3 at
     p = 2, the exact wedge angle with exactly two.  Every other point, a
     corner, gets nan.  Returns the weights, the tight mask and the facet
-    rows A."""
+    rows A.
+
+    The least slack and the tight count of each point are reduced over the
+    facets one column at a time, which is faster than along the short
+    rows."""
     A, b = half_spaces(P)
-    slack = t * b - pts @ A.T
-    tight = np.abs(slack) <= BOUNDARY_TOL
-    n_tight = np.count_nonzero(tight, axis=1)
-    weights = np.where(n_tight == 0, 1.0, np.where((n_tight == 1) | (P.dim == 1), 0.5, np.nan))
-    weights[np.min(slack, axis=1) < -BOUNDARY_TOL] = 0.0
+    slack = pts @ A.T
+    np.subtract(t * b, slack, out=slack)
+    tight = (slack <= BOUNDARY_TOL) & (slack >= -BOUNDARY_TOL)
+    low = slack[:, 0].copy()
+    n_tight = tight[:, 0].astype(np.intp)
+    for i in range(1, len(A)):
+        np.minimum(low, slack[:, i], out=low)
+        n_tight += tight[:, i]
+    weights = np.array([1.0, 0.5, 0.5 if P.dim == 1 else np.nan])[np.minimum(n_tight, 2)]
+    weights[low < -BOUNDARY_TOL] = 0.0
     if P.dim >= 3 and p == 2.0:
         wedge = (n_tight == 2) & np.isnan(weights)
         pairs = np.nonzero(tight[wedge])[1].reshape(-1, 2)
@@ -112,8 +121,10 @@ def discrete_volume(P: Polytope, t: float, p: float = 2.0, n_samples: int = 20_0
     """Solid-angle weighted lattice-point count of the dilate t*P."""
     pts, weights, std_errors = lattice_weights(P, t, p=p, n_samples=n_samples, seed=seed)
     mc = std_errors[std_errors > 0.0]  # only Monte Carlo weights carry an error
+    # fsum rounds the exact sum, so counting the whole points changes no bit
+    rest = weights[weights != 1.0]
     return OracleResult(
-        value=math.fsum(weights.tolist()),
+        value=math.fsum([float(len(weights) - len(rest)), *rest.tolist()]),
         std_error=math.sqrt(math.fsum((mc * mc).tolist())),
         n_lattice_points=len(pts),
         per_point_weights=(tuple(zip(map(tuple, pts.tolist()), weights.tolist()))

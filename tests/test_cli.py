@@ -125,6 +125,18 @@ def test_verify_reciprocity_default_cone(tmp_path):
     assert json.loads(out.read_text())["residual"] < 1e-6
 
 
+def test_oracle_square_large_t(square_path, capsys):
+    assert run(["oracle", "--polytope", square_path, "--t", "150.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 22650.25
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_non_finite_t_exits_two(square_path, t, capsys):
+    for argv in (["oracle", f"--t={t}"], ["macdonald", f"--t={t}"]):
+        assert run([*argv, "--polytope", square_path]) == 2
+        assert "t must be finite" in capsys.readouterr().err
+
+
 def test_input_errors_exit_two(square_path):
     assert run(["oracle", "--polytope", "no-such-file.json", "--t", "1"]) == 2
     assert run(["alpha", "--polytope", square_path, "--s", "bogus"]) == 2

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 import solidsum as ss
-from conftest import cross_polytope
-from solidsum.geometry import body_half_spaces, edges, half_spaces, normalize_generator
+from conftest import cross_polytope, unit_cube
+from solidsum.geometry import BOUNDARY_TOL, body_half_spaces, edges, half_spaces, normalize_generator
 
 SQRT3 = math.sqrt(3.0)
 
@@ -226,6 +228,84 @@ class TestLatticePoints:
         small = set(map(tuple, ss.lattice_points(square, t1)))
         large = set(map(tuple, ss.lattice_points(square, t2)))
         assert small <= large
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dilation(self, square, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            ss.lattice_points(square, t)
+
+    def test_same_points_as_a_box_scan(self, square, triangle, tetrahedron):
+        cases = [(P, 0.0) for P in (square, triangle, tetrahedron, unit_cube(4), cross_polytope(4))]
+        cases += _random_cases(np.random.default_rng(7))
+        cases += [(square, float(t)) for t in range(13)]
+        # (x, y) lies on the hypotenuse x + sqrt3 y = sqrt3 t at t = x / sqrt3 + y
+        cases += [(triangle, x / SQRT3 + y + e) for x, y in [(1, 2), (5, 3), (17, 0), (40, 9)]
+                  for e in (-1e-12, 0.0, 1e-12)]
+        # at these t, (3, 1) and (4, 7) pass the facet test, though the run's
+        # end read off the hypotenuse rounds to one point short of them
+        flipped = ss.load_polytope(2, [(0, 0), (0, -1), (SQRT3, 0)])
+        cases += [(P, t) for P in (triangle, flipped) for t in (2.7320508064141764, 9.309401075603802)]
+        cases += [(P, t) for P in (unit_cube(4), cross_polytope(4)) for t in (1.0, 2.5, 3.0)]
+        # two facets 1e-9 rad off the rows' direction: too flat to bound a run
+        c, s = math.cos(1e-9), math.sin(1e-9)
+        tilted = ss.load_polytope(2, [(x * c - y * s, x * s + y * c) for x, y in
+                                      [(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]])
+        cases += [(tilted, t) for t in (1.0, 2.0, 5.0, 7.5, 40.0)]
+        segment = ss.load_polytope(1, [(-0.7,), (2.3,)])
+        cases += [(segment, t) for t in (0.0, 0.2, 1.0, 3.7, 10.0)]
+        # lattice-free dilates
+        cases += [(ss.load_polytope(2, [(0.2, 0.2), (0.8, 0.2), (0.8, 0.8), (0.2, 0.8)]), 1.0),
+                  (ss.load_polytope(3, [(0.1, 0.1, 0.1), (0.9, 0.1, 0.1), (0.1, 0.9, 0.1), (0.1, 0.1, 0.9)]), 1.0)]
+        empty = 0
+        for P, t in cases:
+            pts = ss.lattice_points(P, t)
+            assert pts.dtype == np.int64
+            np.testing.assert_array_equal(pts, _box_scan(P, t), err_msg=f"dim {P.dim}, t = {t!r}")
+            empty += len(pts) == 0
+        assert empty >= 3
+
+    def test_memory_follows_the_points(self):
+        # the box of this needle's dilate holds 4M points, the dilate 3003
+        needle = ss.load_polytope(2, [(0, 0), (1, 1), (1, 0.999)])
+        half_spaces(needle)
+        tracemalloc.start()
+        try:
+            pts = ss.lattice_points(needle, 2000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert len(pts) == 3003
+        assert set(pts[:, 0].tolist()) == set(range(2001))
+
+
+def _box_scan(P, t):
+    """Every point of the bounding box of t*P that passes the facet test,
+    in the box's lexicographic order: what lattice_points must return."""
+    A, b = half_spaces(P)
+    V = t * P.vertices
+    lo = np.floor(V.min(axis=0) - BOUNDARY_TOL).astype(int)
+    hi = np.ceil(V.max(axis=0) + BOUNDARY_TOL).astype(int)
+    axes = [np.arange(lo[k], hi[k] + 1) for k in range(P.dim)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, P.dim)
+    return grid[np.all(grid @ A.T <= t * b + BOUNDARY_TOL, axis=1)]
+
+
+def _random_cases(rng):
+    """Seeded random polygons and tetrahedra around the origin, so that
+    coordinates of both signs occur, with their dilations."""
+    cases = []
+    while len(cases) < 60:
+        d = 2 if len(cases) < 40 else 3
+        V = rng.normal(size=(d + 1 + int(rng.integers(0, 5 if d == 2 else 1)), d)) * rng.uniform(0.3, 3.0)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # non-extreme points are dropped
+                P = ss.load_polytope(d, V)
+        except ss.DegenerateInput:
+            continue
+        cases.append((P, float(rng.uniform(0.0, 25.0 if d == 2 else 6.0))))
+    return cases
 
 
 class TestFaces:

@@ -13,6 +13,19 @@ def vertex_cones(P):
     return [c for i in range(P.n_vertices) for c in ss.vertex_simple_cones(P, i)]
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_dilation(square, t, monkeypatch):
+    # raised before any engine pass
+    import solidsum.macdonald as macdonald
+    monkeypatch.setattr(macdonald, "damped_transform_levels", None)
+    s = np.array([0.31 + 0.12j, 0.22 - 0.07j])
+    calls = [lambda: ss.macdonald_sum(square, t, s), lambda: ss.macdonald_volume(square, t),
+             lambda: ss.verify_macdonald(square, t, s)]
+    for call in calls:
+        with pytest.raises(ValueError, match="t must be finite"):
+            call()
+
+
 class TestMacdonaldSum:
     def test_square_unit_dilation_matches_alpha(self, square):
         s = np.array([0.3j, 0.4j])

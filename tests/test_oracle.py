@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import solidsum as ss
-from solidsum.geometry import BOUNDARY_TOL
-from solidsum.oracle import lattice_weights
+from solidsum.geometry import BOUNDARY_TOL, half_spaces
+from solidsum.oracle import _classify, lattice_weights
 
 SQRT3 = math.sqrt(3.0)
 
@@ -17,6 +17,29 @@ class TestDiscreteVolume:
         res = ss.discrete_volume(square, t)
         assert res.value == pytest.approx(t * t, abs=1e-12)
         assert res.std_error == 0.0
+
+    @pytest.mark.parametrize("t, value", [(150.0, 22500.0), (150.5, 22650.25)])
+    def test_square_large_t(self, square, t, value):
+        # t^2 at integer t, (floor(t) + 1/2)^2 otherwise
+        assert ss.discrete_volume(square, t).value == value
+
+    @pytest.mark.parametrize("t", [150.0, 150.25, 150.5, 150.75])
+    def test_triangle_large_t_by_rows(self, triangle, t):
+        # row x = 0 is the leg, with the right angle at (0, 0) and the 60
+        # degree corner at (0, t) when t is whole; row x >= 1 holds (x, 0) on
+        # the foot and (x, 1..floor(t - x/sqrt3)) inside, since no lattice
+        # point but (0, t) comes within 1e-9 of the hypotenuse at these t
+        weights = [0.25] + [0.5] * (math.floor(t) - 1) + [1 / 6 if t.is_integer() else 0.5]
+        for x in range(1, math.floor(SQRT3 * t) + 1):
+            weights += [0.5] + [1.0] * math.floor(t - x / SQRT3)
+        res = ss.discrete_volume(triangle, t)
+        assert res.n_lattice_points == len(weights)
+        assert abs(res.value - math.fsum(weights)) <= 1e-9 * len(weights)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dilation(self, square, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            ss.discrete_volume(square, t)
 
     def test_triangle_at_one(self, triangle):
         res = ss.discrete_volume(triangle, 1.0, keep_weights=True)
@@ -40,6 +63,9 @@ class TestDiscreteVolume:
         res = ss.discrete_volume(triangle, 1.7, keep_weights=True)
         assert res.value == pytest.approx(sum(w for _, w in res.per_point_weights), abs=1e-12)
         assert all(0.0 <= w <= 1.0 for _, w in res.per_point_weights)
+        # counting the weights equal to 1 keeps the fsum of all weights
+        res = ss.discrete_volume(triangle, 40.25, keep_weights=True)
+        assert res.value == math.fsum(w for _, w in res.per_point_weights)
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_exact_vs_mc(self, triangle, p):
@@ -287,6 +313,32 @@ class TestWedgeWeights:
                 assert abs(res.value - ref) <= 4 * res.std_error
                 z.append((res.value - ref) / res.std_error)
             assert 0.5 <= float(np.std(z, ddof=1)) <= 1.5
+
+
+def classify_reference(P, t, pts):
+    """The point weights of _classify before wedges, reduced along the
+    point rows of the slack matrix."""
+    A, b = half_spaces(P)
+    slack = t * b - pts @ A.T
+    tight = np.abs(slack) <= BOUNDARY_TOL
+    n_tight = np.count_nonzero(tight, axis=1)
+    weights = np.where(n_tight == 0, 1.0, np.where((n_tight == 1) | (P.dim == 1), 0.5, np.nan))
+    weights[np.min(slack, axis=1) < -BOUNDARY_TOL] = 0.0
+    return weights, tight
+
+
+@pytest.mark.parametrize("fixture, t", [("square", 150.5), ("triangle", 150.25), ("triangle", 2.0 + 1.0 / SQRT3),
+                                        ("golden_segment", 3.0), ("tetrahedron", 4.0), ("cube", 3.0)])
+def test_classify_matches_row_reduction(request, fixture, t):
+    P = request.getfixturevalue(fixture)
+    # the dilate's points and a shifted copy, part of which lies outside
+    pts = ss.lattice_points(P, t)
+    pts = np.concatenate([pts, pts + 1])
+    weights, tight, _ = _classify(P, t, pts, 1.0)
+    want, want_tight = classify_reference(P, t, pts)
+    np.testing.assert_array_equal(weights, want)
+    np.testing.assert_array_equal(tight, want_tight)
+    assert (weights == 0.0).any()
 
 
 @pytest.mark.parametrize("n", [0, -5])
