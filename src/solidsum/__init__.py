@@ -60,7 +60,6 @@ from .macdonald import (
     macdonald_sum,
     macdonald_volume,
     sqrt3_triangle,
-    triangle_example,
     verify_brion,
     verify_cone_reciprocity,
     verify_macdonald,

@@ -106,8 +106,11 @@ def solid_angle_mc(body, x, p: float = 2.0, n_samples: int = 100_000,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     A, b = body_half_spaces(body)
-    slack = b - A @ np.asarray(x, dtype=float)
+    slack = b - A @ x
     if np.min(slack) < -BOUNDARY_TOL:
         return SolidAngleEstimate(0.0, 1.0 / n_samples)
     return SolidAngleEstimate(*mc_cone_angle(A[np.abs(slack) <= BOUNDARY_TOL], p,
@@ -198,6 +201,8 @@ def solid_angle_gaussian(cone: SimpleCone, x, p: float = 2.0, n_samples: int = 1
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     c = mass_one_constant(p)
     A, b = body_half_spaces(cone)
     scales = np.array([(e / c) ** (1.0 / p) for e in GAUSSIAN_EPS])

@@ -24,7 +24,6 @@ from .macdonald import (
     conjecture_check,
     macdonald_sum,
     macdonald_volume,
-    triangle_example,
     verify_brion,
     verify_cone_reciprocity,
     verify_macdonald,
@@ -197,9 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = command("conjecture", [poly, damped], "discrete volume at t = 0")
     sp.add_argument("--tolerance", type=float, default=1e-3)
 
-    sp = command("triangle-example", [damped], "sqrt(3)-triangle fixture report")
-    sp.add_argument("--t", default="0.5,1.0,1.5", help="comma-separated dilations")
-
     sp = command("oracle", [poly, mc], "brute-force discrete volume")
     sp.add_argument("--t", required=True, type=float)
     sp.add_argument("--keep-weights", action="store_true")
@@ -297,14 +293,6 @@ def _cmd_conjecture(args) -> int:
     return 0 if passed else 1
 
 
-def _cmd_triangle_example(args) -> int:
-    t_values = tuple(float(v) for v in args.t.split(","))
-    report = triangle_example(t_values, cfg=_cfg_from_args(args))
-    _emit(args, report)
-    ok = report["determinants_pass"] and report["volumes_pass"] and report["curvature_check"]["pass"]
-    return 0 if ok else 1
-
-
 def _cmd_oracle(args) -> int:
     result = discrete_volume(_load(args), args.t, p=args.p, n_samples=args.samples,
                              seed=args.seed, keep_weights=args.keep_weights)
@@ -322,7 +310,6 @@ _COMMANDS = {
     "verify-macdonald": _cmd_verify_macdonald,
     "brianchon-gram": _cmd_brianchon_gram,
     "conjecture": _cmd_conjecture,
-    "triangle-example": _cmd_triangle_example,
     "oracle": _cmd_oracle,
 }
 

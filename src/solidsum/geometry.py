@@ -581,14 +581,6 @@ def vertex_simple_cones(P: Polytope, v_index: int) -> tuple:
     return P._vertex_cones[v_index]
 
 
-def normalize_generator(w) -> np.ndarray:
-    """Canonical scaling: divide by the smallest nonzero |coordinate|."""
-    w = np.asarray(w, dtype=float)
-    mags = np.abs(w)
-    nz = mags[mags > 1e-12 * max(mags.max(), 1.0)]
-    return w / nz.min()
-
-
 # ----------------------------- lattice points ------------------------------
 
 def lattice_points(P: Polytope, t: float) -> np.ndarray:

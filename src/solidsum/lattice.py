@@ -202,6 +202,8 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
     summed r_n, n >= 1, do not cancel (a cone list whose sum is not entire
     there), or for a direction with some |<w_j, x>| <= POLE_GUARD."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
+    if not np.isfinite(s).all():
+        raise ValueError("s must be finite")
     d = s.size
     x = None if direction is None else tuple(float(v) for v in direction)
     if x is not None and len(x) != d:
@@ -377,6 +379,8 @@ def alpha_polytope_direct(P: Polytope, s, p: float = 2.0,
     sampled weights only.  The ground truth for the Brion identity's
     polytope side."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
+    if not np.isfinite(s).all():
+        raise ValueError("s must be finite")
     pts, weights, std_errors = lattice_weights(P, 1.0, p=p, n_samples=n_samples, seed=seed)
     phases = np.exp(TWO_PI_I * (pts @ s))
     total = np.sum(weights * phases)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angles import mc_cone_angle, solid_angle_exact_2d, solid_angle_exact_2d_l1, wedge_angle
+from .errors import DimensionMismatch
 from .geometry import BOUNDARY_TOL, Polytope, half_spaces, lattice_points, vertex_simple_cones
 
 
@@ -75,10 +76,21 @@ def point_weight(P: Polytope, t: float, m, p: float = 2.0, n_samples: int = 20_0
     read off the incidence table, and its angle is exact for p in {1, 2}.
     Every other corner gets the Monte Carlo angle of ``angles.mc_cone_angle``,
     from one chunk seeded by ``seed`` and the point.
+
+    Raises ValueError for a non-finite or negative t or a non-finite point,
+    and DimensionMismatch for a point of the wrong length.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    if t < 0:
+        raise ValueError(f"dilation must be >= 0, got {t}")
     m = np.asarray(m, dtype=float)
+    if m.shape != (P.dim,):
+        raise DimensionMismatch(f"point has shape {m.shape}, expected ({P.dim},)")
+    if not np.isfinite(m).all():
+        raise ValueError("point must be finite")
     (w,), (tight,), A = _classify(P, t, m[None, :], p)
     if not np.isnan(w):
         return float(w), 0.0

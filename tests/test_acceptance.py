@@ -27,9 +27,16 @@ def _report(num, ok, detail):
     assert ok, detail
 
 
-def test_criterion_01_triangle_determinants():
-    rep = ss.triangle_example(t_values=())
-    errs = rep["determinant_errors"]
+def test_criterion_01_triangle_determinants(triangle):
+    # canonical scaling: each tangent-cone generator is divided by its
+    # smallest nonzero |coordinate|
+    dets = []
+    for i in range(3):
+        G = ss.vertex_tangent_cone(triangle, i).generators
+        mags = np.abs(G)
+        nz = np.where(mags > 1e-12 * np.maximum(mags.max(axis=1, keepdims=True), 1.0), mags, np.inf)
+        dets.append(abs(np.linalg.det(G / nz.min(axis=1, keepdims=True))))
+    errs = [abs(a - b) for a, b in zip(dets, (1.0, SQRT3, 1.0))]
     _report(1, max(errs) < 1e-12,
             f"triangle determinants (1, sqrt3, 1), max err {max(errs):.2e}")
 

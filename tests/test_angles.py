@@ -212,6 +212,13 @@ def test_sample_count_must_be_positive(quadrant, estimator, n):
         estimator(quadrant, [0, 0], n_samples=n)
 
 
+@pytest.mark.parametrize("x", [(math.nan, 0.0), (0.0, math.inf)])
+@pytest.mark.parametrize("estimator", [ss.solid_angle_mc, ss.solid_angle_gaussian])
+def test_non_finite_point(quadrant, estimator, x):
+    with pytest.raises(ValueError, match="x must be finite"):
+        estimator(quadrant, x)
+
+
 class TestSoftIndicator:
     def test_cone_apex_eps_free(self, quadrant):
         # scale invariance makes the finite-eps value exact at the apex

@@ -1,14 +1,11 @@
 import argparse
 import json
-import math
 
 import numpy as np
 import pytest
 
 from solidsum import cli
 from solidsum.cli import parse_complex_vector, run
-
-SQRT3 = math.sqrt(3.0)
 
 
 @pytest.fixture
@@ -59,12 +56,11 @@ def test_verify_brion_exit_codes(triangle_path, tmp_path):
     assert code == 1
 
 
-def test_triangle_example_command(tmp_path):
-    out = tmp_path / "tri.json"
-    assert run(["triangle-example", "--t", "0.5,1.0", "--output", str(out)]) == 0
-    data = json.loads(out.read_text())
-    assert np.allclose(data["determinants"], [1.0, SQRT3, 1.0], atol=1e-12)
-    assert data["volumes_pass"] and data["curvature_check"]["pass"]
+def test_retired_triangle_example_is_an_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["triangle-example"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'triangle-example'" in capsys.readouterr().err
 
 
 def test_macdonald_series_csv_matches_single_runs(square_path, tmp_path):
@@ -140,6 +136,8 @@ def test_non_finite_t_exits_two(square_path, t, capsys):
 def test_input_errors_exit_two(square_path):
     assert run(["oracle", "--polytope", "no-such-file.json", "--t", "1"]) == 2
     assert run(["alpha", "--polytope", square_path, "--s", "bogus"]) == 2
+    assert run(["alpha", "--polytope", square_path, "--s", "nan,0.1"]) == 2
+    assert run(["solid-angle", "--polytope", square_path, "--x", "nan,0"]) == 2
     assert run(["macdonald-series", "--polytope", square_path]) == 2
 
 
@@ -174,7 +172,6 @@ def test_every_registered_flag_is_read(square_path, triangle_path, tmp_path):
         "verify-macdonald": ["--polytope", triangle_path, "--t", "1.37", "--s", s2],
         "brianchon-gram": ["--polytope", square_path, "--n-points", "10"],
         "conjecture": ["--polytope", triangle_path],
-        "triangle-example": ["--t", "0.5"],
         "oracle": ["--polytope", square_path, "--t", "2"],
     }
     parser = cli.build_parser()

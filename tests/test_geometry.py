@@ -11,7 +11,7 @@ from scipy.spatial import ConvexHull
 
 import solidsum as ss
 from conftest import cross_polytope, unit_cube
-from solidsum.geometry import BOUNDARY_TOL, body_half_spaces, edges, half_spaces, normalize_generator
+from solidsum.geometry import BOUNDARY_TOL, body_half_spaces, edges, half_spaces
 
 SQRT3 = math.sqrt(3.0)
 
@@ -96,14 +96,6 @@ class TestTangentCones:
                 ss.vertex_tangent_cone(triangle, i)
             with pytest.raises(ss.BadIndex):
                 ss.vertex_simple_cones(triangle, i)
-
-    def test_canonical_determinants(self, triangle):
-        dets = []
-        for i in range(3):
-            c = ss.vertex_tangent_cone(triangle, i)
-            G = np.array([normalize_generator(w) for w in c.generators])
-            dets.append(abs(np.linalg.det(G)))
-        assert np.allclose(dets, [1.0, SQRT3, 1.0], atol=1e-12)
 
 
 class TestTriangulateCone:

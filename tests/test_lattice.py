@@ -172,6 +172,11 @@ ENGINE_CASES = {
 
 
 class TestLevelsEngine:
+    @pytest.mark.parametrize("s", [(math.nan, 0.1), (0.3, complex(0.2, -math.inf))])
+    def test_non_finite_s(self, quadrant_terms, s):
+        with pytest.raises(ValueError, match="s must be finite"):
+            damped_transform_levels(quadrant_terms, np.array(s, dtype=complex), ss.DampedSumConfig())
+
     @pytest.mark.parametrize("case", list(ENGINE_CASES))
     def test_matches_per_level_reference(self, case, monkeypatch):
         name, cfg_kw, chunk_limit, s = ENGINE_CASES[case]
@@ -477,6 +482,11 @@ class TestAlphaPolytopeDirect:
         closed = (0.25 + (1 / 6) * np.exp(2j * math.pi * s[1])
                   + 0.5 * np.exp(2j * math.pi * s[0]))
         assert abs(est.value - closed) < 1e-12
+
+    @pytest.mark.parametrize("s", [(math.nan, 0.1), (0.3, complex(0.2, math.inf))])
+    def test_non_finite_s(self, triangle, s):
+        with pytest.raises(ValueError, match="s must be finite"):
+            ss.alpha_polytope_direct(triangle, np.array(s, dtype=complex))
 
     def test_no_lattice_points(self):
         P = ss.load_polytope(2, [(0.1, 0.1), (0.9, 0.1), (0.9, 0.9), (0.1, 0.9)])

@@ -26,6 +26,17 @@ def test_non_finite_dilation(square, t, monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("s", [(math.nan, 0.1), (0.31, complex(0.22, math.inf))])
+def test_non_finite_s(triangle, quadrant, s):
+    s = np.array(s, dtype=complex)
+    calls = [lambda: ss.macdonald_sum(triangle, 1.0, s), lambda: ss.verify_brion(triangle, s),
+             lambda: ss.verify_macdonald(triangle, 1.37, s),
+             lambda: ss.verify_cone_reciprocity(quadrant, np.zeros(2), s)]
+    for call in calls:
+        with pytest.raises(ValueError, match="s must be finite"):
+            call()
+
+
 class TestMacdonaldSum:
     def test_square_unit_dilation_matches_alpha(self, square):
         s = np.array([0.3j, 0.4j])
@@ -511,15 +522,3 @@ class TestVertexConesBuiltOnce:
             assert sorted(apexes) == sorted(map(tuple, P.vertices))
             assert abs(est.value - want) <= est.error
             assert ss.vertex_simple_cones(P, 0) is ss.vertex_simple_cones(P, 0)
-
-
-class TestTriangleExample:
-    def test_full_report(self):
-        rep = ss.triangle_example((0.5, 1.0))
-        assert rep["determinants_pass"]
-        assert np.allclose(rep["determinants"], [1.0, SQRT3, 1.0], atol=1e-12)
-        assert rep["volumes_pass"]
-        cc = rep["curvature_check"]
-        assert cc["pass"]
-        # combined numerator/denominator really factor the vertex-cone sum
-        assert cc["factor_consistency_gap"] < 1e-12

@@ -41,6 +41,24 @@ class TestDiscreteVolume:
         with pytest.raises(ValueError, match="t must be finite"):
             ss.discrete_volume(square, t)
 
+    @pytest.mark.parametrize("t, match", [(math.nan, "t must be finite"), (math.inf, "t must be finite"),
+                                          (-1.0, "dilation must be >= 0")])
+    @pytest.mark.parametrize("m", [(-0.5, -0.2), (0.0, 0.0)])
+    def test_point_weight_bad_dilation(self, triangle, t, match, m):
+        # both points lie in (-1)*P, where the facet test A m <= t b is not t*P
+        with pytest.raises(ValueError, match=match):
+            ss.point_weight(triangle, t, m)
+
+    @pytest.mark.parametrize("m", [(math.nan, 0.2), (0.5, -math.inf)])
+    def test_point_weight_non_finite_point(self, triangle, m):
+        with pytest.raises(ValueError, match="point must be finite"):
+            ss.point_weight(triangle, 1.0, m)
+
+    @pytest.mark.parametrize("m", [(0.0, 0.0, 0.0), (0.0,)])
+    def test_point_weight_wrong_length(self, triangle, m):
+        with pytest.raises(ss.DimensionMismatch):
+            ss.point_weight(triangle, 1.0, m)
+
     def test_triangle_at_one(self, triangle):
         res = ss.discrete_volume(triangle, 1.0, keep_weights=True)
         assert res.value == pytest.approx(11.0 / 12.0, abs=1e-12)

@@ -19,6 +19,8 @@ CLI_LINES = [line for block in re.findall(r"```bash\n(.*?)```", TEXT, flags=re.S
 # as pip's, only appear inside code blocks)
 PROSE = re.sub(r"```.*?```", "", TEXT, flags=re.S)
 FLAGS = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", PROSE + "\n".join(CLI_LINES)))
+# the "Subcommands:" bullets, each naming its commands before its dash
+BULLETS = re.search(r"\nSubcommands:\n\n(.*?)\n\n", TEXT, flags=re.S).group(1).split("\n- ")
 
 
 def test_readme_has_python_blocks():
@@ -53,3 +55,8 @@ def test_named_flags_are_registered():
                   for action in sub._actions for opt in action.option_strings}
     assert FLAGS
     assert FLAGS - registered == set()
+
+
+def test_subcommand_bullets_name_the_registered_commands():
+    named = [name for bullet in BULLETS for name in re.findall(r"`([a-z-]+)`", bullet.split(" — ")[0])]
+    assert sorted(named) == sorted(_subparsers(cli.build_parser()))

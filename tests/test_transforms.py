@@ -135,11 +135,9 @@ class TestPhiHat:
     (lambda **kw: ss.solid_angle_gaussian(ss.simple_cone([0, 0], np.eye(2)), [0, 0], **kw),
      {"eps_schedule": (0.5, 0.25)}),
     (lambda **kw: ss.solid_angle_mc(ss.simple_cone([0, 0], np.eye(2)), [0, 0], **kw), {"epsilon": 0.5}),
-    (ss.triangle_example, {"oracle_samples": 100}),
     (lambda **kw: ss.discrete_volume(ss.sqrt3_triangle(), 1.0, **kw), {"method": "mc"}),
     (lambda **kw: ss.point_weight(ss.sqrt3_triangle(), 1.0, (0, 0), **kw), {"method": "mc"}),
-], ids=["quad_halfwidth", "quad_points", "eps_schedule", "epsilon", "oracle_samples",
-        "discrete_volume_method", "point_weight_method"])
+], ids=["quad_halfwidth", "quad_points", "eps_schedule", "epsilon", "discrete_volume_method", "point_weight_method"])
 def test_removed_keywords_are_type_errors(func, kwargs):
     with pytest.raises(TypeError):
         func(**kwargs)
