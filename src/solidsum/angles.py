@@ -29,7 +29,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BadEpsilon, DegenerateCone, UnsupportedDimension
+from .errors import BadEpsilon, DegenerateCone, DimensionMismatch, UnsupportedDimension
 from .geometry import BOUNDARY_TOL, SimpleCone, body_half_spaces
 from .numerics import gauss_legendre_cells
 from .transforms import clip_cutoff, mass_one_constant
@@ -106,10 +106,12 @@ def solid_angle_mc(body, x, p: float = 2.0, n_samples: int = 100_000,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    A, b = body_half_spaces(body)
     x = np.asarray(x, dtype=float)
+    if x.shape != (A.shape[1],):
+        raise DimensionMismatch(f"point has shape {x.shape}, expected ({A.shape[1]},)")
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
-    A, b = body_half_spaces(body)
     slack = b - A @ x
     if np.min(slack) < -BOUNDARY_TOL:
         return SolidAngleEstimate(0.0, 1.0 / n_samples)
@@ -201,6 +203,8 @@ def solid_angle_gaussian(cone: SimpleCone, x, p: float = 2.0, n_samples: int = 1
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     x = np.asarray(x, dtype=float)
+    if x.shape != (cone.dim,):
+        raise DimensionMismatch(f"point has shape {x.shape}, expected ({cone.dim},)")
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     c = mass_one_constant(p)
@@ -254,7 +258,8 @@ def soft_indicator(body, x, p: float, eps: float) -> float:
     edges (``_envelopes``) is integrated over u_0 on Gauss-Legendre cells
     that end at the corners, where an edge meets u_1 = 0 (the CDF's kink),
     and at 0, toward which they shrink geometrically (the density's |u|^p
-    kink); elsewhere they are 0.7 (eps/c)^(1/p) wide.
+    kink); elsewhere they are 0.7 (eps/c)^(1/p) wide at p = 2 and a quarter
+    of that at any other p, whose density is less smooth.
     """
     if eps <= 0:
         raise BadEpsilon(f"eps must be positive, got {eps}")
@@ -272,7 +277,7 @@ def soft_indicator(body, x, p: float, eps: float) -> float:
         if len(corners) == 0:
             return 0.0
         lo, hi = np.min(corners[:, 0]), np.max(corners[:, 0])
-        h = 0.7 * (eps / c) ** (1.0 / p)
+        h = (0.7 if p == 2.0 else 0.175) * (eps / c) ** (1.0 / p)
         graded = h * 0.5 ** np.arange(46)  # toward the density's |u|^p kink at 0
         crossings = b[A[:, 0] != 0] / A[A[:, 0] != 0, 0]  # the CDF's kink, where an edge meets u_1 = 0
         bounds = np.concatenate([corners[:, 0], [0.0], graded, -graded, crossings, np.arange(lo, hi, h)])

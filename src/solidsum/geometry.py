@@ -18,11 +18,10 @@ extreme rays, and a pulling triangulation is read off that incidence table.
 The same facets are the cone's H-representation (``body_half_spaces``),
 cached on the cone.
 
-The hull is built per dimension, in numpy: the two end points in 1-D,
-Andrew's monotone chain in 2-D, and in dim >= 3 the facet expansion of
-Quickhull around an exact enumeration of the facets of a growing set of
-hull points (``_facet_hull``).  Building a hull therefore loads no scipy
-module; scipy is imported, on first use, only by the pointedness LP
+Every hull, in every dimension from 1 up, is built in numpy by one routine
+(``_hull``): the facet expansion of Quickhull around an exact enumeration of
+the facets of a growing set of hull points.  Building a hull therefore loads
+no scipy module; scipy is imported, on first use, only by the pointedness LP
 fallback (``_pointing_direction``) and the soft-indicator CDF
 (``angles._lp_cdf``).
 """
@@ -221,19 +220,9 @@ def _affine_rank(V: np.ndarray) -> int:
 
 
 def _hull(V: np.ndarray) -> tuple:
-    """Convex hull of the rows of V: the ascending indices of its extreme
-    points, and its facet inequalities A x <= b with unit rows of A."""
-    d = V.shape[1]
-    if d == 1:
-        lo, hi = int(np.argmin(V[:, 0])), int(np.argmax(V[:, 0]))
-        return sorted({lo, hi}), np.array([[-1.0], [1.0]]), np.array([-V[lo, 0], V[hi, 0]])
-    if d == 2:
-        return _polygon_hull(V)
-    return _facet_hull(V)
-
-
-def _facet_hull(V: np.ndarray) -> tuple:
-    """Hull in dim d >= 3 by the facet expansion of Quickhull (Barber,
+    """Convex hull of the rows of V in any dimension d >= 1: the ascending
+    indices of its extreme points, and its facet inequalities A x <= b with
+    unit rows of A.  Built by the facet expansion of Quickhull (Barber,
     Dobkin and Huhdanpaa, ACM TOMS 22, 1996) around an exact facet
     enumeration.
 
@@ -280,7 +269,7 @@ def _support_planes(X: np.ndarray, new: int) -> tuple:
     unit normals A and offsets b.  A plane's normal is the generalized cross
     product of its rows' differences (``_cofactors``); a set of rows whose
     normal is shorter than DET_RTOL times the product of the differences'
-    lengths spans no plane."""
+    lengths spans no plane.  In 1-D a plane is one row, with normal [1]."""
     k, d = X.shape
     sets = np.array([(*c, j) for j in range(new, k) for c in combinations(range(j), d - 1)],
                     dtype=int).reshape(-1, d)
@@ -311,43 +300,13 @@ def _cofactors(D: np.ndarray) -> np.ndarray:
 
 def _det(M: np.ndarray) -> np.ndarray:
     """Determinants of a stack of square matrices by cofactor expansion
-    along the first row, exact on small integer entries."""
+    along the first row, exact on small integer entries.  The expansion
+    ends at the 0x0 matrix, whose determinant is 1, so a 1x1 matrix gives
+    its entry and ``_cofactors`` of no rows gives the normal [1]."""
     m = M.shape[-1]
-    if m == 1:
-        return M[..., 0, 0]
+    if m == 0:
+        return np.ones(M.shape[:-2])
     return sum((-1) ** j * M[..., 0, j] * _det(np.delete(M[..., 1:, :], j, axis=-1)) for j in range(m))
-
-
-def _polygon_hull(V: np.ndarray) -> tuple:
-    """Andrew's monotone chain over the distinct points, sorted by (x, y).
-
-    A point within BOUNDARY_TOL of the chord between its hull neighbours is
-    not extreme; among exact duplicates the lowest index is kept.  The facet
-    rows are the outward unit normals of the counterclockwise edges.
-    """
-    pts, first = np.unique(V, axis=0, return_index=True)
-    xy = pts.tolist()
-
-    def chain(order) -> list:
-        out = []
-        for i in order:
-            while len(out) >= 2:
-                (ax, ay), (bx, by), (cx, cy) = xy[out[-2]], xy[out[-1]], xy[i]
-                cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-                if cross > BOUNDARY_TOL * math.hypot(cx - ax, cy - ay):
-                    break
-                out.pop()
-            out.append(i)
-        return out[:-1]
-
-    n = len(pts)
-    ring = chain(range(n)) + chain(range(n - 1, -1, -1))  # counterclockwise
-    if len(ring) < 3:
-        raise DegenerateInput("convex hull failed: the points are collinear")
-    corners = pts[ring]
-    E = np.roll(corners, -1, axis=0) - corners
-    A = np.stack([E[:, 1], -E[:, 0]], axis=1) / np.hypot(E[:, 0], E[:, 1])[:, None]
-    return sorted(int(i) for i in first[ring]), A, np.einsum("ij,ij->i", A, corners)
 
 
 _COORD_FORMS = "number, decimal string, 'a/b', or 'sqrt(k)'"

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angles import soft_indicator
-from .errors import ConvergenceDomain, PoleHit
+from .errors import ConvergenceDomain, DimensionMismatch, PoleHit
 from .geometry import Polytope, SimpleCone, body_half_spaces
 from .numerics import Estimate
 from .oracle import lattice_weights
@@ -379,6 +379,8 @@ def alpha_polytope_direct(P: Polytope, s, p: float = 2.0,
     sampled weights only.  The ground truth for the Brion identity's
     polytope side."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
+    if s.shape != (P.dim,):
+        raise DimensionMismatch(f"s has shape {s.shape}, expected ({P.dim},)")
     if not np.isfinite(s).all():
         raise ValueError("s must be finite")
     pts, weights, std_errors = lattice_weights(P, 1.0, p=p, n_samples=n_samples, seed=seed)

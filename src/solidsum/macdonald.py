@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ImaginaryResidue, PoleHit
+from .errors import DimensionMismatch, ImaginaryResidue, PoleHit
 from .geometry import (
     Polytope,
     SimpleCone,
@@ -167,6 +167,8 @@ def verify_cone_reciprocity(cone: SimpleCone, shift, s, cfg: DampedSumConfig | N
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     d = cone.dim
     shift = np.asarray(shift, dtype=float)
+    if shift.shape != (d,):
+        raise DimensionMismatch(f"shift has shape {shift.shape}, expected ({d},)")
     sign = (-1.0) ** d
     plus = [cone.shifted(cone.apex + shift)]
     minus = [cone.shifted(cone.apex - shift)]

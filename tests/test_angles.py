@@ -219,6 +219,47 @@ def test_non_finite_point(quadrant, estimator, x):
         estimator(quadrant, x)
 
 
+@pytest.mark.parametrize("x", [(0.5, 0.5, 0.5), (0.5,)])
+@pytest.mark.parametrize("estimator, body", [(ss.solid_angle_mc, "square"), (ss.solid_angle_mc, "quadrant"),
+                                             (ss.solid_angle_gaussian, "quadrant")])
+def test_wrong_length_point(estimator, body, x, request):
+    with pytest.raises(ss.DimensionMismatch, match=rf"point has shape \({len(x)},\), expected \(2,\)"):
+        estimator(request.getfixturevalue(body), x)
+
+
+def _nested_quad(V, x, p, eps):
+    """(1_P * phi_eps)(x) for the convex polygon with vertices V, in cyclic
+    order, by nested adaptive quadrature with breaks at the vertices, at x_0
+    and where an edge crosses u_1 = x_1."""
+    from scipy.integrate import quad
+    edges = list(zip(V, np.roll(V, -1, axis=0)))
+    c = (2 * math.gamma(1 / p + 1)) ** p
+    f = lambda u: eps ** (-1 / p) * math.exp(-(c / eps) * abs(u) ** p)
+    width = (50 * eps / c) ** (1 / p)  # the density is below e^-50 beyond it
+
+    def span(t):
+        ys = [q0[1] + (q1[1] - q0[1]) * (t - q0[0]) / (q1[0] - q0[0])
+              for q0, q1 in edges if min(q0[0], q1[0]) <= t <= max(q0[0], q1[0]) and q0[0] != q1[0]]
+        return min(ys), max(ys)
+
+    def inner(t):
+        lo, hi = span(t)
+        lo, hi = max(lo, x[1] - width), min(hi, x[1] + width)
+        if lo >= hi:
+            return 0.0
+        pts = [x[1]] if lo < x[1] < hi else None
+        return quad(lambda y: f(y - x[1]), lo, hi, points=pts, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+    a, b = max(V[:, 0].min(), x[0] - width), min(V[:, 0].max(), x[0] + width)
+    if a >= b:
+        return 0.0
+    kinks = [q0[0] + (q1[0] - q0[0]) * (x[1] - q0[1]) / (q1[1] - q0[1])
+             for q0, q1 in edges if (q0[1] - x[1]) * (q1[1] - x[1]) < 0]
+    pts = [v for v in [*V[:, 0], x[0], *kinks] if a < v < b]
+    return quad(lambda t: f(t - x[0]) * inner(t), a, b, points=pts or None,
+                epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+
+
 class TestSoftIndicator:
     def test_cone_apex_eps_free(self, quadrant):
         # scale invariance makes the finite-eps value exact at the apex
@@ -252,42 +293,24 @@ class TestSoftIndicator:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0])
     def test_matches_nested_quad_on_a_polygon(self, p):
-        # an irregular polygon with a vertical facet, against nested adaptive
-        # quadrature with breaks at the vertices, at x_0 and where an edge
-        # crosses u_1 = x_1
-        from scipy.integrate import quad
+        # an irregular polygon with a vertical facet
         V = np.array([(0, 0), (1.3, -0.2), (1.3, 0.9), (0.4, 1.6), (-0.5, 0.7)], dtype=float)
         P = ss.load_polytope(2, V)
-        edges = list(zip(V, np.roll(V, -1, axis=0)))
-        c = (2 * math.gamma(1 / p + 1)) ** p
-
-        def span(t):
-            ys = [q0[1] + (q1[1] - q0[1]) * (t - q0[0]) / (q1[0] - q0[0])
-                  for q0, q1 in edges if min(q0[0], q1[0]) <= t <= max(q0[0], q1[0]) and q0[0] != q1[0]]
-            return min(ys), max(ys)
-
         for eps in (0.5, 0.05, 0.005):
-            f = lambda u: eps ** (-1 / p) * math.exp(-(c / eps) * abs(u) ** p)
-            width = (50 * eps / c) ** (1 / p)  # the density is below e^-50 beyond it
             for x in [(0.5, 0.6), (1.3, 0.3), (0.4, 1.6), (1.5, 1.2)]:
-                def inner(t):
-                    lo, hi = span(t)
-                    lo, hi = max(lo, x[1] - width), min(hi, x[1] + width)
-                    if lo >= hi:
-                        return 0.0
-                    pts = [x[1]] if lo < x[1] < hi else None
-                    return quad(lambda y: f(y - x[1]), lo, hi, points=pts,
-                                epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+                assert ss.soft_indicator(P, list(x), p, eps) == pytest.approx(_nested_quad(V, x, p, eps),
+                                                                              abs=1e-10), (eps, x)
 
-                a, b = max(V[:, 0].min(), x[0] - width), min(V[:, 0].max(), x[0] + width)
-                want = 0.0
-                if a < b:
-                    kinks = [q0[0] + (q1[0] - q0[0]) * (x[1] - q0[1]) / (q1[1] - q0[1])
-                             for q0, q1 in edges if (q0[1] - x[1]) * (q1[1] - x[1]) < 0]
-                    pts = [v for v in [*V[:, 0], x[0], *kinks] if a < v < b]
-                    want = quad(lambda t: f(t - x[0]) * inner(t), a, b, points=pts or None,
-                                epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-                assert ss.soft_indicator(P, list(x), p, eps) == pytest.approx(want, abs=1e-10), (eps, x)
+    @pytest.mark.parametrize("V, x, eps", [
+        ([(0.2, 0.3), (0.1, -0.9), (-0.7, 0.1)], (0.0, -0.6), 0.02),
+        ([(0.8, 0.6), (-0.3, 0.2), (-0.2, -0.8)], (-0.5, -0.7), 0.05),
+    ])
+    def test_p3_cells_within_1e_12(self, V, x, eps):
+        # at p != 2 the uniform cells are a quarter as wide as at p = 2;
+        # cells as wide as at p = 2 miss by 8.0e-12 and 2.4e-12 here
+        V = np.array(V, dtype=float)
+        got = ss.soft_indicator(ss.load_polytope(2, V), list(x), 3.0, eps)
+        assert got == pytest.approx(_nested_quad(V, x, 3.0, eps), abs=1e-12)
 
     def test_bad_eps(self, square):
         with pytest.raises(ss.BadEpsilon):

@@ -141,6 +141,11 @@ def test_input_errors_exit_two(square_path):
     assert run(["macdonald-series", "--polytope", square_path]) == 2
 
 
+def test_wrong_length_s_exits_two(square_path, capsys):
+    assert run(["alpha", "--polytope", square_path, "--s", "0.1,0.2,0.3"]) == 2
+    assert "s has shape (3,), expected (2,)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_sample_count_must_be_positive(samples, tmp_path, capsys):
     tet = tmp_path / "tet.json"

@@ -512,6 +512,35 @@ class TestPolygonHull:
         assert P.n_vertices == 3
 
 
+class TestSegmentHull:
+    def test_end_points(self):
+        from solidsum.geometry import _hull
+        rng = np.random.default_rng(20261020)
+        for trial in range(300):
+            n = int(rng.integers(2, 20))
+            if trial % 2:
+                V = rng.integers(-4, 5, size=(n, 1)).astype(float)
+            else:
+                V = rng.normal(size=(n, 1))
+                V = np.vstack([V, V[rng.integers(0, n, size=int(rng.integers(1, 5)))]])
+                V = V[rng.permutation(len(V))]
+            V *= 10.0 ** rng.uniform(-1.0, 2.0)
+            x = V[:, 0]
+            if x.min() == x.max():
+                continue
+            keep, A, b = _hull(V)
+            # the lowest index of each end point, ascending
+            assert keep == sorted([int(np.argmin(x)), int(np.argmax(x))]), trial
+            assert A.tolist() == [[-1.0], [1.0]], trial
+            assert b.tolist() == [-x.min(), x.max()], trial
+
+    @pytest.mark.parametrize("t", [1.0, 2.5, 7.3, 150.25])
+    def test_irrational_segment_count(self, t):
+        P = ss.load_polytope(1, [(math.pi,), (-math.sqrt(2.0),)])
+        count = math.floor(t * math.pi) - math.ceil(-t * math.sqrt(2.0)) + 1
+        assert ss.discrete_volume(P, t).value == count
+
+
 def _solid_cloud(rng, d: int, kind: int) -> np.ndarray:
     """A random cloud in dimension d: Gaussian (interior points), integer
     grid (coplanar boundary points, repeats), on the unit sphere (every

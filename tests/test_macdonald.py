@@ -37,6 +37,12 @@ def test_non_finite_s(triangle, quadrant, s):
             call()
 
 
+@pytest.mark.parametrize("shift", [(0.1, 0.2, 0.3), (0.1,)])
+def test_wrong_length_shift(quadrant, shift):
+    with pytest.raises(ss.DimensionMismatch, match=rf"shift has shape \({len(shift)},\), expected \(2,\)"):
+        ss.verify_cone_reciprocity(quadrant, shift, np.array([0.31 + 0.12j, 0.22 - 0.07j]))
+
+
 class TestMacdonaldSum:
     def test_square_unit_dilation_matches_alpha(self, square):
         s = np.array([0.3j, 0.4j])
