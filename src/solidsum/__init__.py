@@ -20,7 +20,6 @@ from .errors import (
     DegenerateCone,
     DegenerateInput,
     DimensionMismatch,
-    ImaginaryResidue,
     NonConvergent,
     NotPointed,
     PoleHit,

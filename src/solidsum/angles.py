@@ -263,26 +263,27 @@ def soft_indicator(body, x, p: float, eps: float) -> float:
     """
     if eps <= 0:
         raise BadEpsilon(f"eps must be positive, got {eps}")
+    A, b = body_half_spaces(body)
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (A.shape[1],):
+        raise DimensionMismatch(f"point has shape {x.shape}, expected ({A.shape[1]},)")
+    if x.size > 2:
+        raise UnsupportedDimension("soft_indicator quadrature supports dim <= 2")
     c = mass_one_constant(p)
     if x.size == 1:
-        A, b = body_half_spaces(body)
         hi = np.min(b[A[:, 0] > 0], initial=np.inf)
         lo = np.max(-b[A[:, 0] < 0], initial=-np.inf)
         return float(_lp_cdf(hi - x[0], p, c, eps) - _lp_cdf(lo - x[0], p, c, eps))
-    if x.size == 2:
-        A, b = body_half_spaces(body)
-        A, b = np.vstack([A, _BOX_ROWS]), np.concatenate([b - A @ x, np.full(4, clip_cutoff(p, c, eps))])
-        corners = _corners(A, b)
-        if len(corners) == 0:
-            return 0.0
-        lo, hi = np.min(corners[:, 0]), np.max(corners[:, 0])
-        h = (0.7 if p == 2.0 else 0.175) * (eps / c) ** (1.0 / p)
-        graded = h * 0.5 ** np.arange(46)  # toward the density's |u|^p kink at 0
-        crossings = b[A[:, 0] != 0] / A[A[:, 0] != 0, 0]  # the CDF's kink, where an edge meets u_1 = 0
-        bounds = np.concatenate([corners[:, 0], [0.0], graded, -graded, crossings, np.arange(lo, hi, h)])
-        u, w = gauss_legendre_cells(np.unique(np.clip(bounds, lo, hi)))
-        below, above = _envelopes(A, b, u)
-        density = eps ** (-1.0 / p) * np.exp(-(c / eps) * np.abs(u) ** p)
-        return float(w @ (density * (_lp_cdf(above, p, c, eps) - _lp_cdf(below, p, c, eps))))
-    raise UnsupportedDimension("soft_indicator quadrature supports dim <= 2")
+    A, b = np.vstack([A, _BOX_ROWS]), np.concatenate([b - A @ x, np.full(4, clip_cutoff(p, c, eps))])
+    corners = _corners(A, b)
+    if len(corners) == 0:
+        return 0.0
+    lo, hi = np.min(corners[:, 0]), np.max(corners[:, 0])
+    h = (0.7 if p == 2.0 else 0.175) * (eps / c) ** (1.0 / p)
+    graded = h * 0.5 ** np.arange(46)  # toward the density's |u|^p kink at 0
+    crossings = b[A[:, 0] != 0] / A[A[:, 0] != 0, 0]  # the CDF's kink, where an edge meets u_1 = 0
+    bounds = np.concatenate([corners[:, 0], [0.0], graded, -graded, crossings, np.arange(lo, hi, h)])
+    u, w = gauss_legendre_cells(np.unique(np.clip(bounds, lo, hi)))
+    below, above = _envelopes(A, b, u)
+    density = eps ** (-1.0 / p) * np.exp(-(c / eps) * np.abs(u) ** p)
+    return float(w @ (density * (_lp_cdf(above, p, c, eps) - _lp_cdf(below, p, c, eps))))

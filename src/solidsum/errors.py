@@ -50,7 +50,3 @@ class ConvergenceDomain(SolidSumError):
 
 class NonConvergent(SolidSumError):
     pass
-
-
-class ImaginaryResidue(SolidSumError):
-    pass

@@ -1,16 +1,15 @@
 """Polytopes, vertex tangent cones, cone triangulation, faces, lattice points.
 
-Polytopes are stored by their vertices (V-representation).  Each polytope
-builds its convex hull at most once and keeps from it only the facet
-inequalities (H-representation) and the vertex-facet incidence table; faces
-(the facets' vertex sets closed under intersection), edges and face tangent
-cones are all read off that table, in any dimension.  ``load_polytope``
-builds the hull while it selects the extreme points, and the loaded polytope
-starts with that hull's inequalities; any other polytope (a dilate, say)
-builds its own on first use.  The inequalities, the table, the faces and the
-triangulated vertex cones are cached on the polytope, the arrays read-only
-and the rest as tuples.  All objects are otherwise immutable after
-construction and every operation is a pure function.
+Polytopes are stored by their vertices (V-representation) together with
+their facet inequalities (H-representation) and the vertex-facet incidence
+table, all three filled at construction.  ``load_polytope`` reads the facets
+off the hull it builds while it selects the extreme points, so each loaded
+polytope builds one hull; ``dilate`` scales that table instead of building
+another.  Faces (the facets' vertex sets closed under intersection), edges
+and face tangent cones are all read off the table, in any dimension.  The
+faces and the triangulated vertex cones are cached on the polytope as
+tuples, and its arrays are read-only.  All objects are otherwise immutable
+after construction and every operation is a pure function.
 
 A non-simple cone is triangulated the same way in every dimension: the hull
 of the origin and its generators cut by a plane gives the cone's facets and
@@ -31,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 
@@ -67,10 +66,17 @@ def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Polytope:
-    """Full-dimensional convex polytope given by its extreme points."""
+    """Full-dimensional convex polytope: its extreme points, its facet
+    inequalities ``A x <= b`` with unit rows of A, and the incidence table,
+    ``incidence[i, f]`` true when vertex i lies on facet f.  Build one with
+    ``load_polytope``, ``polytope_from_json`` or ``dilate``, which fill the
+    three consistently; the constructor itself checks nothing."""
 
     dim: int
     vertices: np.ndarray                  # (n, dim), extreme points, input order
+    A: np.ndarray                         # (n_facets, dim), read-only
+    b: np.ndarray                         # (n_facets,), read-only
+    incidence: np.ndarray                 # (n, n_facets) bool, read-only
     coord_sources: tuple = ()             # original coordinate strings, if loaded
 
     @property
@@ -78,16 +84,9 @@ class Polytope:
         return self.vertices.shape[0]
 
     @cached_property
-    def _facets(self) -> tuple:
-        """(A, b, inc): unit facet inequalities A x <= b and the incidence
-        table, inc[i, f] true when vertex i lies on facet f."""
-        _, A, b = _hull(self.vertices)
-        return _facet_table(self.vertices, A, b)
-
-    @cached_property
     def _faces(self) -> tuple:
         """The face list of ``faces``."""
-        facets = {frozenset(np.flatnonzero(col).tolist()) for col in self._facets[2].T}
+        facets = {frozenset(np.flatnonzero(col).tolist()) for col in self.incidence.T}
         found, new = set(), facets
         while new:
             found |= new
@@ -201,13 +200,7 @@ def load_polytope(dim: int, vertex_rows) -> Polytope:
         dropped = sorted(set(range(V.shape[0])) - set(keep))
         warnings.warn(f"dropping non-extreme vertices at indices {dropped}", stacklevel=2)
     V = _readonly(V[keep])
-    return _with_facets(Polytope(dim=dim, vertices=V), _facet_table(V, A, b))
-
-
-def _with_facets(P: Polytope, facets: tuple) -> Polytope:
-    """Fill P's facet cache from a table already built for its vertices."""
-    P.__dict__["_facets"] = facets
-    return P
+    return Polytope(dim, V, *_facet_table(V, A, b))
 
 
 def _affine_rank(V: np.ndarray) -> int:
@@ -359,25 +352,29 @@ def polytope_from_json(source) -> Polytope:
     for v in poly.vertices:
         idx = next(i for i, row in enumerate(rows) if np.array_equal(row, v))
         sources.append(tuple(str(c) for c in data["vertices"][idx]))
-    return _with_facets(Polytope(dim=poly.dim, vertices=poly.vertices, coord_sources=tuple(sources)),
-                        poly._facets)
+    return replace(poly, coord_sources=tuple(sources))
 
 
 def dilate(P: Polytope, t: float) -> Polytope:
-    """Dilate by a scalar: vertices are scaled, tangent-cone generators are not."""
-    return Polytope(dim=P.dim, vertices=_readonly(t * P.vertices))
+    """The dilate t*P, by a nonzero finite scalar.  Vertices are scaled and
+    P's facet table is reused: the rows are kept (negated for t < 0), the
+    offsets become |t| b and the incidence is unchanged, so no hull is
+    built.  Tangent-cone generators are not scaled.  Raises ValueError for
+    a non-finite t and DegenerateInput for t = 0."""
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
+    if t == 0:
+        raise DegenerateInput("dilation by 0 collapses the polytope to a point")
+    A = P.A if t > 0 else _readonly(-P.A)
+    return Polytope(P.dim, _readonly(t * P.vertices), A, _readonly(abs(t) * P.b), P.incidence)
 
 
 # ----------------------------- half-spaces ---------------------------------
 
 def half_spaces(P: Polytope):
-    """Facet inequalities A x <= b with unit rows of A (derived from the hull).
-
-    Computed once per polytope and cached on it; the returned arrays are
-    read-only and shared by every caller.
-    """
-    A, b, _ = P._facets
-    return A, b
+    """Facet inequalities A x <= b with unit rows of A: the polytope's own
+    read-only arrays, filled at construction and shared by every caller."""
+    return P.A, P.b
 
 
 def _facet_table(V: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple:
@@ -649,5 +646,4 @@ def face_tangent_cone_active_facets(P: Polytope, face: Face):
     The tangent cone of the face is exactly the set of points satisfying
     those facet inequalities, which gives a cheap indicator test.
     """
-    inc = P._facets[2]
-    return np.flatnonzero(np.all(inc[list(face.vertex_indices)], axis=0))
+    return np.flatnonzero(np.all(P.incidence[list(face.vertex_indices)], axis=0))

@@ -217,7 +217,7 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
     prepared, factors = [], []
     for cone in terms:
         if cone.dim != d:
-            raise ValueError(f"cone dimension {cone.dim} != len(s) = {d}")
+            raise DimensionMismatch(f"s has shape {s.shape}, expected ({cone.dim},)")
         det = abs(cone.det)
         if np.max(np.abs(cone.apex)) > 1e-15:
             phase = np.exp(TWO_PI_I * cone.apex[:, None] * axes)  # row k: exp(2 pi i apex_k (m_k + s_k))
@@ -339,12 +339,14 @@ def damped_direct_sum(body, s, cfg: DampedSumConfig, eps: float) -> DampedSumRes
     polar cone; otherwise ConvergenceDomain is raised.  Polytopes accept any s.
     """
     s = np.atleast_1d(np.asarray(s, dtype=complex))
-    d = s.size
+    A, b = body_half_spaces(body)
+    d = A.shape[1]
+    if s.shape != (d,):
+        raise DimensionMismatch(f"s has shape {s.shape}, expected ({d},)")
     if isinstance(body, SimpleCone):
         pairing = body.generators @ (-s.imag)
         if np.max(pairing) >= 0.0:
             raise ConvergenceDomain("-Im(s) is not interior to the polar cone")
-    A, b = body_half_spaces(body)
     cut = clip_cutoff(cfg.p, cfg.c, eps)
     R = cfg.radius_for(eps)
 

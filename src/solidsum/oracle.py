@@ -75,7 +75,8 @@ def point_weight(P: Polytope, t: float, m, p: float = 2.0, n_samples: int = 20_0
     cut out.  In the plane the corner is at the vertex those facets share,
     read off the incidence table, and its angle is exact for p in {1, 2}.
     Every other corner gets the Monte Carlo angle of ``angles.mc_cone_angle``,
-    from one chunk seeded by ``seed`` and the point.
+    from one chunk seeded by ``seed`` and one entropy word per rounded
+    coordinate, a different word for each int64 value.
 
     Raises ValueError for a non-finite or negative t or a non-finite point,
     and DimensionMismatch for a point of the wrong length.
@@ -95,14 +96,16 @@ def point_weight(P: Polytope, t: float, m, p: float = 2.0, n_samples: int = 20_0
     if not np.isnan(w):
         return float(w), 0.0
 
-    shared = np.flatnonzero(np.all(P._facets[2][:, tight], axis=1))
+    shared = np.flatnonzero(np.all(P.incidence[:, tight], axis=1))
     if P.dim == 2 and p in (1.0, 2.0) and shared.size:
         # dilation leaves tangent-cone directions unchanged
         cone = vertex_simple_cones(P, int(shared[0]))[0]
         est = solid_angle_exact_2d(cone) if p == 2.0 else solid_angle_exact_2d_l1(cone)
         return est.value, 0.0
 
-    entropy = [seed] + [int(c) + 2**20 for c in np.round(m)]
+    # a coordinate c >= -2**20 gives the word c + 2**20, a lower one
+    # 2**64 - c, which no int64 coordinate reaches the other way
+    entropy = [seed] + [int(c) + 2**20 if c >= -2**20 else 2**64 - int(c) for c in np.round(m)]
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     return mc_cone_angle(A[tight], p, [(n_samples, rng)])
 

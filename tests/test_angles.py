@@ -227,6 +227,18 @@ def test_wrong_length_point(estimator, body, x, request):
         estimator(request.getfixturevalue(body), x)
 
 
+@pytest.mark.parametrize("x", [(0.5, 0.5, 0.5), (0.5,)])
+@pytest.mark.parametrize("body", ["square", "quadrant"])
+def test_soft_indicator_wrong_length_point(body, x, request):
+    with pytest.raises(ss.DimensionMismatch, match=rf"point has shape \({len(x)},\), expected \(2,\)"):
+        ss.soft_indicator(request.getfixturevalue(body), x, 2.0, 0.1)
+
+
+def test_soft_indicator_rejects_three_dimensions(tetrahedron):
+    with pytest.raises(ss.UnsupportedDimension, match="dim <= 2"):
+        ss.soft_indicator(tetrahedron, (0.2, 0.2, 0.2), 2.0, 0.1)
+
+
 def _nested_quad(V, x, p, eps):
     """(1_P * phi_eps)(x) for the convex polygon with vertices V, in cyclic
     order, by nested adaptive quadrature with breaks at the vertices, at x_0

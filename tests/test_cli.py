@@ -146,6 +146,21 @@ def test_wrong_length_s_exits_two(square_path, capsys):
     assert "s has shape (3,), expected (2,)" in capsys.readouterr().err
 
 
+def test_verify_macdonald_wrong_length_s_exits_two(square_path, capsys):
+    assert run(["verify-macdonald", "--polytope", square_path, "--t", "1", "--s", "0.1,0.2,0.3"]) == 2
+    assert "s has shape (3,), expected (2,)" in capsys.readouterr().err
+
+
+def test_solid_angle_far_from_the_origin(tmp_path, capsys):
+    # the vertex's Monte Carlo seed words stay non-negative below x = -2**20
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"dim": 3, "vertices": [[-2000000, 0, 0], [-1999999, 0, 0],
+                                                       [-2000000, 1, 0], [-2000000, 0, 1]]}))
+    assert run(["solid-angle", "--polytope", str(path), "--x=-2000000,0,0", "--samples", "4000"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["value"] - 1 / 8) <= 5 * out["std_error"]
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_sample_count_must_be_positive(samples, tmp_path, capsys):
     tet = tmp_path / "tet.json"

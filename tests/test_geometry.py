@@ -418,10 +418,11 @@ class TestHalfSpaceCache:
             ss.lattice_points(P, t)
             ss.discrete_volume(P, t, n_samples=500)
             ss.brianchon_gram_check(P, n_points=20)
+        # a dilate scales P's facet table and builds no hull
+        D = ss.dilate(P, 2.0)
+        half_spaces(D)
+        ss.discrete_volume(D, 1.0, n_samples=500)
         assert len(builds) == 1
-        # a dilate is a new polytope with its own hull
-        half_spaces(ss.dilate(P, 2.0))
-        assert len(builds) == 2
 
     def test_json_load_builds_one_hull(self, monkeypatch):
         builds = self._count_hulls(monkeypatch)
@@ -471,6 +472,49 @@ def _qhull_extreme_rows(V: np.ndarray, hull) -> list:
     for i, c in enumerate(inverse):
         lowest.setdefault(int(c), i)
     return sorted(lowest[int(inverse[i])] for i in hull.vertices)
+
+
+class TestDilate:
+    @pytest.mark.parametrize("t", [-2.0, 0.5, 3.0, 150.25])
+    @pytest.mark.parametrize("fixture", ["square", "triangle", "tetrahedron", "octahedron"])
+    def test_scales_the_facet_table(self, fixture, t, request):
+        P = request.getfixturevalue(fixture)
+        D = ss.dilate(P, t)
+        assert np.array_equal(D.A, P.A if t > 0 else -P.A)
+        assert np.array_equal(D.b, abs(t) * P.b)
+        assert np.array_equal(D.incidence, P.incidence)
+        assert np.array_equal(D.vertices, t * P.vertices)
+        # the scaled table is the one the dilate's vertices give
+        assert np.array_equal(np.abs(D.vertices @ D.A.T - D.b) <= BOUNDARY_TOL, D.incidence)
+        assert not (D.A.flags.writeable or D.b.flags.writeable or D.vertices.flags.writeable)
+
+    @pytest.mark.parametrize("t", [0.5, 3.0, 7.3, 150.25])
+    @pytest.mark.parametrize("fixture", ["square", "triangle"])
+    def test_oracle_volume_of_the_dilate(self, fixture, t, request):
+        P = request.getfixturevalue(fixture)
+        assert ss.discrete_volume(ss.dilate(P, t), 1.0).value == pytest.approx(
+            ss.discrete_volume(P, t).value, abs=1e-12)
+
+    def test_negative_factor_reflects_the_lattice_points(self, triangle):
+        got = ss.lattice_points(ss.dilate(triangle, -2.5), 1.0)
+        want = -ss.lattice_points(triangle, 2.5)
+        assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, want.tolist()))
+
+    @pytest.mark.parametrize("t, error, match", [(0.0, ss.DegenerateInput, "dilation by 0"),
+                                                 (math.nan, ValueError, "t must be finite"),
+                                                 (math.inf, ValueError, "t must be finite"),
+                                                 (-math.inf, ValueError, "t must be finite")])
+    def test_bad_factor_raises_at_the_call(self, square, t, error, match):
+        with pytest.raises(error, match=match):
+            ss.dilate(square, t)
+
+
+def test_direct_construction_needs_the_facet_table():
+    # the table comes from load_polytope, polytope_from_json or dilate; a
+    # vertex list alone (here with a point that is not extreme) is refused
+    V = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0)], dtype=float)
+    with pytest.raises(TypeError, match="'A', 'b', and 'incidence'"):
+        ss.Polytope(dim=2, vertices=V)
 
 
 class TestPolygonHull:

@@ -493,6 +493,13 @@ class TestAlphaPolytopeDirect:
         with pytest.raises(ss.DimensionMismatch, match=rf"s has shape \({len(s)},\), expected \(2,\)"):
             ss.alpha_polytope_direct(square, np.array(s, dtype=complex))
 
+    @pytest.mark.parametrize("body", ["square", "quadrant"])
+    @pytest.mark.parametrize("s", [(0.1, 0.2, -0.3j), (0.1,)])
+    def test_wrong_length_s_direct_sum(self, body, s, request):
+        with pytest.raises(ss.DimensionMismatch, match=rf"s has shape \({len(s)},\), expected \(2,\)"):
+            damped_direct_sum(request.getfixturevalue(body), np.array(s, dtype=complex),
+                              ss.DampedSumConfig(), 0.1)
+
     def test_no_lattice_points(self):
         P = ss.load_polytope(2, [(0.1, 0.1), (0.9, 0.1), (0.9, 0.9), (0.1, 0.9)])
         est = ss.alpha_polytope_direct(P, np.array([0.3 + 0.1j, 0.2 + 0j]))

@@ -43,6 +43,17 @@ def test_wrong_length_shift(quadrant, shift):
         ss.verify_cone_reciprocity(quadrant, shift, np.array([0.31 + 0.12j, 0.22 - 0.07j]))
 
 
+@pytest.mark.parametrize("s", [(0.31 + 0.12j, 0.22 - 0.07j, 0.1), (0.31,)])
+@pytest.mark.parametrize("call", [
+    lambda square, quadrant, s: ss.macdonald_sum(square, 1.0, s),
+    lambda square, quadrant, s: ss.verify_macdonald(square, 1.37, s),
+    lambda square, quadrant, s: ss.verify_cone_reciprocity(quadrant, np.zeros(2), s),
+], ids=["macdonald_sum", "verify_macdonald", "verify_cone_reciprocity"])
+def test_wrong_length_s(call, square, quadrant, s):
+    with pytest.raises(ss.DimensionMismatch, match=rf"s has shape \({len(s)},\), expected \(2,\)"):
+        call(square, quadrant, np.array(s, dtype=complex))
+
+
 class TestMacdonaldSum:
     def test_square_unit_dilation_matches_alpha(self, square):
         s = np.array([0.3j, 0.4j])
@@ -209,6 +220,25 @@ class TestMacdonaldVolume:
         va = sum(damped_transform_levels([c], s, cfg).value[0] for c in split_a)
         vb = sum(damped_transform_levels([c], s, cfg).value[0] for c in split_b)
         assert abs(va - vb) < 1e-12
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, 1.37, 1.97533, 2.5])
+    @pytest.mark.parametrize("fixture", ["square", "triangle"])
+    def test_imaginary_part_is_rounding(self, fixture, t, request, monkeypatch):
+        # the s -> 0 limit is real: its imaginary part, which the error
+        # counts, stays within one machine epsilon of the gross sum
+        from solidsum import macdonald
+        seen = []
+        limit = macdonald._eps_limit
+
+        def spy(eps, levels):
+            seen.append((limit(eps, levels), levels))
+            return seen[-1][0]
+
+        monkeypatch.setattr(macdonald, "_eps_limit", spy)
+        est = ss.macdonald_volume(request.getfixturevalue(fixture), t)
+        (limit_est, levels), = seen
+        assert abs(limit_est.value.imag) <= np.finfo(float).eps * levels.gross[-1]
+        assert est.error >= abs(limit_est.value.imag)
 
 
 class TestConeReciprocity:

@@ -368,3 +368,30 @@ def test_sample_count_must_be_positive(tetrahedron, n):
     for call in calls:
         with pytest.raises(ValueError, match=r"n_samples must be >= 1"):
             call()
+
+
+def _translated_simplex(shift, size=1):
+    return ss.load_polytope(3, [np.add(shift, v) for v in
+                                [(0, 0, 0), (size, 0, 0), (0, size, 0), (0, 0, size)]])
+
+
+class TestSampleSeeds:
+    def test_streams_are_unchanged(self, tetrahedron):
+        # Monte Carlo values pinned bit for bit: a rounded coordinate
+        # c >= -2**20 gives the seed word c + 2**20
+        r = ss.discrete_volume(tetrahedron, 7.0, seed=5)
+        assert (r.value, r.std_error) == (57.441180515862264, 0.0030527125233143063)
+        P = _translated_simplex((-1000000, -7, 3), size=2)
+        assert ss.point_weight(P, 1.0, (-1000000, -7, 3), n_samples=4000, seed=11) == (
+            0.11925, 0.005124193534108563)
+        assert ss.point_weight(P, 1.0, (-999998, -7, 3), n_samples=4000, seed=11) == (
+            0.02525, 0.002480546184814949)
+
+    def test_far_below_the_origin(self, tetrahedron):
+        # below x = -2**20 the word c + 2**20 would be negative
+        P = _translated_simplex((-2000000, 0, 0))
+        value, err = ss.point_weight(P, 1.0, (-2000000, 0, 0), n_samples=4000)
+        assert abs(value - 1 / 8) <= 5 * err
+        far, near = ss.discrete_volume(P, 1.0), ss.discrete_volume(tetrahedron, 1.0)
+        assert far.n_lattice_points == near.n_lattice_points == 4
+        assert abs(far.value - near.value) <= 5 * math.hypot(far.std_error, near.std_error)
