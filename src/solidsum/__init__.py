@@ -34,7 +34,6 @@ from .geometry import (
     SimpleCone,
     dilate,
     faces,
-    half_spaces,
     lattice_points,
     load_polytope,
     polytope_from_json,

@@ -1,27 +1,28 @@
 """Polytopes, vertex tangent cones, cone triangulation, faces, lattice points.
 
 Polytopes are stored by their vertices (V-representation) together with
-their facet inequalities (H-representation) and the vertex-facet incidence
-table, all three filled at construction.  ``load_polytope`` reads the facets
-off the hull it builds while it selects the extreme points, so each loaded
-polytope builds one hull; ``dilate`` scales that table instead of building
-another.  Faces (the facets' vertex sets closed under intersection), edges
-and face tangent cones are all read off the table, in any dimension.  The
-faces and the triangulated vertex cones are cached on the polytope as
-tuples, and its arrays are read-only.  All objects are otherwise immutable
-after construction and every operation is a pure function.
+their facet inequalities (H-representation, fields ``A`` and ``b``) and the
+vertex-facet incidence table, all three filled at construction.
+``load_polytope`` reads the facets off the hull it builds while it selects
+the extreme points, so each loaded polytope builds one hull and no other;
+``dilate`` scales that table.  Faces, edges, face tangent cones and the
+triangulated vertex cones are all read off the table, in any dimension, and
+the faces and cones are cached on the polytope.  Its arrays are read-only,
+and every operation is a pure function.
 
-A non-simple cone is triangulated the same way in every dimension: the hull
-of the origin and its generators cut by a plane gives the cone's facets and
-extreme rays, and a pulling triangulation is read off that incidence table.
-The same facets are the cone's H-representation (``body_half_spaces``),
-cached on the cone.
+A non-simple cone is triangulated in every dimension by a pulling
+triangulation read off the incidence of its extreme rays with its facets.
+A vertex cone's rays are the edges at the vertex and its facets are the
+polytope's facets there.  A cone given by generators (``triangulate_cone``)
+is cut by a plane, and the hull of the origin and the cut points gives its
+facets, which are also its H-representation (``body_half_spaces``), cached
+on the cone, and its extreme rays.
 
 Every hull, in every dimension from 1 up, is built in numpy by one routine
 (``_hull``): the facet expansion of Quickhull around an exact enumeration of
 the facets of a growing set of hull points.  Building a hull therefore loads
 no scipy module; scipy is imported, on first use, only by the pointedness LP
-fallback (``_pointing_direction``) and the soft-indicator CDF
+of a generator list (``_pointing_direction``) and the soft-indicator CDF
 (``angles._lp_cdf``).
 """
 
@@ -97,9 +98,14 @@ class Polytope:
 
     @cached_property
     def _vertex_cones(self) -> tuple:
-        """Per vertex, its tangent cone fan-triangulated into simple cones."""
-        cones = (vertex_tangent_cone(self, i) for i in range(self.n_vertices))
-        return tuple(tuple(triangulate_cone(c.apex, c.generators)) for c in cones)
+        """Per vertex, the simple cones of ``vertex_simple_cones``."""
+        cones = []
+        for i, v in enumerate(self.vertices):
+            nbrs = _neighbours(self, i)
+            gens = self.vertices[nbrs] - v
+            cones.append((simple_cone(v, gens),) if len(nbrs) == self.dim else
+                         tuple(_fan(v, gens, gens, self.incidence[nbrs][:, self.incidence[i]])))
+        return tuple(cones)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,7 +186,8 @@ def load_polytope(dim: int, vertex_rows) -> Polytope:
 
     Non-extreme rows are dropped with a warning; the surviving rows keep
     their input order.  Raises DimensionMismatch for a bad row length and
-    DegenerateInput when the points do not affinely span dimension ``dim``.
+    DegenerateInput when the hull has fewer than ``dim + 1`` extreme points
+    (``_hull``), as when the points lie within BOUNDARY_TOL of a hyperplane.
     """
     if dim < 1:
         raise DegenerateInput(f"dimension must be >= 1, got {dim}")
@@ -191,10 +198,6 @@ def load_polytope(dim: int, vertex_rows) -> Polytope:
     V = np.asarray(rows, dtype=float)
     if V.size == 0 or not np.all(np.isfinite(V)):
         raise DegenerateInput("vertex coordinates must be finite real numbers")
-    if V.shape[0] < dim + 1:
-        raise DegenerateInput(f"a full-dimensional {dim}-polytope needs at least {dim + 1} vertices")
-    if _affine_rank(V) < dim:
-        raise DegenerateInput(f"affine hull has dimension < {dim}")
     keep, A, b = _hull(V)
     if len(keep) < V.shape[0]:
         dropped = sorted(set(range(V.shape[0])) - set(keep))
@@ -229,6 +232,7 @@ def _hull(V: np.ndarray) -> tuple:
     hull.  Planes with the same incident rows are merged (``_facet_table``);
     a row is extreme when the normals of its facets span the space, and
     among rows within BOUNDARY_TOL of each other the lowest index is kept.
+    Fewer than d + 1 kept rows (a flat V) raise DegenerateInput.
     """
     n, d = V.shape
     E = list(dict.fromkeys(np.concatenate([np.argmin(V, axis=0), np.argmax(V, axis=0)]).tolist()))
@@ -253,7 +257,10 @@ def _hull(V: np.ndarray) -> tuple:
             if np.linalg.matrix_rank(A[inc[i]]) == d]
     W = V[rows]
     close = np.max(np.abs(W[:, None, :] - W[None, :, :]), axis=2) <= BOUNDARY_TOL
-    return [int(i) for i, dup in zip(rows, np.tril(close, -1).any(axis=1)) if not dup], A, b
+    keep = [int(i) for i, dup in zip(rows, np.tril(close, -1).any(axis=1)) if not dup]
+    if len(keep) <= d:
+        raise DegenerateInput(f"convex hull failed: {len(keep)} extreme points span no {d}-dimensional hull")
+    return keep, A, b
 
 
 def _support_planes(X: np.ndarray, new: int) -> tuple:
@@ -371,12 +378,6 @@ def dilate(P: Polytope, t: float) -> Polytope:
 
 # ----------------------------- half-spaces ---------------------------------
 
-def half_spaces(P: Polytope):
-    """Facet inequalities A x <= b with unit rows of A: the polytope's own
-    read-only arrays, filled at construction and shared by every caller."""
-    return P.A, P.b
-
-
 def _facet_table(V: np.ndarray, A: np.ndarray, b: np.ndarray) -> tuple:
     inc = np.abs(V @ A.T - b) <= BOUNDARY_TOL
     # a simplicial hull splits a facet into pieces with one incident-vertex set
@@ -393,7 +394,7 @@ def body_half_spaces(body):
     with, so interior and repeated generators add no row.  The rows are
     built once per body and cached on it, read-only."""
     if isinstance(body, Polytope):
-        return half_spaces(body)
+        return body.A, body.b
     if isinstance(body, (SimpleCone, Cone)):
         return body._half_spaces
     raise TypeError(f"unsupported body type {type(body).__name__}")
@@ -406,6 +407,11 @@ def edges(P: Polytope) -> list:
     return [f.vertex_indices for f in P._faces if f.dim == 1]
 
 
+def _neighbours(P: Polytope, i: int) -> list:
+    """The vertices that share an edge with vertex i, ascending."""
+    return sorted({k if j == i else j for (j, k) in edges(P) if i in (j, k)})
+
+
 def vertex_tangent_cone(P: Polytope, v_index: int) -> Cone:
     """Tangent cone of P at a vertex: apex v, one generator per incident edge.
 
@@ -415,8 +421,7 @@ def vertex_tangent_cone(P: Polytope, v_index: int) -> Cone:
     if not 0 <= v_index < P.n_vertices:
         raise BadIndex(f"vertex index {v_index} out of range [0, {P.n_vertices})")
     v = P.vertices[v_index]
-    neighbors = sorted({j if i == v_index else i for (i, j) in edges(P) if v_index in (i, j)})
-    gens = P.vertices[neighbors] - v
+    gens = P.vertices[_neighbours(P, v_index)] - v
     return Cone(apex=_readonly(v), generators=_readonly(gens))
 
 
@@ -427,18 +432,12 @@ def _pointing_direction(generators: np.ndarray):
     they span is not pointed.
 
     Decided by the LP: maximize delta subject to G u >= delta and
-    -1 <= u <= 1 for the unit generators G; pointed iff delta > 1e-9.  The
-    LP is tried last.  The sum u of the unit generators, scaled to
-    ``u / ||u||_inf``, is a feasible point of it with delta =
-    ``min(G u) / ||u||_inf``.  When that clears 1e-9 by more than the
-    rounding of ``G u``, so does the LP's optimum, and u is returned without
-    solving it.  The certificate holds for two generators at an angle below
-    pi (every vertex cone of a polygon) and for generators that meet
-    pairwise at no obtuse angle, where ``G u >= 1``; scipy's ``linprog`` is
-    imported only when it fails.  Otherwise u is the LP's optimum.  The LP is
-    solved to feasibility tolerances of 1e-10, below the 1e-9 that delta
-    must clear, so the verdict is not set by solver noise and the optimum
-    has G u > 0.
+    -1 <= u <= 1 for the unit generators G; pointed iff delta > 1e-9, and u
+    is the LP's optimum.  The LP is solved to feasibility tolerances of
+    1e-10, below the 1e-9 that delta must clear, so the verdict is not set
+    by solver noise and the optimum has G u > 0.  Only generator lists
+    (``triangulate_cone``, a ``Cone``'s facets) reach it: a polytope's vertex
+    cones are read off its facet table, pointed by construction.
     """
     gens = np.atleast_2d(generators)
     norms = np.linalg.norm(gens, axis=1)
@@ -446,35 +445,26 @@ def _pointing_direction(generators: np.ndarray):
         raise DegenerateCone("zero generator")
     G = gens / norms[:, None]
     k, d = G.shape
-    u = G.sum(axis=0)
-    # rounding moves G u by less than 2 d k^2 ulp, so the margin keeps this sound
-    if np.min(G @ u) <= 1e-9 * np.max(np.abs(u)) + 1e-15 * d * k * k:
-        from scipy.optimize import linprog
-        c = np.zeros(d + 1)
-        c[-1] = -1.0
-        A_ub = np.hstack([-G, np.ones((k, 1))])
-        bounds = [(-1.0, 1.0)] * d + [(None, None)]
-        res = linprog(c, A_ub=A_ub, b_ub=np.zeros(k), bounds=bounds, method="highs",
-                      options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
-        if not (res.success and -res.fun > 1e-9):
-            return None
-        u = res.x[:d]
-    return u / np.linalg.norm(u)
+    from scipy.optimize import linprog
+    res = linprog(np.r_[np.zeros(d), -1.0], A_ub=np.hstack([-G, np.ones((k, 1))]), b_ub=np.zeros(k),
+                  bounds=[(-1.0, 1.0)] * d + [(None, None)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
+    if not (res.success and -res.fun > 1e-9):
+        return None
+    return res.x[:d] / np.linalg.norm(res.x[:d])
 
 
 def triangulate_cone(apex, generators) -> list:
-    """Triangulate a pointed cone into simple cones with disjoint interiors,
-    in any dimension.
+    """Triangulate a pointed cone, given by generators, into simple cones
+    with disjoint interiors, in any dimension.
 
     A cone with exactly dim generators is simple and returned as it is.  Any
     other cone is cut by a plane <u, x> = 1 with u in its interior; the hull
     of the origin and the cut points gives the cone's facets (the hull facets
     through the origin) and its extreme rays (the other hull vertices), so
-    interior and repeated generators drop out.  The pulling triangulation
-    (``_pull``) then cones the lexicographically smallest extreme ray over
-    the triangulated facets that miss it, so the output is deterministic.
-    Raises NotPointed when the generators do not span a pointed cone and
-    DegenerateCone when they do not span the space.
+    interior and repeated generators drop out.  The fan of ``_fan`` is read
+    off that table.  Raises NotPointed when the generators do not span a
+    pointed cone and DegenerateCone when they do not span the space.
     """
     apex = np.atleast_1d(np.asarray(apex, dtype=float))
     gens = np.atleast_2d(np.asarray(generators, dtype=float))
@@ -482,32 +472,43 @@ def triangulate_cone(apex, generators) -> list:
     if k == d and _pointing_direction(gens) is not None:
         return [simple_cone(apex, gens)]
     X, (keep, A, b) = _cone_section(gens)  # raises NotPointed for a line-containing cone
-    # rows of X that are extreme rays, by generator; keep[0] is the origin
-    rays = sorted(keep[1:], key=lambda i: tuple(gens[i - 1]))
-    X = X[[0, *rays]]
-    inc = _facet_table(X, A, b)[2]
-    facets = [frozenset((np.flatnonzero(col[1:]) + 1).tolist()) for col in inc.T if col[0]]
-    return [simple_cone(apex, gens[[rays[i - 1] - 1 for i in piece]])
-            for piece in _pull(frozenset(range(1, len(X))), facets, X)]
+    inc = _facet_table(X[keep], A, b)[2]  # keep[0] is the origin
+    return _fan(apex, gens[[i - 1 for i in keep[1:]]], X[keep[1:]], inc[1:, inc[0]])
 
 
 def _cone_section(gens: np.ndarray) -> tuple:
     """The origin and the generators cut by a plane <u, x> = 1 with u inside
     their cone, as the rows of X (row 0 is the origin), and the hull
     ``(keep, A, b)`` of those rows.  Raises NotPointed when the generators do
-    not span a pointed cone and DegenerateCone when they do not span the
-    space."""
+    not span a pointed cone, and DegenerateCone when the hull is flat or
+    drops the origin, so the cone is flatter than BOUNDARY_TOL."""
     d = gens.shape[1]
     u = _pointing_direction(gens)
     if u is None:
         raise NotPointed("generators do not span a pointed cone")
-    if np.linalg.matrix_rank(gens) < d:
-        raise DegenerateCone(f"generators do not span dimension {d}")
     X = np.vstack([np.zeros(d), gens / (gens @ u)[:, None]])
-    return X, _hull(X)
+    try:
+        keep, A, b = _hull(X)
+        if keep[0] == 0:
+            return X, (keep, A, b)
+    except DegenerateInput:
+        pass
+    raise DegenerateCone(f"generators do not span dimension {d} by more than BOUNDARY_TOL")
 
 
-def _pull(rays: frozenset, facets: list, X: np.ndarray) -> list:
+def _fan(apex, gens: np.ndarray, X: np.ndarray, inc: np.ndarray) -> list:
+    """Simple cones that triangulate a pointed cone (``_pull``), from its
+    extreme rays, the rows of gens (or X, at any positive scale, for ranks),
+    and ``inc[j, f]``, true when ray j lies on facet f.  Rays are taken in
+    lexicographic order, so the output is deterministic."""
+    order = sorted(range(len(gens)), key=lambda j: tuple(gens[j]))
+    X = np.vstack([np.zeros(gens.shape[1]), X[order]])
+    facets = {frozenset((np.flatnonzero(col) + 1).tolist()) for col in inc[order].T}
+    return [simple_cone(apex, gens[[order[i - 1] for i in piece]])
+            for piece in _pull(frozenset(range(1, len(X))), facets, X)]
+
+
+def _pull(rays: frozenset, facets, X: np.ndarray) -> list:
     """Pulling triangulation of the cone over the points X[rays] (row 0 of X
     is the origin), given its facets as sets of rays: the smallest ray,
     coned over the pieces of every facet that misses it.  A facet's own
@@ -522,16 +523,16 @@ def _pull(rays: frozenset, facets: list, X: np.ndarray) -> list:
     for F in sorted(facets, key=sorted):
         if r not in F:
             ridges = {F & G for G in facets if _affine_rank(X[[0, *(F & G)]]) == rank - 2}
-            pieces += [(r, *piece) for piece in _pull(F, list(ridges), X)]
+            pieces += [(r, *piece) for piece in _pull(F, ridges, X)]
     return pieces
 
 
 def vertex_simple_cones(P: Polytope, v_index: int) -> tuple:
-    """Tangent cone at a vertex, fan-triangulated into simple cones.
-
-    All vertices are triangulated once per polytope, on first use, and the
-    cones are cached on it; every call returns the same tuple.
-    """
+    """Tangent cone at a vertex, fan-triangulated into simple cones: its
+    rays are the edges there and its facets are P's facets there, read off
+    P's table (no hull, no LP); a vertex with dim edges is one simple cone,
+    generators ascending by neighbour.  Built once, for every vertex, and
+    cached on P."""
     if not 0 <= v_index < P.n_vertices:
         raise BadIndex(f"vertex index {v_index} out of range [0, {P.n_vertices})")
     return P._vertex_cones[v_index]
@@ -560,7 +561,7 @@ def lattice_points(P: Polytope, t: float) -> np.ndarray:
         raise ValueError("t must be finite")
     if t < 0:
         raise ValueError(f"dilation must be >= 0, got {t}")
-    A, b = half_spaces(P)
+    A, b = P.A, P.b
     d = P.dim
     V = t * P.vertices
     lo = np.floor(V.min(axis=0) - BOUNDARY_TOL).astype(np.int64)
@@ -640,8 +641,8 @@ def faces(P: Polytope) -> tuple:
 
 
 def face_tangent_cone_active_facets(P: Polytope, face: Face):
-    """Row indices of half_spaces(P) that are tight on the whole face: the
-    facets incident to every vertex of the face.
+    """Row indices of ``P.A`` and ``P.b`` that are tight on the whole face:
+    the facets incident to every vertex of the face.
 
     The tangent cone of the face is exactly the set of points satisfying
     those facet inequalities, which gives a cheap indicator test.

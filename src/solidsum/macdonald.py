@@ -27,7 +27,6 @@ from .geometry import (
     SimpleCone,
     face_tangent_cone_active_facets,
     faces,
-    half_spaces,
     load_polytope,
     vertex_simple_cones,
 )
@@ -242,7 +241,7 @@ def brianchon_gram_check(P: Polytope, n_points: int = 100, seed: int = 0) -> Gra
     from it on are drawn again one at a time from the same stream position,
     so the sampled points never depend on the batching.
     """
-    A, b = half_spaces(P)
+    A, b = P.A, P.b
     face_list = faces(P)
     actives = [face_tangent_cone_active_facets(P, f) for f in face_list]
     lo = P.vertices.min(axis=0)

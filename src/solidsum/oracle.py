@@ -15,7 +15,7 @@ import numpy as np
 
 from .angles import mc_cone_angle, solid_angle_exact_2d, solid_angle_exact_2d_l1, wedge_angle
 from .errors import DimensionMismatch
-from .geometry import BOUNDARY_TOL, Polytope, half_spaces, lattice_points, vertex_simple_cones
+from .geometry import BOUNDARY_TOL, Polytope, lattice_points, vertex_simple_cones
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def _classify(P: Polytope, t: float, pts: np.ndarray, p: float) -> tuple:
     The least slack and the tight count of each point are reduced over the
     facets one column at a time, which is faster than along the short
     rows."""
-    A, b = half_spaces(P)
+    A, b = P.A, P.b
     slack = pts @ A.T
     np.subtract(t * b, slack, out=slack)
     tight = (slack <= BOUNDARY_TOL) & (slack >= -BOUNDARY_TOL)

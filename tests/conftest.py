@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import solidsum as ss
@@ -48,6 +49,21 @@ def golden_rectangle():
 
 
 @pytest.fixture
+def unit_cube_4d():
+    return unit_cube(4)
+
+
+@pytest.fixture
+def cross_polytope_4d():
+    return cross_polytope(4)
+
+
+@pytest.fixture
+def sphere_polytope_60():
+    return sphere_polytope(60, 3, 2)
+
+
+@pytest.fixture
 def quadrant():
     return ss.simple_cone([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]])
 
@@ -60,6 +76,13 @@ def unit_cube(d):
 def cross_polytope(d):
     """The cross-polytope conv(+-e_k) in dimension d."""
     return ss.load_polytope(d, [[sign * float(j == k) for j in range(d)] for k in range(d) for sign in (1, -1)])
+
+
+def sphere_polytope(n, d, seed):
+    """The hull of n seeded Gaussian points in dimension d, scaled onto the
+    unit sphere, so that every point is a vertex."""
+    S = np.random.default_rng(seed).normal(size=(n, d))
+    return ss.load_polytope(d, (S / np.linalg.norm(S, axis=1)[:, None]).tolist())
 
 
 def random_pointed_cone_2d(rng, min_cross=0.1):

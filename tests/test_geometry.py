@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 import solidsum as ss
-from conftest import cross_polytope, unit_cube
-from solidsum.geometry import BOUNDARY_TOL, body_half_spaces, edges, half_spaces
+from conftest import cross_polytope, sphere_polytope, unit_cube
+from solidsum.geometry import BOUNDARY_TOL, body_half_spaces, edges
 
 SQRT3 = math.sqrt(3.0)
 
@@ -46,6 +46,17 @@ class TestLoadPolytope:
     def test_too_few_vertices(self):
         with pytest.raises(ss.DegenerateInput):
             ss.load_polytope(2, [(0, 0), (1, 0)])
+
+    def test_thinner_than_the_boundary_tolerance(self):
+        # the smallest singular value of its edge vectors is 4.3e-10: above
+        # the affine-rank tolerance, below BOUNDARY_TOL
+        thin = np.array([(0, 0, 0), (-0.9383804314270437, 0.0462170073209513, -0.3424998600716364),
+                         (0.9376793717498603, -0.05842230945763389, 0.342555440115062),
+                         (-0.7704208856518993, -0.5796303999151315, -0.2654811828464836)])
+        with pytest.raises(ss.DegenerateInput, match="span no 3-dimensional hull"):
+            ss.load_polytope(3, thin)
+        P = ss.load_polytope(3, 10.0 * thin)
+        assert (P.n_vertices, len(P.A)) == (4, 4)
 
 
 class TestJsonLoader:
@@ -259,7 +270,6 @@ class TestLatticePoints:
     def test_memory_follows_the_points(self):
         # the box of this needle's dilate holds 4M points, the dilate 3003
         needle = ss.load_polytope(2, [(0, 0), (1, 1), (1, 0.999)])
-        half_spaces(needle)
         tracemalloc.start()
         try:
             pts = ss.lattice_points(needle, 2000.0)
@@ -274,7 +284,7 @@ class TestLatticePoints:
 def _box_scan(P, t):
     """Every point of the bounding box of t*P that passes the facet test,
     in the box's lexicographic order: what lattice_points must return."""
-    A, b = half_spaces(P)
+    A, b = P.A, P.b
     V = t * P.vertices
     lo = np.floor(V.min(axis=0) - BOUNDARY_TOL).astype(int)
     hi = np.ceil(V.max(axis=0) + BOUNDARY_TOL).astype(int)
@@ -324,7 +334,7 @@ class TestFaces:
         assert len(edges(P)) == 12
         facets = [f for f in ss.faces(P) if f.dim == 2]
         assert sorted(len(f.vertex_indices) for f in facets) == [4] * 6
-        assert half_spaces(P)[0].shape == (6, 3)
+        assert P.A.shape == (6, 3)
         assert all(len(ss.vertex_tangent_cone(P, i).generators) == 3 for i in range(8))
 
     def test_cross_polytope_4d(self):
@@ -372,7 +382,7 @@ def test_simplicial_hull_faces(V):
 
 def test_half_spaces_contain_vertices(triangle, square, tetrahedron):
     for P in (triangle, square, tetrahedron):
-        A, b = half_spaces(P)
+        A, b = P.A, P.b
         assert np.all(P.vertices @ A.T <= b + 1e-9)
         assert np.allclose(np.linalg.norm(A, axis=1), 1.0)
 
@@ -387,13 +397,13 @@ def test_simple_cone_det_validation():
 class TestHalfSpaceCache:
     def test_arrays_read_only_and_shared(self, triangle, tetrahedron, golden_segment):
         for P in (triangle, tetrahedron, golden_segment):
-            A, b = half_spaces(P)
+            A, b = P.A, P.b
             assert not A.flags.writeable and not b.flags.writeable
             with pytest.raises(ValueError):
                 A[0, 0] = 0.0
             with pytest.raises(ValueError):
                 b[0] = 0.0
-            A2, b2 = half_spaces(P)
+            A2, b2 = body_half_spaces(P)
             assert A2 is A and b2 is b
 
     @staticmethod
@@ -409,18 +419,21 @@ class TestHalfSpaceCache:
         monkeypatch.setattr(geometry, "_hull", counting)
         return builds
 
-    @pytest.mark.parametrize("fixture, t", [("square", 3.0), ("triangle", 150.25), ("tetrahedron", 2.0)])
+    @pytest.mark.parametrize("fixture, t", [
+        ("square", 3.0), ("triangle", 150.25), ("tetrahedron", 2.0),
+        ("octahedron", 2.0), ("cross_polytope_4d", 1.0), ("sphere_polytope_60", 1.0)])
     def test_one_hull_per_polytope(self, fixture, t, request, monkeypatch):
         builds = self._count_hulls(monkeypatch)
         P = request.getfixturevalue(fixture)  # loaded here, so the load's hull counts
         for _ in range(2):
-            half_spaces(P)
+            # vertex cones are read off the facet table, also where they are not simple
+            for i in range(P.n_vertices):
+                ss.vertex_simple_cones(P, i)
             ss.lattice_points(P, t)
             ss.discrete_volume(P, t, n_samples=500)
             ss.brianchon_gram_check(P, n_points=20)
         # a dilate scales P's facet table and builds no hull
         D = ss.dilate(P, 2.0)
-        half_spaces(D)
         ss.discrete_volume(D, 1.0, n_samples=500)
         assert len(builds) == 1
 
@@ -430,7 +443,6 @@ class TestHalfSpaceCache:
             P = ss.polytope_from_json({"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
                                                                ["1/4", "1/4", "1/4"]]})
         assert P.n_vertices == 4 and P.coord_sources[1] == ("1", "0", "0")
-        half_spaces(P)
         ss.faces(P)
         ss.vertex_simple_cones(P, 0)
         assert builds == [3]
@@ -545,9 +557,9 @@ class TestPolygonHull:
         square = [(0, 0), (2, 0), (2, 2), (0, 2)]
         with pytest.warns(UserWarning, match=r"indices \[4\]"):
             P = ss.load_polytope(2, square + [(1.0, -1e-12)])
-        assert P.n_vertices == 4 and len(half_spaces(P)[0]) == 4
+        assert P.n_vertices == 4 and len(P.A) == 4
         P = ss.load_polytope(2, square + [(1.0, -1e-6)])
-        assert P.n_vertices == 5 and len(half_spaces(P)[0]) == 5
+        assert P.n_vertices == 5 and len(P.A) == 5
         assert sum(len(ss.vertex_simple_cones(P, i)) for i in range(5)) == 5
 
     def test_lowest_duplicate_kept(self):
@@ -643,9 +655,9 @@ class TestFacetHull:
         n = len(body)
         with pytest.warns(UserWarning, match=rf"indices \[{n}\]"):
             P = ss.load_polytope(3, body + [tuple(np.add(centre, 1e-12 * np.array(normal)))])
-        assert P.n_vertices == n and len(half_spaces(P)[0]) == facets[0]
+        assert P.n_vertices == n and len(P.A) == facets[0]
         P = ss.load_polytope(3, body + [tuple(np.add(centre, 1e-6 * np.array(normal)))])
-        assert P.n_vertices == n + 1 and len(half_spaces(P)[0]) == facets[1]
+        assert P.n_vertices == n + 1 and len(P.A) == facets[1]
         assert len(edges(P)) == edges_with_apex
 
     def test_lowest_duplicate_kept(self):
@@ -711,9 +723,69 @@ class TestIsPointed:
         monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
         polys = [ss.load_polytope(2, [(0, 0), (1, 0), (1, 1), (0, 1)]), ss.sqrt3_triangle(),
                  ss.load_polytope(3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
-                 ss.load_polytope(3, [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])]
+                 ss.load_polytope(3, [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]),
+                 sphere_polytope(60, 3, 2), sphere_polytope(20, 4, 5)]
         for P in polys:
             for i in range(P.n_vertices):
                 assert ss.vertex_simple_cones(P, i)
         with pytest.raises(AssertionError, match="LP was called"):
             ss.triangulate_cone([0.0, 0.0], [[1.0, 0.0], [-1.0, 1e-12]])
+
+    def test_flat_generator_lists_raise_a_cone_error(self):
+        # some of these cones are flatter than BOUNDARY_TOL, so their section
+        # hulls are flat or drop the apex: that is a DegenerateCone, like a
+        # rank-deficient generator list
+        rng = np.random.default_rng(7)
+        outcomes = {"pieces": 0, "NotPointed": 0, "DegenerateCone": 0}
+        for i in range(2000):
+            g = _random_cone(rng, i)
+            try:
+                pieces = ss.triangulate_cone(np.zeros(g.shape[1]), g)
+            except (ss.NotPointed, ss.DegenerateCone) as exc:
+                outcomes[type(exc).__name__] += 1
+                continue
+            rays = {tuple(r) for r in g}
+            assert pieces and all(tuple(r) in rays for p in pieces for r in p.generators), i
+            outcomes["pieces"] += 1
+        assert min(outcomes.values()) > 50, outcomes
+
+
+class TestVertexConesFromTable:
+    @staticmethod
+    def _assert_same_pieces(P) -> int:
+        """The vertex cones read off P's facet table are the pieces that
+        triangulate_cone makes of the tangent cones' generator lists, bit
+        for bit; returns the number of vertices that are not simple."""
+        non_simple = 0
+        for i in range(P.n_vertices):
+            mine = ss.vertex_simple_cones(P, i)
+            cone = ss.vertex_tangent_cone(P, i)
+            ref = ss.triangulate_cone(cone.apex, cone.generators)
+            assert len(mine) == len(ref), i
+            for a, b in zip(mine, ref):
+                assert a.generators.tobytes() == b.generators.tobytes(), i
+                assert a.apex.tobytes() == b.apex.tobytes() and a.det == b.det, i
+            non_simple += len(cone.generators) > P.dim
+        return non_simple
+
+    @pytest.mark.parametrize("fixture, non_simple", [
+        ("golden_segment", 0), ("square", 0), ("triangle", 0), ("golden_rectangle", 0), ("tetrahedron", 0),
+        ("cube", 0), ("octahedron", 6), ("triangular_prism", 0), ("unit_cube_4d", 0), ("cross_polytope_4d", 8)])
+    def test_fixtures(self, fixture, non_simple, request):
+        assert self._assert_same_pieces(request.getfixturevalue(fixture)) == non_simple
+
+    def test_random_clouds(self):
+        rng = np.random.default_rng(20261033)
+        checked = non_simple = 0
+        for trial in range(220):
+            d = 3 + trial % 2
+            V = _solid_cloud(rng, d, (trial // 2) % 4)[:8]
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # non-extreme points are dropped
+                    P = ss.load_polytope(d, V)
+            except ss.DegenerateInput:
+                continue
+            non_simple += self._assert_same_pieces(P)
+            checked += 1
+        assert checked >= 200 and non_simple > 200

@@ -17,6 +17,7 @@ sys.path.insert(0, sys.argv[1])
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+import numpy as np
 import solidsum as ss
 square = ss.load_polytope(2, [(0, 0), (1, 0), (1, 1), (0, 1)])
 triangle = ss.sqrt3_triangle()
@@ -41,6 +42,15 @@ fast = ss.DampedSumConfig(eps_schedule=tuple(0.5 * 0.5 ** k for k in range(6)), 
 volume = ss.macdonald_volume(simplex, 1.0, cfg=fast)
 assert abs(volume.value - A1) <= volume.error
 assert ss.brianchon_gram_check(simplex, 200, 0).passed
+assert not scipy_modules(), scipy_modules()
+
+# every vertex cone of a simplicial polytope with 60 vertices, 2 * 60 - 4
+# facets and 3 * 60 - 6 edges splits into its degree minus 2 pieces
+S = np.random.default_rng(2).normal(size=(60, 3))
+sphere = ss.load_polytope(3, (S / np.linalg.norm(S, axis=1)[:, None]).tolist())
+assert len(sphere.A) == 116
+assert sum(len(ss.vertex_simple_cones(sphere, i)) for i in range(60)) == 2 * 174 - 2 * 60
+assert ss.brianchon_gram_check(sphere, 200, 0).passed
 assert not scipy_modules(), scipy_modules()
 print("ok")
 """

@@ -430,8 +430,8 @@ class TestConjecture:
 
 class TestBrianchonGram:
     def test_interior_point_breakdown(self, square):
-        from solidsum.geometry import face_tangent_cone_active_facets, half_spaces
-        A, b = half_spaces(square)
+        from solidsum.geometry import face_tangent_cone_active_facets
+        A, b = square.A, square.b
         x = np.array([0.5, 0.5])
         total = 0
         for f in ss.faces(square):
@@ -440,8 +440,8 @@ class TestBrianchonGram:
         assert total == 1
 
     def test_far_outside_triangle(self, triangle):
-        from solidsum.geometry import face_tangent_cone_active_facets, half_spaces
-        A, b = half_spaces(triangle)
+        from solidsum.geometry import face_tangent_cone_active_facets
+        A, b = triangle.A, triangle.b
         x = np.array([40.0, -35.0])
         total = sum(
             f.sign * int(np.all(A[face_tangent_cone_active_facets(triangle, f)] @ x
@@ -469,8 +469,7 @@ CUBE = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
 def gram_reference(P, n_points, seed, margin, active_facets):
     """brianchon_gram_check as a per-point loop: draw, redraw near a facet
     plane, then evaluate the indicator identity at the one point."""
-    from solidsum.geometry import half_spaces
-    A, b = half_spaces(P)
+    A, b = P.A, P.b
     face_list = ss.faces(P)
     actives = [active_facets(P, f) for f in face_list]
     lo, hi = P.vertices.min(axis=0), P.vertices.max(axis=0)
@@ -539,17 +538,17 @@ class TestBatchedGramCheck:
 
 class TestVertexConesBuiltOnce:
     def test_macdonald_volume(self, square, triangle, monkeypatch):
-        # one triangulation per vertex per polytope, shared with
+        # one cone build per vertex per polytope, shared with
         # verify_macdonald and discrete_volume
         from solidsum import geometry
         apexes = []
-        real = geometry.triangulate_cone
+        real = geometry.simple_cone
 
         def counting(apex, generators):
             apexes.append(tuple(apex))
             return real(apex, generators)
 
-        monkeypatch.setattr(geometry, "triangulate_cone", counting)
+        monkeypatch.setattr(geometry, "simple_cone", counting)
         for P, want in ((square, 1.0), (triangle, 11.0 / 12.0)):
             apexes.clear()
             est = ss.macdonald_volume(P, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import solidsum as ss
-from solidsum.geometry import BOUNDARY_TOL, half_spaces
+from solidsum.geometry import BOUNDARY_TOL
 from solidsum.oracle import _classify, lattice_weights
 
 SQRT3 = math.sqrt(3.0)
@@ -194,7 +194,7 @@ class TestBulkWeights:
         # (1, 1) lies 5e-10 outside the hypotenuse: within the tolerance, so
         # enumeration and point weights must both count it as a boundary point
         t = 1.5773502686122756
-        A, b = ss.half_spaces(triangle)
+        A, b = triangle.A, triangle.b
         assert -1e-9 < np.min(t * b - A @ [1.0, 1.0]) < -1e-10
         res = ss.discrete_volume(triangle, t)
         lattice = ss.lattice_points(triangle, t)
@@ -265,7 +265,7 @@ def simplex_vertex_weights(t):
 
 
 def tight_count(P, t, m):
-    A, b = ss.half_spaces(P)
+    A, b = P.A, P.b
     return int(np.sum(np.abs(t * b - A @ np.asarray(m, dtype=float)) <= BOUNDARY_TOL))
 
 
@@ -336,7 +336,7 @@ class TestWedgeWeights:
 def classify_reference(P, t, pts):
     """The point weights of _classify before wedges, reduced along the
     point rows of the slack matrix."""
-    A, b = half_spaces(P)
+    A, b = P.A, P.b
     slack = t * b - pts @ A.T
     tight = np.abs(slack) <= BOUNDARY_TOL
     n_tight = np.count_nonzero(tight, axis=1)
