@@ -229,10 +229,12 @@ def _hull(V: np.ndarray) -> tuple:
     than BOUNDARY_TOL beyond such a plane is outside hull(E); the farthest
     one beyond each plane maximizes a linear functional, so it lies on the
     hull, and it joins E.  When no row is beyond any plane, hull(E) is the
-    hull.  Planes with the same incident rows are merged (``_facet_table``);
-    a row is extreme when the normals of its facets span the space, and
-    among rows within BOUNDARY_TOL of each other the lowest index is kept.
-    Fewer than d + 1 kept rows (a flat V) raise DegenerateInput.
+    hull; when every row beyond a plane is already in E, the rounding in the
+    slacks exceeds BOUNDARY_TOL, and DegenerateInput is raised.  Planes with
+    the same incident rows are merged (``_facet_table``); a row is extreme
+    when the normals of its facets span the space, and among rows within
+    BOUNDARY_TOL of each other the lowest index is kept.  Fewer than d + 1
+    kept rows (a flat V) raise DegenerateInput.
     """
     n, d = V.shape
     E = list(dict.fromkeys(np.concatenate([np.argmin(V, axis=0), np.argmax(V, axis=0)]).tolist()))
@@ -251,7 +253,10 @@ def _hull(V: np.ndarray) -> tuple:
         if beyond.size == 0:
             break
         new = len(E)
-        E += sorted(set(np.argmax(slack[:, beyond], axis=0).tolist()))
+        E += sorted(set(np.argmax(slack[:, beyond], axis=0).tolist()) - set(E))
+        if len(E) == new:
+            raise DegenerateInput("convex hull failed: every row beyond a facet plane is already in the "
+                                  "working set, so rounding in the plane slacks exceeds BOUNDARY_TOL")
     A, b, inc = _facet_table(V, A, b)
     rows = [i for i in np.flatnonzero(np.count_nonzero(inc, axis=1) >= d)
             if np.linalg.matrix_rank(A[inc[i]]) == d]
@@ -522,7 +527,8 @@ def _pull(rays: frozenset, facets, X: np.ndarray) -> list:
     pieces = []
     for F in sorted(facets, key=sorted):
         if r not in F:
-            ridges = {F & G for G in facets if _affine_rank(X[[0, *(F & G)]]) == rank - 2}
+            ridges = {F & G for G in facets
+                      if len(F & G) >= rank - 2 and _affine_rank(X[[0, *(F & G)]]) == rank - 2}
             pieces += [(r, *piece) for piece in _pull(F, ridges, X)]
     return pieces
 

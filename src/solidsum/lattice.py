@@ -22,9 +22,12 @@ direction x to approach the pole points along, the same pass returns the
 value at s of a cone sum that is entire there, as the sum over all vertex
 cones of a polytope is (Brion): the exact s -> 0 limit of
 ``macdonald_volume``.  The Laurent coefficients at the pole points of all
-cones in a slab come from one closed-form power-series call.  Direct-space
-sums accumulate (1_body * phi_eps)(m) * exp(2*pi*i*<s, m>) at one eps.  The
-bilinear pairing is used throughout; nothing is conjugated.
+cones in a slab come from one closed-form power-series call.  At s = 0 the
+tables are real and even and every term at -m is (-1)^d times the conjugate
+of its value at m, so a volume forms its terms on the half box m_1 >= 0
+only and pairs each slab with its mirror.  Direct-space sums accumulate
+(1_body * phi_eps)(m) * exp(2*pi*i*<s, m>) at one eps.  The bilinear
+pairing is used throughout; nothing is conjugated.
 """
 
 from __future__ import annotations
@@ -108,12 +111,12 @@ def _contract(x: np.ndarray, tables) -> np.ndarray:
     return y[:, 0]
 
 
-def _slabs(n: int, d: int):
-    """The box of n^d points in deterministic slabs along the first axis, each
-    of at most CHUNK_LIMIT points (or one row): yields the first-axis index
-    ranges (i0, i1)."""
+def _slabs(n: int, d: int, start: int = 0):
+    """The box of n^d points from first-axis index start on, in deterministic
+    slabs along the first axis, each of at most CHUNK_LIMIT points (or one
+    row): yields the first-axis index ranges (i0, i1)."""
     step = max(1, CHUNK_LIMIT // n ** (d - 1))
-    for i0 in range(0, n, step):
+    for i0 in range(start, n, step):
         yield i0, min(i0 + step, n)
 
 
@@ -200,7 +203,10 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
     sigma^-n, come from one closed-form series call per slab for the pole
     points of all cones, r_0 enters the sum, and PoleHit is raised where the
     summed r_n, n >= 1, do not cancel (a cone list whose sum is not entire
-    there), or for a direction with some |<w_j, x>| <= POLE_GUARD."""
+    there), or for a direction with some |<w_j, x>| <= POLE_GUARD.  At
+    s = 0 with a direction, as for every volume, r_n(-m) =
+    (-1)^(d+n) conj(r_n(m)) and the tables are even, so the pass forms the
+    terms on the half box m_1 >= 0 only (see ``_box_pass``)."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if not np.isfinite(s).all():
         raise ValueError("s must be finite")
@@ -247,7 +253,8 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
         value += prod_value @ dets
         mags_sum += prod_mags @ (moduli * dets)
     if prepared:
-        box_value, box_mags = _box_pass(prepared, ms, axes, tables, mag_tables, x is None)
+        box_value, box_mags = _box_pass(prepared, ms, axes, tables, mag_tables, x is None,
+                                        x is not None and not s.any())
         value += box_value
         mags_sum += box_mags
     pref = (-TWO_PI_I) ** (-d)
@@ -258,14 +265,25 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
     return DampedLevels(value, tail, gross)
 
 
-def _box_pass(prepared, ms, axes, tables, mag_tables, raise_at_poles: bool):
+def _box_pass(prepared, ms, axes, tables, mag_tables, raise_at_poles: bool, mirror: bool):
     """Sum of the prepared cone terms over the largest box ms^d, slab by slab,
     contracted with every level's tables: the values and the magnitude rows,
-    both before the prefactor (-2 pi i)^-d."""
+    both before the prefactor (-2 pi i)^-d.
+
+    With mirror (s = 0 along a real direction) the tables are real and even,
+    and every term, Laurent row and magnitude at -m is (-1)^d times the
+    conjugate of, or equal to, its value at m; the cancellation test is
+    mirror-symmetric too.  So only the slabs with m_1 >= 0 are walked, the
+    row m_1 = 0, its own mirror, at weight 1/2: the summed value v enters as
+    v + (-1)^d conj(v), the magnitudes twice."""
     d = axes.shape[0]
     value = np.zeros(tables[0].shape[0], dtype=complex)
     mags_sum = np.zeros(mag_tables[0].shape[0])
-    for i0, i1 in _slabs(ms.size, d):
+    first, mag_first, start = tables[0], mag_tables[0], 0
+    if mirror:
+        half = np.where(ms == 0, 0.5, 1.0)
+        first, mag_first, start = first * half, mag_first * half, ms.size // 2
+    for i0, i1 in _slabs(ms.size, d, start):
         grid = (i1 - i0,) + (ms.size,) * (d - 1)
         slab_axes = [axes[0, i0:i1]] + list(axes[1:])
         r = np.zeros(math.prod(grid), dtype=complex)
@@ -320,8 +338,10 @@ def _box_pass(prepared, ms, axes, tables, mag_tables, raise_at_poles: bool):
             if bad.any():
                 m_bad = _lattice_point(ms, grid, i0, points[np.argmax(bad)])
                 raise PoleHit(f"poles do not cancel across the cones at m={m_bad}", lattice_point=m_bad)
-        value += _contract(r.reshape(grid), [tables[0][:, i0:i1]] + tables[1:])
-        mags_sum += _contract(r_abs.reshape(grid), [mag_tables[0][:, i0:i1]] + mag_tables[1:])
+        value += _contract(r.reshape(grid), [first[:, i0:i1]] + tables[1:])
+        mags_sum += _contract(r_abs.reshape(grid), [mag_first[:, i0:i1]] + mag_tables[1:])
+    if mirror:
+        return value + (-1) ** d * value.conj(), 2.0 * mags_sum
     return value, mags_sum
 
 

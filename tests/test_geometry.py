@@ -1,7 +1,10 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +60,33 @@ class TestLoadPolytope:
             ss.load_polytope(3, thin)
         P = ss.load_polytope(3, 10.0 * thin)
         assert (P.n_vertices, len(P.A)) == (4, 4)
+
+    def test_rounding_above_the_boundary_tolerance_raises(self):
+        # two rows lie 2.6e8 from the origin, where the rounding in a plane's
+        # slack exceeds BOUNDARY_TOL, so the hull keeps finding rows beyond a
+        # plane that it already holds; run apart, so that a hang fails here
+        # instead of stalling the suite
+        code = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+import solidsum as ss
+V = [[0.0, 0.0, 0.0],
+     [-45795440.52982621, -255992895.4390634, 10300314.366198154],
+     [45979592.48328166, 257022278.42778075, -10341733.688696213],
+     [2.2686672442749427, 2.79665580830114, 1.072205327290398],
+     [2.2817424235813966, 2.86974494717472, 1.069264486999611]]
+t0 = time.perf_counter()
+try:
+    ss.load_polytope(3, V)
+except ss.DegenerateInput as exc:
+    print(time.perf_counter() - t0, exc)
+"""
+        src = str(Path(ss.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=30)
+        assert out.returncode == 0, out.stderr
+        seconds, message = out.stdout.split(" ", 1)
+        assert float(seconds) < 1.0
+        assert "rounding" in message
 
 
 class TestJsonLoader:

@@ -406,6 +406,116 @@ class TestConstantTerm:
             damped_transform_levels(quadrant_terms, np.zeros(2), ss.DampedSumConfig(), (0.0, 1.0))
 
 
+def full_box_levels(terms, s, cfg, x, monkeypatch):
+    """The engine's levels with the half-box pairing forced off: every slab
+    of the largest box is walked, as at complex s."""
+    box_pass = lattice._box_pass
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "_box_pass", lambda *args: box_pass(*args[:-1], False))
+        return damped_transform_levels(terms, s, cfg, x)
+
+
+def assert_same_levels(got, want):
+    assert np.all(np.abs(got.value - want.value) <= 3e-15 * want.gross)
+    assert got.gross == pytest.approx(want.gross, rel=1e-12)
+    assert got.tail == pytest.approx(want.tail, rel=1e-12, abs=1e-300)
+
+
+HALF_BOX_POLYTOPES = {
+    # fixture: (truncation radius, direction)
+    "square": (12, (1.0, 0.7)),
+    "triangle": (12, (1.0, 0.7)),
+    "tetrahedron": (6, (1.0, 0.6, 0.3)),
+}
+FAST_3D = ss.DampedSumConfig(eps_schedule=tuple(0.5 * 0.5 ** k for k in range(6)), truncation_radius=30)
+
+
+class TestHalfBox:
+    """At s = 0 along a real direction the tables are real and even, and
+    r_n(-m) = (-1)^(d+n) conj(r_n(m)), so the box pass walks m_1 >= 0 only."""
+
+    @pytest.mark.parametrize("case", list(DIRECTION_CASES))
+    def test_direction_cases_match_the_full_box(self, case, triangle, tetrahedron, monkeypatch):
+        d, cfg_kw, x = DIRECTION_CASES[case]
+        cfg = ss.DampedSumConfig(**cfg_kw)
+        terms = direction_terms(d, triangle, tetrahedron)
+        got = damped_transform_levels(terms, np.zeros(d), cfg, x)
+        assert_same_levels(got, full_box_levels(terms, np.zeros(d), cfg, x, monkeypatch))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("fixture", list(HALF_BOX_POLYTOPES))
+    def test_polytopes_match_the_full_box(self, fixture, p, request, monkeypatch):
+        # at p != 2 the quadrature tables are real and even up to rounding
+        radius, x = HALF_BOX_POLYTOPES[fixture]
+        P = request.getfixturevalue(fixture)
+        cfg = ss.DampedSumConfig(p=p, eps_schedule=(0.5, 0.25, 0.125), truncation_radius=radius)
+        for t in (0.0, 1.0, 1.37, 1.97533, 2.96939):
+            terms = shifted_vertex_terms(P, t)
+            got = damped_transform_levels(terms, np.zeros(P.dim), cfg, x)
+            assert_same_levels(got, full_box_levels(terms, np.zeros(P.dim), cfg, x, monkeypatch))
+
+    @staticmethod
+    def count_points(monkeypatch) -> list:
+        """Sizes of the value contractions (the complex ones) of the box pass."""
+        sizes = []
+        contract = lattice._contract
+
+        def counted(x, tables):
+            if np.iscomplexobj(x):
+                sizes.append(x.size)
+            return contract(x, tables)
+
+        monkeypatch.setattr(lattice, "_contract", counted)
+        return sizes
+
+    def test_volumes_form_terms_on_half_the_box(self, tetrahedron, triangle, monkeypatch):
+        # the full boxes hold 61^3 = 226,981 and 219^2 = 47,961 points
+        sizes = self.count_points(monkeypatch)
+        ss.macdonald_volume(tetrahedron, 2.0, cfg=FAST_3D)
+        assert sum(sizes) == 31 * 61 ** 2
+        sizes.clear()
+        ss.conjecture_check(triangle)
+        assert sum(sizes) == 110 * 219
+        sizes.clear()
+        ss.macdonald_volume(triangle, 1.37)
+        assert sum(sizes) == 110 * 219
+
+    def test_complex_s_walks_the_whole_box(self, triangle, monkeypatch):
+        # two of the triangle's three vertex cones take the box pass
+        sizes = self.count_points(monkeypatch)
+        ss.macdonald_sum(triangle, 1.37, np.array([0.21 + 0.13j, 0.37 - 0.08j]))
+        assert sum(sizes) == 2 * 219 ** 2
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mirror_identity(self, d, triangle, tetrahedron):
+        # plain terms and Laurent rows of every vertex cone at m and -m
+        terms = direction_terms(d, triangle, tetrahedron)
+        x = np.array(DIRECTION_CASES[f"{d}d"][2])
+        ms = np.arange(-3, 4)
+        M = np.stack(np.meshgrid(*([ms] * d), indexing="ij"), axis=-1).reshape(-1, d).astype(float)
+        n_poles = 0
+        for cone in terms:
+            a_plus, a_minus = cone.generators @ M.T, cone.generators @ -M.T
+            C_plus = abs(cone.det) * np.exp(2j * math.pi * (M @ cone.apex))
+            C_minus = abs(cone.det) * np.exp(2j * math.pi * (-M @ cone.apex))
+            zero = np.abs(a_plus) <= lattice.POLE_GUARD
+            assert np.array_equal(zero, np.abs(a_minus) <= lattice.POLE_GUARD)
+            plain = ~zero.any(axis=0)
+            term_plus = C_plus[plain] / np.prod(a_plus[:, plain], axis=0)
+            term_minus = C_minus[plain] / np.prod(a_minus[:, plain], axis=0)
+            assert np.all(np.abs(term_minus - (-1) ** d * term_plus.conj()) <= 1e-15 * np.abs(term_plus))
+            poles = ~plain
+            n_poles += poles.sum()
+            b = np.broadcast_to((cone.generators @ x)[:, None], (d, poles.sum()))
+            c = np.full(poles.sum(), float(cone.apex @ x))
+            rows_plus, major_plus = lattice._pole_terms(C_plus[poles], a_plus[:, poles], zero[:, poles], b, c, d)
+            rows_minus, major_minus = lattice._pole_terms(C_minus[poles], a_minus[:, poles], zero[:, poles], b, c, d)
+            signs = ((-1.0) ** (d + np.arange(d + 1)))[:, None]
+            assert np.all(np.abs(rows_minus - signs * rows_plus.conj()) <= 1e-15 * major_plus)
+            np.testing.assert_allclose(major_minus, major_plus, rtol=1e-15)
+        assert n_poles > 0
+
+
 class TestDirectSum:
     def test_geometric_series_closed_form(self, quadrant, quadrant_terms):
         # imaginary argument makes the limit an explicit geometric series
