@@ -14,16 +14,17 @@ A non-simple cone is triangulated in every dimension by a pulling
 triangulation read off the incidence of its extreme rays with its facets.
 A vertex cone's rays are the edges at the vertex and its facets are the
 polytope's facets there.  A cone given by generators (``triangulate_cone``)
-is cut by a plane, and the hull of the origin and the cut points gives its
-facets, which are also its H-representation (``body_half_spaces``), cached
-on the cone, and its extreme rays.
+is read off one hull, that of the origin and the unit generators: the cone
+is pointed exactly when the origin is a vertex of it, the hull facets
+through the origin are the cone's facets, which are also its
+H-representation (``body_half_spaces``), cached on the cone, and the
+generators on facets whose normals have rank d - 1 are its extreme rays.
 
 Every hull, in every dimension from 1 up, is built in numpy by one routine
 (``_hull``): the facet expansion of Quickhull around an exact enumeration of
-the facets of a growing set of hull points.  Building a hull therefore loads
-no scipy module; scipy is imported, on first use, only by the pointedness LP
-of a generator list (``_pointing_direction``) and the soft-indicator CDF
-(``angles._lp_cdf``).
+the facets of a growing set of hull points.  This module therefore imports
+no scipy module; the package imports scipy in one place, on first use: the
+soft-indicator CDF (``angles._lp_cdf``, through ``gammainc``).
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class Polytope:
             nbrs = _neighbours(self, i)
             gens = self.vertices[nbrs] - v
             cones.append((simple_cone(v, gens),) if len(nbrs) == self.dim else
-                         tuple(_fan(v, gens, gens, self.incidence[nbrs][:, self.incidence[i]])))
+                         tuple(_fan(v, gens, self.incidence[nbrs][:, self.incidence[i]])))
         return tuple(cones)
 
 
@@ -118,11 +119,10 @@ class Cone(object):
     @cached_property
     def _half_spaces(self) -> tuple:
         """(A, b): the inequalities A x <= b, with unit rows of A, read-only;
-        the facets through the origin of the hull that ``triangulate_cone``
-        cuts the cone with."""
-        X, (_, A, b) = _cone_section(np.asarray(self.generators, dtype=float))
-        A, _, inc = _facet_table(X, A, b)
-        A = A[inc[0]]  # row 0 of X is the origin
+        the cone's facets, read off the hull of the origin and the unit
+        generators (``_cone_table``), which raises for a flat or
+        non-pointed cone."""
+        A = _cone_table(np.asarray(self.generators, dtype=float))[0]
         return _readonly(A), _readonly(A @ self.apex)
 
 
@@ -395,8 +395,8 @@ def body_half_spaces(body):
     """H-representation A x <= b, with unit rows of A, of a polytope, a
     simple cone or a cone.  This is the one description of a body that
     membership tests and solid angles read.  A ``Cone``'s rows are the
-    facets through the origin of the hull that ``triangulate_cone`` cuts it
-    with, so interior and repeated generators add no row.  The rows are
+    facets through the origin of the hull of the origin and its unit
+    generators, so interior and repeated generators add no row.  The rows are
     built once per body and cached on it, read-only."""
     if isinstance(body, Polytope):
         return body.A, body.b
@@ -432,82 +432,65 @@ def vertex_tangent_cone(P: Polytope, v_index: int) -> Cone:
 
 # ----------------------------- triangulation -------------------------------
 
-def _pointing_direction(generators: np.ndarray):
-    """A unit u with <u, g_i> > 0 for every generator, or None when the cone
-    they span is not pointed.
-
-    Decided by the LP: maximize delta subject to G u >= delta and
-    -1 <= u <= 1 for the unit generators G; pointed iff delta > 1e-9, and u
-    is the LP's optimum.  The LP is solved to feasibility tolerances of
-    1e-10, below the 1e-9 that delta must clear, so the verdict is not set
-    by solver noise and the optimum has G u > 0.  Only generator lists
-    (``triangulate_cone``, a ``Cone``'s facets) reach it: a polytope's vertex
-    cones are read off its facet table, pointed by construction.
-    """
-    gens = np.atleast_2d(generators)
-    norms = np.linalg.norm(gens, axis=1)
-    if np.any(norms <= 0.0):
-        raise DegenerateCone("zero generator")
-    G = gens / norms[:, None]
-    k, d = G.shape
-    from scipy.optimize import linprog
-    res = linprog(np.r_[np.zeros(d), -1.0], A_ub=np.hstack([-G, np.ones((k, 1))]), b_ub=np.zeros(k),
-                  bounds=[(-1.0, 1.0)] * d + [(None, None)], method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10})
-    if not (res.success and -res.fun > 1e-9):
-        return None
-    return res.x[:d] / np.linalg.norm(res.x[:d])
-
-
 def triangulate_cone(apex, generators) -> list:
     """Triangulate a pointed cone, given by generators, into simple cones
     with disjoint interiors, in any dimension.
 
-    A cone with exactly dim generators is simple and returned as it is.  Any
-    other cone is cut by a plane <u, x> = 1 with u in its interior; the hull
-    of the origin and the cut points gives the cone's facets (the hull facets
-    through the origin) and its extreme rays (the other hull vertices), so
-    interior and repeated generators drop out.  The fan of ``_fan`` is read
-    off that table.  Raises NotPointed when the generators do not span a
-    pointed cone and DegenerateCone when they do not span the space.
+    A cone with exactly dim generators is simple and returned as it is:
+    independent generators span a pointed cone, and ``simple_cone`` raises
+    DegenerateCone for dependent ones.  Any other cone is triangulated by
+    ``_fan`` from its extreme rays and facets, read off one hull
+    (``_cone_table``), so interior and repeated generators drop out.
+    Dimension is checked before pointedness: DegenerateCone when the
+    generators do not span the space by more than BOUNDARY_TOL, even when
+    they contain a line, and NotPointed when they span a cone that is not
+    pointed.
     """
     apex = np.atleast_1d(np.asarray(apex, dtype=float))
     gens = np.atleast_2d(np.asarray(generators, dtype=float))
-    k, d = gens.shape
-    if k == d and _pointing_direction(gens) is not None:
+    if len(gens) == gens.shape[1]:
         return [simple_cone(apex, gens)]
-    X, (keep, A, b) = _cone_section(gens)  # raises NotPointed for a line-containing cone
-    inc = _facet_table(X[keep], A, b)[2]  # keep[0] is the origin
-    return _fan(apex, gens[[i - 1 for i in keep[1:]]], X[keep[1:]], inc[1:, inc[0]])
+    _, rays, inc = _cone_table(gens)
+    return _fan(apex, gens[rays], inc)
 
 
-def _cone_section(gens: np.ndarray) -> tuple:
-    """The origin and the generators cut by a plane <u, x> = 1 with u inside
-    their cone, as the rows of X (row 0 is the origin), and the hull
-    ``(keep, A, b)`` of those rows.  Raises NotPointed when the generators do
-    not span a pointed cone, and DegenerateCone when the hull is flat or
-    drops the origin, so the cone is flatter than BOUNDARY_TOL."""
+def _cone_table(gens: np.ndarray) -> tuple:
+    """The facets and extreme rays of the cone spanned by the rows of gens,
+    read off the hull of the origin and the unit generators.  The cone is
+    pointed exactly when the origin is a vertex of that hull, and then the
+    hull's facets through the origin are the cone's facets.
+
+    Returns their unit rows A (the cone is A x <= 0), the ascending indices
+    of the extreme rays in gens, and ``inc[j, f]``, true when ray j lies on
+    facet f.  A ray is extreme when the normals of its facets have rank
+    d - 1; of repeated rays the lowest is kept (``_hull``).  A zero
+    generator or a flat hull raises DegenerateCone, and an origin that the
+    hull does not keep raises NotPointed.
+    """
     d = gens.shape[1]
-    u = _pointing_direction(gens)
-    if u is None:
-        raise NotPointed("generators do not span a pointed cone")
-    X = np.vstack([np.zeros(d), gens / (gens @ u)[:, None]])
+    norms = np.linalg.norm(gens, axis=1)
+    if np.any(norms <= 0.0):
+        raise DegenerateCone("zero generator")
+    X = np.vstack([np.zeros(d), gens / norms[:, None]])
     try:
         keep, A, b = _hull(X)
-        if keep[0] == 0:
-            return X, (keep, A, b)
     except DegenerateInput:
-        pass
-    raise DegenerateCone(f"generators do not span dimension {d} by more than BOUNDARY_TOL")
+        raise DegenerateCone(f"generators do not span dimension {d} by more than BOUNDARY_TOL") from None
+    if keep[0] != 0:
+        raise NotPointed("generators do not span a pointed cone")
+    A, _, inc = _facet_table(X[keep], A, b)
+    A, inc = A[inc[0]], inc[1:, inc[0]]  # keep[0] is the origin
+    ext = [j for j in range(len(inc)) if np.linalg.matrix_rank(A[inc[j]]) == d - 1]
+    return A, [keep[j + 1] - 1 for j in ext], inc[ext]
 
 
-def _fan(apex, gens: np.ndarray, X: np.ndarray, inc: np.ndarray) -> list:
+def _fan(apex, gens: np.ndarray, inc: np.ndarray) -> list:
     """Simple cones that triangulate a pointed cone (``_pull``), from its
-    extreme rays, the rows of gens (or X, at any positive scale, for ranks),
-    and ``inc[j, f]``, true when ray j lies on facet f.  Rays are taken in
-    lexicographic order, so the output is deterministic."""
+    extreme rays, the rows of gens, and ``inc[j, f]``, true when ray j lies
+    on facet f.  Rays are taken in lexicographic order, so the output is
+    deterministic."""
     order = sorted(range(len(gens)), key=lambda j: tuple(gens[j]))
-    X = np.vstack([np.zeros(gens.shape[1]), X[order]])
+    X = np.vstack([np.zeros(gens.shape[1]), gens[order]])
     facets = {frozenset((np.flatnonzero(col) + 1).tolist()) for col in inc[order].T}
     return [simple_cone(apex, gens[[order[i - 1] for i in piece]])
             for piece in _pull(frozenset(range(1, len(X))), facets, X)]
@@ -536,7 +519,7 @@ def _pull(rays: frozenset, facets, X: np.ndarray) -> list:
 def vertex_simple_cones(P: Polytope, v_index: int) -> tuple:
     """Tangent cone at a vertex, fan-triangulated into simple cones: its
     rays are the edges there and its facets are P's facets there, read off
-    P's table (no hull, no LP); a vertex with dim edges is one simple cone,
+    P's table (no hull); a vertex with dim edges is one simple cone,
     generators ascending by neighbour.  Built once, for every vertex, and
     cached on P."""
     if not 0 <= v_index < P.n_vertices:

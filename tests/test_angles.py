@@ -94,6 +94,10 @@ class TestExact2DL1:
 
     def test_half_plane_not_pointed(self):
         with pytest.raises(ss.NotPointed):
+            ss.solid_angle_exact_2d_l1(ss.Cone(np.zeros(2), np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])))
+
+    def test_line_is_flat(self):
+        with pytest.raises(ss.DegenerateCone):
             ss.solid_angle_exact_2d_l1(ss.Cone(np.zeros(2), np.array([[1.0, 0.0], [-1.0, 0.0]])))
 
     def test_diagonal_octant(self):

@@ -52,6 +52,14 @@ assert len(sphere.A) == 116
 assert sum(len(ss.vertex_simple_cones(sphere, i)) for i in range(60)) == 2 * 174 - 2 * 60
 assert ss.brianchon_gram_check(sphere, 200, 0).passed
 assert not scipy_modules(), scipy_modules()
+
+# a generator list is read off one hull as well: the cone over a square
+# splits into 2 pieces, and its facets cut out asin(1/3) / pi of the sphere
+square_cone = np.array([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)], dtype=float)
+assert len(ss.triangulate_cone(np.zeros(3), square_cone)) == 2
+angle = ss.solid_angle_mc(ss.Cone(np.zeros(3), square_cone), [0, 0, 0], n_samples=20_000, seed=1)
+assert abs(angle.value - np.arcsin(1.0 / 3.0) / np.pi) < 4.0 * angle.std_error
+assert not scipy_modules(), scipy_modules()
 print("ok")
 """
 
