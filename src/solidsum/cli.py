@@ -155,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     damped.add_argument("--eps-levels", type=int, default=DEFAULT_EPS_LEVELS,
                         help=f"number of damping levels, halved each step (default {DEFAULT_EPS_LEVELS})")
     damped.add_argument("--radius", type=int, default=None,
-                        help="sup-norm lattice cutoff R (default: auto from eps)")
+                        help="sup-norm lattice cutoff R, an integer (default: the smallest R >= 30 "
+                             "with pi eps R^2 >= 36 at each level)")
 
     sp = command("solid-angle", [poly, mc], "solid angle of a point with respect to a polytope")
     sp.add_argument("--x", required=True, help="evaluation point, e.g. '0,0'")

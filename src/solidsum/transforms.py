@@ -46,8 +46,10 @@ class DampedSumConfig:
     """Parameters shared by every damped lattice-sum evaluation.
 
     ``truncation_radius`` of None selects the automatic sup-norm cutoff
-    R(eps) = max(30, ceil(6/sqrt(pi*eps))), which keeps the Gaussian tail of
-    the damping transform below ~1e-12.
+    R(eps) = max(30, ceil(6/sqrt(pi*eps))), so that pi eps R^2 >= 36: at
+    p = 2 a point on the face of the box weighs at most e^-36 (2.3e-16).
+    A fixed radius must be an integer, so that the box lies on the lattice;
+    it is stored as an int.
     """
 
     p: float = 2.0
@@ -63,8 +65,12 @@ class DampedSumConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise ValueError("eps_schedule must be strictly decreasing")
         object.__setattr__(self, "eps_schedule", eps)
-        if self.truncation_radius is not None and self.truncation_radius < 1:
-            raise ValueError("truncation_radius must be >= 1")
+        if self.truncation_radius is not None:
+            if not float(self.truncation_radius).is_integer():
+                raise ValueError(f"truncation_radius must be an integer, got {self.truncation_radius}")
+            if self.truncation_radius < 1:
+                raise ValueError("truncation_radius must be >= 1")
+            object.__setattr__(self, "truncation_radius", int(self.truncation_radius))
 
     @property
     def c(self) -> float:

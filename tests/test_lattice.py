@@ -407,11 +407,11 @@ class TestConstantTerm:
 
 
 def full_box_levels(terms, s, cfg, x, monkeypatch):
-    """The engine's levels with the half-box pairing forced off: every slab
-    of the largest box is walked, as at complex s."""
+    """The engine's levels with the half box and the ball forced off: terms
+    are formed at every point of the largest box, as at complex s."""
     box_pass = lattice._box_pass
     with monkeypatch.context() as m:
-        m.setattr(lattice, "_box_pass", lambda *args: box_pass(*args[:-1], False))
+        m.setattr(lattice, "_box_pass", lambda *args: box_pass(*args[:6], False))
         return damped_transform_levels(terms, s, cfg, x)
 
 
@@ -430,9 +430,23 @@ HALF_BOX_POLYTOPES = {
 FAST_3D = ss.DampedSumConfig(eps_schedule=tuple(0.5 * 0.5 ** k for k in range(6)), truncation_radius=30)
 
 
+def ball_count(cfg, d, first=0) -> int:
+    """Brute-force count of the half box's points with m_1 >= first that a
+    p = 2 volume keeps: pi eps_min |m|^2 <= 36, or ||m||_inf = R for some
+    level's R."""
+    radii = sorted({cfg.radius_for(e) for e in cfg.eps_schedule})
+    ms = np.arange(-radii[-1], radii[-1] + 1)
+    M = np.stack(np.meshgrid(*([ms] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    M = M[M[:, 0] >= first]
+    ball = math.pi * cfg.eps_schedule[-1] * (M * M).sum(axis=1) <= 36.0
+    return int(np.sum(ball | np.isin(np.abs(M).max(axis=1), radii)))
+
+
 class TestHalfBox:
     """At s = 0 along a real direction the tables are real and even, and
-    r_n(-m) = (-1)^(d+n) conj(r_n(m)), so the box pass walks m_1 >= 0 only."""
+    r_n(-m) = (-1)^(d+n) conj(r_n(m)), so the box pass walks m_1 >= 0 only;
+    at p = 2 it forms terms only where some level's weight reaches e^-36,
+    and on every level's outer shell."""
 
     @pytest.mark.parametrize("case", list(DIRECTION_CASES))
     def test_direction_cases_match_the_full_box(self, case, triangle, tetrahedron, monkeypatch):
@@ -445,7 +459,8 @@ class TestHalfBox:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("fixture", list(HALF_BOX_POLYTOPES))
     def test_polytopes_match_the_full_box(self, fixture, p, request, monkeypatch):
-        # at p != 2 the quadrature tables are real and even up to rounding
+        # at p != 2 the quadrature tables are real and even up to rounding;
+        # at p = 2 the ball of radius 9.57 cuts the corners of both boxes
         radius, x = HALF_BOX_POLYTOPES[fixture]
         P = request.getfixturevalue(fixture)
         cfg = ss.DampedSumConfig(p=p, eps_schedule=(0.5, 0.25, 0.125), truncation_radius=radius)
@@ -454,31 +469,75 @@ class TestHalfBox:
             got = damped_transform_levels(terms, np.zeros(P.dim), cfg, x)
             assert_same_levels(got, full_box_levels(terms, np.zeros(P.dim), cfg, x, monkeypatch))
 
+    def test_fast_3d_volumes_match_the_full_box(self, tetrahedron, monkeypatch):
+        # the ball of radius 27.1 keeps 53,637 of the 115,351 points of the
+        # half box, and 226,981 points form the full box
+        x = HALF_BOX_POLYTOPES["tetrahedron"][1]
+        for t in (0.0, 1.0, 2.0, 3.0):
+            terms = shifted_vertex_terms(tetrahedron, t)
+            got = damped_transform_levels(terms, np.zeros(3), FAST_3D, x)
+            assert_same_levels(got, full_box_levels(terms, np.zeros(3), FAST_3D, x, monkeypatch))
+
     @staticmethod
     def count_points(monkeypatch) -> list:
-        """Sizes of the value contractions (the complex ones) of the box pass."""
+        """Numbers of points at which the box pass forms terms, per slab."""
         sizes = []
-        contract = lattice._contract
+        slab_points = lattice._slab_points
 
-        def counted(x, tables):
-            if np.iscomplexobj(x):
-                sizes.append(x.size)
-            return contract(x, tables)
+        def counted(*args):
+            size, at = slab_points(*args)
+            sizes.append(size)
+            return size, at
 
-        monkeypatch.setattr(lattice, "_contract", counted)
+        monkeypatch.setattr(lattice, "_slab_points", counted)
         return sizes
 
-    def test_volumes_form_terms_on_half_the_box(self, tetrahedron, triangle, monkeypatch):
-        # the full boxes hold 61^3 = 226,981 and 219^2 = 47,961 points
+    def test_volumes_form_terms_on_half_the_ball(self, tetrahedron, triangle, monkeypatch):
+        # the half boxes hold 31 * 61^2 = 115,351 and 110 * 219 = 24,090
+        # points, and the ball and shells keep 53,637 and 18,992 of them; at
+        # the default 2-D config the slab m_1 <= 90 keeps 87% of its 91 rows
+        # and is formed whole, so 91 * 219 + 1,699 points form terms
+        assert ball_count(FAST_3D, 3) == 53_637
+        cfg_2d = ss.DampedSumConfig()
+        assert ball_count(cfg_2d, 2) == 18_992
+        assert ball_count(cfg_2d, 2) - ball_count(cfg_2d, 2, 91) > lattice.GATHER_LIMIT * 91 * 219
+        assert ball_count(cfg_2d, 2, 91) == 1_699
         sizes = self.count_points(monkeypatch)
         ss.macdonald_volume(tetrahedron, 2.0, cfg=FAST_3D)
-        assert sum(sizes) == 31 * 61 ** 2
+        assert sum(sizes) == 53_637
         sizes.clear()
         ss.conjecture_check(triangle)
-        assert sum(sizes) == 110 * 219
+        assert sum(sizes) == 91 * 219 + 1_699
         sizes.clear()
         ss.macdonald_volume(triangle, 1.37)
-        assert sum(sizes) == 110 * 219
+        assert sum(sizes) == 91 * 219 + 1_699
+
+    @pytest.mark.parametrize("cfg_kw, n_points", [
+        (DIRECTION_CASES["2d"][1], 7 * 13),
+        (DIRECTION_CASES["2d-p1.5"][1], 7 * 13),
+        ({"p": 3.0, "eps_schedule": (0.5, 0.25, 0.125), "truncation_radius": 12}, 13 * 25),
+    ])
+    def test_no_cut_forms_the_whole_half_box(self, cfg_kw, n_points, triangle, monkeypatch):
+        # R = 6 at eps_min = 0.1: the ball's radius 10.7 exceeds the corner's
+        # 6 sqrt(2); at p != 2 there is no ball
+        sizes = self.count_points(monkeypatch)
+        damped_transform_levels(shifted_vertex_terms(triangle, 1.37), np.zeros(2), ss.DampedSumConfig(**cfg_kw),
+                                (1.0, 0.7))
+        assert sum(sizes) == n_points
+
+    def test_partial_cone_list_raises_on_the_ball(self, triangle, monkeypatch):
+        # the cancellation test runs on the gathered points too, and reports
+        # one of them
+        cfg = ss.DampedSumConfig(eps_schedule=(0.5, 0.25, 0.125), truncation_radius=12)
+        terms = shifted_vertex_terms(triangle, 1.37)[:-1]
+        sizes = self.count_points(monkeypatch)
+        with pytest.raises(ss.PoleHit, match="do not cancel") as exc:
+            damped_transform_levels(terms, np.zeros(2), cfg, (1.0, 0.7))
+        assert sizes == [ball_count(cfg, 2)] and sizes[0] < 13 * 25
+        m = exc.value.lattice_point
+        assert len(m) == 2 and all(isinstance(v, int) for v in m) and m[0] >= 0
+        assert math.pi * 0.125 * (m[0] ** 2 + m[1] ** 2) <= 36.0 or max(map(abs, m)) == 12
+        assert ss.pole_distance(terms, np.array(m, dtype=float)) <= lattice.POLE_GUARD
 
     def test_complex_s_walks_the_whole_box(self, triangle, monkeypatch):
         # two of the triangle's three vertex cones take the box pass

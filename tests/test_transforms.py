@@ -30,6 +30,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             ss.DampedSumConfig(truncation_radius=0)
 
+    @pytest.mark.parametrize("radius", [12.5, 0.5, math.inf, math.nan])
+    def test_non_integral_radius_rejected(self, radius):
+        # R = 12.5 laid the box on the half-integers: the square's volume at
+        # t = 2 read 7.3e-32 +- 5.5e-15 in place of 4
+        with pytest.raises(ValueError, match="integer"):
+            ss.DampedSumConfig(truncation_radius=radius)
+
+    def test_integral_radius_stored_as_int(self):
+        for radius in (12, 12.0, np.int64(12)):
+            cfg = ss.DampedSumConfig(truncation_radius=radius)
+            assert type(cfg.truncation_radius) is int and cfg.truncation_radius == 12
+        assert ss.DampedSumConfig(truncation_radius=12.0) == ss.DampedSumConfig(truncation_radius=12)
+
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             ss.DampedSumConfig(p=0.5)
