@@ -12,7 +12,9 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -50,13 +52,15 @@ def parse_real_vector(text: str) -> np.ndarray:
 
 def _parse_t_list(args) -> list:
     if args.t_range:
+        # exact decimal arithmetic: each t is start + k step rounded once,
+        # and the last one is the largest that does not pass stop
         try:
-            start, stop, step = (float(v) for v in args.t_range.split(":"))
+            start, stop, step = (Fraction(v) for v in args.t_range.split(":"))
         except ValueError as exc:
             raise ValueError("--t-range expects start:stop:step") from exc
         if step <= 0:
             raise ValueError("--t-range step must be positive")
-        return [float(v) for v in np.arange(start, stop + step / 2.0, step)]
+        return [float(start + k * step) for k in range(math.floor((stop - start) / step) + 1)]
     if args.t is None:
         raise ValueError("one of --t or --t-range is required")
     return [float(v) for v in str(args.t).split(",")]

@@ -13,26 +13,28 @@ outside each level's own box.  A coordinate cone, whose generators lie along
 distinct coordinate axes, has a term that is a product of one factor per
 axis; when no denominator comes within POLE_GUARD of zero in the largest
 box, its sums are products of 1-D contractions with those tables, at O(d n)
-cost for a box of n^d points.  The other cones are summed by one pass over
-the largest box: the summed cone-rational factor r(m) is formed once and
-contracted, one axis at a time, with the same tables.  The pass walks the
-box in slabs along the first axis and never lists its points: each cone's
-denominators <w_j, m+s> and phase exp(2*pi*i*<apex, m+s>) are broadcast over
-a slab from per-axis tables, in real arithmetic when s is real.  Given a
-direction x to approach the pole points along, the same pass returns the
-value at s of a cone sum that is entire there, as the sum over all vertex
-cones of a polytope is (Brion): the exact s -> 0 limit of
+cost for a box of n^d points.  Given a direction (below), the products also
+sum such a cone over its points off its pole hyperplanes w_k (m_k + s_k) = 0
+(every cone of a volume has them: m_k = 0 at s = 0), and the box pass forms
+its terms only at its points on them.  The other cones are summed by one
+pass over the largest box: the summed cone-rational factor r(m) is formed
+once and contracted, one axis at a time, with the same tables.  The pass
+walks the box in slabs along the first axis and never lists its points: each
+cone's denominators <w_j, m+s> and phase exp(2*pi*i*<apex, m+s>) are
+broadcast over a slab from per-axis tables, in real arithmetic when s is
+real.  Given a direction x to approach the pole points along, the same pass
+returns the value at s of a cone sum that is entire there, as the sum over
+all vertex cones of a polytope is (Brion): the exact s -> 0 limit of
 ``macdonald_volume``.  The Laurent coefficients at the pole points of all
 cones in a slab come from one closed-form power-series call.  At s = 0 the
 tables are real and even and every term at -m is (-1)^d times the conjugate
-of its value at m, so a volume forms its terms on the half box m_1 >= 0
-only and pairs each slab with its mirror.  At p = 2 the tables multiply to
-the radial Gaussian exp(-pi eps |m|^2), so a volume forms its terms only at
-the points of that half box where pi eps_min |m|^2 <= 36, or on some
-level's outer shell; every other point weighs less than e^-36 at every
-level.  Direct-space sums accumulate
-(1_body * phi_eps)(m) * exp(2*pi*i*<s, m>) at one eps.  The bilinear
-pairing is used throughout; nothing is conjugated.
+of its value at m, so a volume forms its terms on the half box m_1 >= 0 only
+and pairs each slab with its mirror.  At p = 2 the tables multiply to the
+radial Gaussian exp(-pi eps |m|^2), so a volume forms its terms only at the
+points of that half box where pi eps_min |m|^2 <= 36, or on some level's
+outer shell; every other point weighs less than e^-36 at every level.
+Direct-space sums accumulate (1_body * phi_eps)(m) * exp(2*pi*i*<s, m>) at
+one eps.  The bilinear pairing is used throughout; nothing is conjugated.
 """
 
 from __future__ import annotations
@@ -193,6 +195,12 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
     a product of one factor per axis, phase_k / (w_k (m_k + s_k)); its sums
     are products of d one-dimensional contractions, and its magnitude
     factors are |1 / (w_k (m_k + s_k))| times the constant phase modulus.
+    Given a direction, a coordinate cone whose denominators do come within
+    POLE_GUARD of zero is split: the products, with the pole entries of its
+    1-D factors set to 0, sum exactly its points off the hyperplanes
+    w_k (m_k + s_k) = 0, and the box pass forms its Laurent rows at its pole
+    points only, the points on them.  Without a direction it is summed whole
+    by the box pass, which raises PoleHit.
 
     Every other cone is summed by one pass over the largest box, which forms
     r(m) and the sum of the magnitudes and contracts them with every level's
@@ -214,7 +222,8 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
     (-1)^(d+n) conj(r_n(m)) and the tables are even, so the pass forms the
     terms on the half box m_1 >= 0 only, and at p = 2 only at the points
     of ``_ball_points``: where some level's weight reaches e^-36, and on
-    every level's outer shell (see ``_box_pass``)."""
+    every level's outer shell (see ``_box_pass``).  There a coordinate
+    cone's pole points are those with some m_k = 0."""
     s = np.atleast_1d(np.asarray(s, dtype=complex))
     if not np.isfinite(s).all():
         raise ValueError("s must be finite")
@@ -239,15 +248,20 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
         else:
             phase, modulus = None, 1.0
         scales = _axis_scales(cone.generators)
+        on_pole = None  # per-axis pole entries of a coordinate cone whose products skip them
         if scales is not None:
             denoms = scales[:, None] * axes  # row k: w_k (m_k + s_k), as the box pass forms them
-            if np.abs(denoms).min() > POLE_GUARD:
-                inv = 1.0 / denoms
+            poles = np.abs(denoms) <= POLE_GUARD
+            if x is not None or not poles.any():
+                inv = 1.0 / np.where(poles, 1.0, denoms)
+                inv[poles] = 0.0
                 factors.append((det, modulus, inv if phase is None else phase * inv, np.abs(inv)))
-                continue
+                if not poles.any():
+                    continue
+                on_pole = poles
         b = None if x is None else cone.generators @ x
         c = 0.0 if phase is None or x is None else float(cone.apex @ x)
-        prepared.append((det, modulus, cone.generators, phase, b, c))
+        prepared.append((det, modulus, cone.generators, phase, b, c, on_pole))
 
     value = np.zeros(n_levels, dtype=complex)
     mags_sum = np.zeros((d + 1) * n_levels)
@@ -278,7 +292,9 @@ def _box_pass(prepared, ms, axes, tables, mag_tables, raise_at_poles: bool, mirr
               ball: DampedSumConfig | None = None):
     """Sum of the prepared cone terms over the largest box ms^d, slab by slab,
     contracted with every level's tables: the values and the magnitude rows,
-    both before the prefactor (-2 pi i)^-d.
+    both before the prefactor (-2 pi i)^-d.  A cone prepared with its
+    per-axis pole entries on_pole, a coordinate cone whose products sum its
+    other points, enters only at its pole points, with its Laurent rows.
 
     With mirror (s = 0 along a real direction) the tables are real and even,
     and every term, Laurent row and magnitude at -m is (-1)^d times the
@@ -305,7 +321,23 @@ def _box_pass(prepared, ms, axes, tables, mag_tables, raise_at_poles: bool, mirr
         r = np.zeros(size, dtype=complex)
         r_abs = np.zeros(size)
         pole_cols = []  # per cone: (points, a, C, b, c) at its pole points
-        for det, modulus, W, phase, b, c in prepared:
+        hyperplanes = {}  # per distinct on_pole: the slab's points on those hyperplanes
+        for det, modulus, W, phase, b, c, on_pole in prepared:
+            if on_pole is not None:
+                # a coordinate cone whose products sum its points off the
+                # hyperplanes: only its pole points are formed
+                key = on_pole.tobytes()
+                if key not in hyperplanes:
+                    poles = np.flatnonzero(_spread(_rows(on_pole, i0, i1, at), np.logical_or, at))
+                    idx = _point_indices(grid, i0, poles, at)
+                    hyperplanes[key] = poles, idx, _rows(axes, i0, i1, idx)
+                poles, idx, coords = hyperplanes[key]
+                if poles.size:
+                    a = _spread([w[:, None] * v for w, v in zip(W.T, coords)], np.add, idx)
+                    C = (np.full(poles.size, det, dtype=complex) if phase is None
+                         else det * _spread(_rows(phase, i0, i1, idx), np.multiply, idx))
+                    pole_cols.append((poles, a, C, np.broadcast_to(b[:, None], a.shape), np.full(poles.size, c)))
+                continue
             denoms = _spread([w[:, None] * v for w, v in zip(W.T, slab_axes)], np.add, at)
             mags = np.abs(denoms)
             nearest = mags.min(axis=0)
@@ -433,14 +465,20 @@ def _spread(vectors, ufunc, at):
     return out
 
 
-def _lattice_point(ms: np.ndarray, grid: tuple, i0: int, flat: int, at) -> tuple:
-    """The lattice point m at a flat index into the points of the slab of the
-    box ms^d that starts at first-axis index i0 and has shape grid: the
+def _point_indices(grid: tuple, i0: int, flat, at) -> list:
+    """Per-axis box indices of the points at flat indices into the points of
+    the slab that starts at first-axis index i0 and has shape grid: the
     whole slab (at None), or the points with per-axis box indices at."""
     if at is not None:
-        return tuple(int(ms[i[flat]]) for i in at)
+        return [i[flat] for i in at]
     idx = np.unravel_index(flat, grid)
-    return (int(ms[i0 + idx[0]]),) + tuple(int(ms[i]) for i in idx[1:])
+    return [idx[0] + i0, *idx[1:]]
+
+
+def _lattice_point(ms: np.ndarray, grid: tuple, i0: int, flat: int, at) -> tuple:
+    """The lattice point m of the box ms^d at a flat index into a slab's
+    points (see ``_point_indices``)."""
+    return tuple(int(ms[i]) for i in _point_indices(grid, i0, flat, at))
 
 
 def damped_direct_sum(body, s, cfg: DampedSumConfig, eps: float) -> DampedSumResult:

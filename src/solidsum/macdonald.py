@@ -16,6 +16,7 @@ dilation-reciprocity, and Brianchon-Gram identities.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -125,9 +126,11 @@ def macdonald_sum(P: Polytope, t: float, s, cfg: DampedSumConfig | None = None) 
     )
 
 
-def _fallback_directions(d: int) -> list:
+def _fallback_directions(d: int):
+    """Seeded rational directions, drawn only when (1, ..., 1) is not generic."""
     rng = np.random.default_rng(2024)
-    return [rng.integers(1, 12, size=d) / rng.integers(1, 5, size=d) for _ in range(20)]
+    for _ in range(20):
+        yield rng.integers(1, 12, size=d) / rng.integers(1, 5, size=d)
 
 
 def macdonald_volume(P: Polytope, t: float, cfg: DampedSumConfig | None = None) -> Estimate:
@@ -141,7 +144,7 @@ def macdonald_volume(P: Polytope, t: float, cfg: DampedSumConfig | None = None) 
     cfg = cfg or DampedSumConfig()
     d = P.dim
     terms = [c for _, cones in _vertex_terms(P, t) for c in cones]
-    direction = next((x for x in [np.ones(d), *_fallback_directions(d)]
+    direction = next((x for x in itertools.chain([np.ones(d)], _fallback_directions(d))
                       if pole_distance(terms, x) > POLE_GUARD), None)
     if direction is None:
         raise PoleHit("no generic direction found")

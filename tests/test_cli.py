@@ -86,6 +86,14 @@ def test_t_range_parsing(square_path, tmp_path):
                 "--t-range", "1.0:2.0:0.5", "--output", str(out)]) == 0
     data = json.loads(out.read_text())
     assert [row["t"] for row in data] == [1.0, 1.5, 2.0]
+    # each t is start + k step in exact decimals, rounded once, and none
+    # passes stop
+    assert run(["macdonald-series", "--polytope", square_path,
+                "--t-range", "0.3:3.0:0.7", "--output", str(out)]) == 0
+    assert [row["t"] for row in json.loads(out.read_text())] == [0.3, 1.0, 1.7, 2.4]
+    for t_range, want in [("1.1:1.5:0.1", [1.1, 1.2, 1.3, 1.4, 1.5]),
+                          ("0:1:0.1", [float(f"{k / 10}") for k in range(11)])]:
+        assert cli._parse_t_list(argparse.Namespace(t_range=t_range, t=None)) == want
 
 
 def test_bit_identical_reruns(square_path, tmp_path):

@@ -272,8 +272,9 @@ class TestLevelsEngine:
             damped_transform_levels(ENGINE_TERMS["mixed"](), np.array(COMPLEX_S[:2]), ss.DampedSumConfig())
 
     def test_volume_takes_pole_series(self, square, monkeypatch):
-        # at s = 0 every coordinate cone has pole points, so macdonald_volume
-        # still sums them on the box pass through the Laurent series
+        # at s = 0 every coordinate cone has pole points on the hyperplanes
+        # m_k = 0: macdonald_volume sums its points off them as products and
+        # its points on them through the box pass's Laurent series
         calls = []
         pole_terms = lattice._pole_terms
         monkeypatch.setattr(lattice, "_pole_terms", lambda *a: calls.append(1) or pole_terms(*a))
@@ -407,8 +408,8 @@ class TestConstantTerm:
 
 
 def full_box_levels(terms, s, cfg, x, monkeypatch):
-    """The engine's levels with the half box and the ball forced off: terms
-    are formed at every point of the largest box, as at complex s."""
+    """The engine's levels with the half box and the ball forced off: the box
+    pass walks every point of the largest box, as at complex s."""
     box_pass = lattice._box_pass
     with monkeypatch.context() as m:
         m.setattr(lattice, "_box_pass", lambda *args: box_pass(*args[:6], False))
@@ -573,6 +574,118 @@ class TestHalfBox:
             assert np.all(np.abs(rows_minus - signs * rows_plus.conj()) <= 1e-15 * major_plus)
             np.testing.assert_allclose(major_minus, major_plus, rtol=1e-15)
         assert n_poles > 0
+
+
+def box_pass_levels(terms, s, cfg, x, monkeypatch):
+    """The engine's levels with every cone summed as a general one: each
+    coordinate cone forms its terms at every point the box pass walks, not
+    as products off its hyperplanes."""
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "_axis_scales", lambda W: None)
+        return damped_transform_levels(terms, s, cfg, x)
+
+
+class TestHyperplanes:
+    """Along a direction, a coordinate cone with pole points in the box sums
+    its points off the hyperplanes w_k (m_k + s_k) = 0 as products of 1-D
+    contractions, and enters the box pass only at its pole points."""
+
+    @pytest.mark.parametrize("case", list(DIRECTION_CASES))
+    def test_direction_cases_match_the_box_pass(self, case, triangle, tetrahedron, monkeypatch):
+        # the 1-D segment's cones and the simplices' origin cones are
+        # coordinate cones
+        d, cfg_kw, x = DIRECTION_CASES[case]
+        cfg = ss.DampedSumConfig(**cfg_kw)
+        terms = direction_terms(d, triangle, tetrahedron)
+        got = damped_transform_levels(terms, np.zeros(d), cfg, x)
+        assert_same_levels(got, box_pass_levels(terms, np.zeros(d), cfg, x, monkeypatch))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("fixture", ["square", "triangle", "tetrahedron", "cube"])
+    def test_polytopes_match_the_box_pass(self, fixture, p, request, monkeypatch):
+        P = request.getfixturevalue(fixture)
+        radius, x = HALF_BOX_POLYTOPES.get(fixture, HALF_BOX_POLYTOPES["tetrahedron"])
+        cfg = ss.DampedSumConfig(p=p, eps_schedule=(0.5, 0.25, 0.125), truncation_radius=radius)
+        for t in (0.0, 1.0, 1.37, 1.97533, 2.96939):
+            terms = shifted_vertex_terms(P, t)
+            got = damped_transform_levels(terms, np.zeros(P.dim), cfg, x)
+            assert_same_levels(got, box_pass_levels(terms, np.zeros(P.dim), cfg, x, monkeypatch))
+
+    @pytest.mark.parametrize("fixture, cfg, ts", [
+        ("tetrahedron", FAST_3D, (0.0, 1.0, 2.0)),
+        ("cube", FAST_3D, (1.0, 1.5)),
+        ("unit_cube_4d", ss.DampedSumConfig(eps_schedule=(0.5, 0.25, 0.125), truncation_radius=6), (1.0, 1.5)),
+    ])
+    def test_volume_configs_match_the_box_pass(self, fixture, cfg, ts, request, monkeypatch):
+        P = request.getfixturevalue(fixture)
+        x = np.linspace(1.0, 0.3, P.dim)
+        for t in ts:
+            terms = shifted_vertex_terms(P, t)
+            got = damped_transform_levels(terms, np.zeros(P.dim), cfg, x)
+            assert_same_levels(got, box_pass_levels(terms, np.zeros(P.dim), cfg, x, monkeypatch))
+
+    @pytest.mark.parametrize("fixture, s", [
+        # pole lines away from s = 0: at an integer s_k, also next to a
+        # complex or real non-integer s_j, where the whole box is walked
+        ("square", (0.21 + 0.13j, 0.0)),
+        ("square", (0.3, -1.0)),
+        ("triangle", (0.0, 0.21 + 0.1j)),
+        ("cube", (0.0, 0.2 - 0.1j, 2.0)),
+    ])
+    def test_pole_lines_off_zero_match_the_box_pass(self, fixture, s, request, monkeypatch):
+        P = request.getfixturevalue(fixture)
+        cfg = ss.DampedSumConfig(eps_schedule=(0.5, 0.25, 0.125), truncation_radius=12)
+        terms, s, x = shifted_vertex_terms(P, 1.37), np.array(s, dtype=complex), np.linspace(1.0, 0.3, P.dim)
+        got = damped_transform_levels(terms, s, cfg, x)
+        assert_same_levels(got, box_pass_levels(terms, s, cfg, x, monkeypatch))
+
+    @staticmethod
+    def count_formed(monkeypatch) -> tuple:
+        """Numbers of cone-points at which the box pass forms denominators,
+        and of pole points handed to the Laurent series, per call."""
+        denominators, pole_points = [], []
+        spread, pole_terms = lattice._spread, lattice._pole_terms
+
+        def counted_spread(vectors, ufunc, at):
+            out = spread(vectors, ufunc, at)
+            if ufunc is np.add:
+                denominators.append(out.shape[-1])
+            return out
+
+        def counted_pole_terms(C, *args):
+            pole_points.append(C.size)
+            return pole_terms(C, *args)
+
+        monkeypatch.setattr(lattice, "_spread", counted_spread)
+        monkeypatch.setattr(lattice, "_pole_terms", counted_pole_terms)
+        return denominators, pole_points
+
+    def test_volumes_form_terms_on_the_hyperplanes_only(self, square, triangle, tetrahedron, monkeypatch):
+        # the default 2-D half box has 219 pole points on the row m_1 = 0 and
+        # 109 on the column m_2 = 0, m_1 > 0: the square's four cones form
+        # denominators there and nowhere else; the triangle's origin cone
+        # adds them to its two general cones' 21,628 points each, and the
+        # 3-simplex's origin cone adds 5,021 to 3 * 53,637
+        denominators, pole_points = self.count_formed(monkeypatch)
+        ss.macdonald_volume(square, 1.37)
+        assert sum(denominators) == sum(pole_points) == 4 * 328
+        denominators.clear()
+        ss.macdonald_volume(triangle, 1.37)
+        assert sum(denominators) == 2 * 21_628 + 328
+        denominators.clear()
+        ss.macdonald_volume(tetrahedron, 1.37, cfg=FAST_3D)
+        assert sum(denominators) == 3 * 53_637 + 5_021
+
+    def test_partial_cone_list_raises(self, square):
+        # three of the square's four coordinate cones: their Laurent rows on
+        # the hyperplanes do not cancel
+        terms = shifted_vertex_terms(square, 1.37)[:-1]
+        cfg = ss.DampedSumConfig(eps_schedule=(0.5, 0.25, 0.125), truncation_radius=12)
+        with pytest.raises(ss.PoleHit, match="do not cancel") as exc:
+            damped_transform_levels(terms, np.zeros(2), cfg, (1.0, 0.7))
+        m = exc.value.lattice_point
+        assert len(m) == 2 and all(isinstance(v, int) for v in m) and 0 in m
+        assert ss.pole_distance(terms, np.array(m, dtype=float)) <= lattice.POLE_GUARD
 
 
 class TestDirectSum:

@@ -200,6 +200,55 @@ class TestMacdonaldVolume:
         with pytest.raises(ss.PoleHit, match="no generic direction"):
             ss.macdonald_volume(tetrahedron, 1.0, cfg=cfg)
 
+    @staticmethod
+    def directions_taken(monkeypatch) -> list:
+        """The directions macdonald_volume hands the engine."""
+        from solidsum import macdonald
+        taken = []
+        engine = macdonald.damped_transform_levels
+
+        def spy(terms, s, cfg, direction=None):
+            taken.append(direction)
+            return engine(terms, s, cfg, direction)
+
+        monkeypatch.setattr(macdonald, "damped_transform_levels", spy)
+        return taken
+
+    def test_generic_ones_draw_no_fallback(self, square, monkeypatch):
+        # (1, 1) is generic for the square's cones: the seeded fallbacks
+        # are never drawn
+        from solidsum import macdonald
+        drawn = []
+        fallbacks = macdonald._fallback_directions
+
+        def counted(d):
+            for x in fallbacks(d):
+                drawn.append(x)
+                yield x
+
+        monkeypatch.setattr(macdonald, "_fallback_directions", counted)
+        taken = self.directions_taken(monkeypatch)
+        est = ss.macdonald_volume(square, 2.5)
+        assert drawn == []
+        assert [list(x) for x in taken] == [[1.0, 1.0]]
+        assert abs(est.value - 6.25) <= est.error
+
+    def test_fallback_direction_as_from_the_whole_list(self, tetrahedron, monkeypatch):
+        # (1, 1, 1) is orthogonal to the edge e_2 - e_1 of the 3-simplex; the
+        # lazy fallbacks give the direction and the value that the first
+        # generic entry of all 20 seeded draws gives
+        from solidsum import macdonald
+        rng = np.random.default_rng(2024)
+        drawn = [rng.integers(1, 12, size=3) / rng.integers(1, 5, size=3) for _ in range(20)]
+        cfg = ss.DampedSumConfig(eps_schedule=(0.5, 0.25, 0.125), truncation_radius=6)
+        taken = self.directions_taken(monkeypatch)
+        lazy = ss.macdonald_volume(tetrahedron, 1.37, cfg=cfg)
+        monkeypatch.setattr(macdonald, "_fallback_directions", lambda d: iter(drawn))
+        whole = ss.macdonald_volume(tetrahedron, 1.37, cfg=cfg)
+        assert len(taken) == 2 and np.array_equal(taken[0], taken[1])
+        assert not np.array_equal(taken[0], np.ones(3))
+        assert lazy == whole
+
     def test_three_simplex_matches_oracle(self, tetrahedron):
         cfg = ss.DampedSumConfig(eps_schedule=tuple(0.5 * 0.5 ** k for k in range(6)),
                                  truncation_radius=30)
