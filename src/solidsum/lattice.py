@@ -22,11 +22,17 @@ once and contracted, one axis at a time, with the same tables.  The pass
 walks the box in slabs along the first axis and never lists its points: each
 cone's denominators <w_j, m+s> and phase exp(2*pi*i*<apex, m+s>) are
 broadcast over a slab from per-axis tables, in real arithmetic when s is
-real.  Given a direction x to approach the pole points along, the same pass
-returns the value at s of a cone sum that is entire there, as the sum over
-all vertex cones of a polytope is (Brion): the exact s -> 0 limit of
-``macdonald_volume``.  The Laurent coefficients at the pole points of all
-cones in a slab come from one closed-form power-series call.  At s = 0 the
+real.  At complex s a cone none of whose generators is orthogonal to Im s
+has no pole in the box, since |<w_j, m+s>| >= |<w_j, Im s>|: its terms are
+formed without a pole search.  Given a direction x to approach the pole
+points along, the same pass returns the value at s of a cone sum that is
+entire there, as the sum over all vertex cones of a polytope is (Brion): the
+exact s -> 0 limit of ``macdonald_volume``.  The Laurent coefficients at the
+pole points of all cones in a slab come from closed-form power-series calls
+of at most POLE_CHUNK points each.  Every slab-sized step of the pass, the
+series included, writes with out= into one work area per thread, made on
+first use and kept between calls, so a repeated call allocates no
+slab-sized array and faults no memory back in.  At s = 0 the
 tables are real and even and every term at -m is (-1)^d times the conjugate
 of its value at m, so a volume forms its terms on the half box m_1 >= 0 only
 and pairs each slab with its mirror.  At p = 2 the tables multiply to the
@@ -40,6 +46,7 @@ one eps.  The bilinear pairing is used throughout; nothing is conjugated.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,6 +62,7 @@ from .transforms import DampedSumConfig, clip_cutoff, phi_hat_1d_grid, pole_dist
 POLE_GUARD = 1e-10     # minimum |<w_j, m+s>| over the enumerated box
 CHUNK_LIMIT = 20_000   # points per chunk of the box (slabs along the first axis)
 GATHER_LIMIT = 0.75    # largest share of a slab whose kept points are gathered
+POLE_CHUNK = 2048      # pole columns per Laurent series call
 
 TWO_PI_I = 2j * math.pi
 
@@ -110,10 +118,11 @@ def _level_tables(cfg: DampedSumConfig, s_tuple: tuple):
     return ms, tables, mag_tables
 
 
-def _contract(x: np.ndarray, tables) -> np.ndarray:
+def _contract(x: np.ndarray, tables, out=None) -> np.ndarray:
     """sum_m x[m] * prod_k tables[k][l, m_k] for every row l, one axis at a time
-    (x has one axis per table)."""
-    y = tables[0] @ x.reshape(x.shape[0], -1)
+    (x has one axis per table).  The first step, the only one as large as x,
+    writes into out when it is given."""
+    y = np.matmul(tables[0], x.reshape(x.shape[0], -1), out=out)
     for t in tables[1:]:
         y = np.matmul(t[:, None, :], y.reshape(t.shape[0], t.shape[1], -1))[:, 0, :]
     return y[:, 0]
@@ -128,18 +137,76 @@ def _slabs(n: int, d: int, start: int = 0):
         yield i0, min(i0 + step, n)
 
 
-def _outer(vectors, ufunc):
+def _outer(vectors, ufunc, out=None, spare=None):
     """ufunc-combination of per-axis vectors over their grid: the result's
     [..., i_0, ..., i_{d-1}] is ufunc(vectors[0][..., i_0], ..., vectors[d-1][..., i_{d-1}]),
     with any leading axes shared.  Built from the last axis back, so only the
-    first axis's step touches the whole grid."""
-    out = vectors[-1]
-    for v in vectors[-2::-1]:
-        out = ufunc(v.reshape(v.shape + (1,) * (out.ndim - v.ndim + 1)), np.expand_dims(out, v.ndim - 1))
-    return out
+    first axis's step touches the whole grid; that step writes into out and
+    the one before it into spare, when they are given.
+
+    numpy buffers a broadcast whose innermost run is shorter than a third of
+    its ufunc buffer (8192 elements by default), and allocates a whole buffer
+    per operand to do so: a 2-D slab, with runs of 219, took 2.7 to 3.2 times
+    as long that way (numpy 2.4, 2-core VM).  A 16-element buffer leaves
+    every run of 6 or more unbuffered."""
+    if out is not None and len(vectors) == 1:
+        np.copyto(out, vectors[0])
+        return out
+    bufsize = np.setbufsize(16)
+    try:
+        result = vectors[-1]
+        for k in range(len(vectors) - 2, -1, -1):
+            v = vectors[k]
+            result = ufunc(v.reshape(v.shape + (1,) * (result.ndim - v.ndim + 1)),
+                           np.expand_dims(result, v.ndim - 1), out=out if k == 0 else spare if k == 1 else None)
+    finally:
+        np.setbufsize(bufsize)
+    return result
 
 
-def _pole_terms(C, a, zero, b, c, order: int):
+class _WorkArea:
+    """Named arrays that the box pass writes its slab-sized steps into with
+    out=.  Each is a view of a byte buffer that grows to the largest request
+    and is then reused, so a pass that reuses an area allocates, and faults
+    in, no slab-sized memory."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def array(self, name: str, shape: tuple, dtype=float, keep: int = 0) -> np.ndarray:
+        """The array name of the given shape and dtype, uninitialised except
+        that its first keep rows (along the first axis) are carried over
+        from the last request when the buffer grows."""
+        try:
+            return np.ndarray(shape, dtype, self._buffers[name])
+        except (KeyError, TypeError):  # no buffer yet, or too small
+            pass
+        dtype = np.dtype(dtype)
+        grown = np.empty(math.prod(shape) * dtype.itemsize, dtype=np.uint8)
+        kept = keep * math.prod(shape[1:]) * dtype.itemsize
+        if kept:
+            grown[:kept] = self._buffers[name][:kept]
+        self._buffers[name] = grown
+        return np.ndarray(shape, dtype, grown)
+
+
+_thread = threading.local()  # .work: this thread's _WorkArea, made on first use
+
+
+def _work_area(points: int) -> _WorkArea:
+    """The work area of a pass whose largest slab has the given number of
+    points: the thread's own, kept between calls, when the slab fits in
+    CHUNK_LIMIT points; else a new one that the call drops, so what a
+    thread keeps is sized by slabs of at most CHUNK_LIMIT points."""
+    if points > CHUNK_LIMIT:
+        return _WorkArea()
+    work = getattr(_thread, "work", None)
+    if work is None:
+        work = _thread.work = _WorkArea()
+    return work
+
+
+def _pole_terms(C, a, zero, b, c, order: int, work: _WorkArea | None = None):
     """Rows r_n, n = 0..order, at each pole point (a column of a, zero and b,
     which have one row per generator j; an entry of C and c): the
     sigma^(|Z|-n) Taylor coefficient (0 for n > |Z|) of
@@ -150,26 +217,53 @@ def _pole_terms(C, a, zero, b, c, order: int):
     factor's coefficients replaced by their magnitudes.  The coefficients
     L_k of log g are 2 pi i c [k = 1] + sum_{j not in Z} (-b_j/a_j)^k / k, and
     g' = g (log g)' gives g_n = (1/n) sum_{k=1}^n k L_k g_{n-k}; the majorant
-    is the same recursion on 2 pi |c| and |b_j/a_j|."""
-    ratio = np.where(zero, 0.0, -b / np.where(zero, 1.0, a))  # -b_j/a_j, 0 for j in Z
-    g0 = C / np.prod(np.where(zero, b, a), axis=0)
-    kl, kl_abs = [], []  # rows k L_k, k = 1..order, and their majorants
-    power = np.ones_like(ratio)
-    for _ in range(order):
-        power = power * ratio
-        kl.append(power.sum(axis=0))
-        kl_abs.append(np.abs(power).sum(axis=0))
-    kl[0] = kl[0] + TWO_PI_I * c
-    kl_abs[0] = kl_abs[0] + 2.0 * math.pi * np.abs(c)
-    shift = zero.sum(axis=0) - np.arange(order + 1)[:, None]
-    flat = np.maximum(shift, 0) * shift.shape[1] + np.arange(shift.shape[1])  # g_{|Z|-n} in g.ravel()
-    rows = []
-    for first, lk in ((g0, kl), (np.abs(g0), kl_abs)):
-        g = [first]
-        for n in range(1, order + 1):
-            g.append(sum(lk[k - 1] * g[n - k] for k in range(1, n + 1)) / n)
-        rows.append(np.where(shift >= 0, np.array(g).ravel().take(flat), 0.0))
-    return rows
+    is the same recursion on 2 pi |c| and |b_j/a_j|.  Every step writes with
+    out= into work (a new area when none is given), and the rows returned
+    are views of it."""
+    work = work or _WorkArea()
+    d, n = a.shape
+    dtype = np.result_type(a, b)
+    ratio = work.array("ratio", (d, n), dtype)  # -b_j/a_j, 0 for j in Z
+    power = work.array("power", (d, n), dtype)
+    np.copyto(ratio, a)
+    np.copyto(ratio, 1.0, where=zero)
+    np.divide(np.negative(b, out=power), ratio, out=ratio)
+    np.copyto(ratio, 0.0, where=zero)
+    g = work.array("taylor", (order + 1, n), complex)
+    g_abs = work.array("taylor_abs", (order + 1, n))
+    np.copyto(power, a)
+    np.copyto(power, b, where=zero)
+    np.divide(C, np.prod(power, axis=0, out=g[0]), out=g[0])
+    np.abs(g[0], out=g_abs[0])
+    kl = work.array("log_terms", (order, n), complex)  # rows k L_k, k = 1..order
+    kl_abs = work.array("log_terms_abs", (order, n))  # and their majorants
+    power_abs = work.array("power_abs", (d, n))
+    row, row_abs = work.array("term", (n,), complex), work.array("term_abs", (n,))
+    np.copyto(power, ratio)
+    for k in range(order):
+        if k:
+            np.multiply(power, ratio, out=power)
+        kl[k] = np.sum(power, axis=0, out=row if dtype.kind == "c" else row_abs)
+        np.sum(np.abs(power, out=power_abs), axis=0, out=kl_abs[k])
+    np.add(kl[0], np.multiply(c, TWO_PI_I, out=row), out=kl[0])
+    np.add(kl_abs[0], np.multiply(np.abs(c, out=row_abs), 2.0 * math.pi, out=row_abs), out=kl_abs[0])
+    for series, lk, term in ((g, kl, row), (g_abs, kl_abs, row_abs)):
+        for m in range(1, order + 1):
+            np.multiply(lk[0], series[m - 1], out=series[m])
+            for k in range(2, m + 1):
+                np.add(series[m], np.multiply(lk[k - 1], series[m - k], out=term), out=series[m])
+            series[m] /= m
+    n_zero = np.sum(zero, axis=0, out=work.array("n_zero", (n,), np.intp))
+    shift = np.subtract(n_zero, np.arange(order + 1)[:, None], out=work.array("shift", (order + 1, n), np.intp))
+    below = np.less(shift, 0, out=work.array("below", (order + 1, n), bool))
+    flat = np.maximum(shift, 0, out=shift)
+    flat *= n
+    flat += np.arange(n)  # g_{|Z|-n} in g.ravel()
+    rows = g.take(flat, out=work.array("rows", (order + 1, n), complex), mode="clip")
+    rows_abs = g_abs.take(flat, out=work.array("rows_abs", (order + 1, n)), mode="clip")
+    np.copyto(rows, 0.0, where=below)
+    np.copyto(rows_abs, 0.0, where=below)
+    return rows, rows_abs
 
 
 def _axis_scales(W: np.ndarray):
@@ -214,7 +308,7 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
     value at s is then taken where the sum of the terms is entire.  A term
     with a_j = <w_j, m+s> = 0 for j in Z has a pole of order |Z| <= d along
     s + sigma * x; its Laurent coefficients r_n(m), the coefficient of
-    sigma^-n, come from one closed-form series call per slab for the pole
+    sigma^-n, come from closed-form series calls per slab for the pole
     points of all cones, r_0 enters the sum, and PoleHit is raised where the
     summed r_n, n >= 1, do not cancel (a cone list whose sum is not entire
     there), or for a direction with some |<w_j, x>| <= POLE_GUARD.  At
@@ -259,9 +353,10 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
                 if not poles.any():
                     continue
                 on_pole = poles
+        spans = cone.generators.T[:, :, None] * axes[:, None, :]  # [k, j, m_k]: w_jk (m_k + s_k)
         b = None if x is None else cone.generators @ x
         c = 0.0 if phase is None or x is None else float(cone.apex @ x)
-        prepared.append((det, modulus, cone.generators, phase, b, c, on_pole))
+        prepared.append((det, modulus, spans, phase, b, c, on_pole, _pole_free(cone.generators, s)))
 
     value = np.zeros(n_levels, dtype=complex)
     mags_sum = np.zeros((d + 1) * n_levels)
@@ -288,6 +383,14 @@ def damped_transform_levels(terms, s, cfg: DampedSumConfig, direction=None) -> D
     return DampedLevels(value, tail, gross)
 
 
+def _pole_free(W: np.ndarray, s: np.ndarray) -> bool:
+    """Whether no lattice point m can be a pole of the cone with generator
+    matrix W at s: |<w_j, m+s>| >= |<w_j, Im s>| for real m, so
+    min_j |<w_j, Im s>| > 2 POLE_GUARD rules every pole out, with room for
+    the rounding of the denominators the box pass forms."""
+    return bool(np.min(np.abs(W @ s.imag)) > 2.0 * POLE_GUARD)
+
+
 def _box_pass(prepared, ms, axes, tables, mag_tables, raise_at_poles: bool, mirror: bool,
               ball: DampedSumConfig | None = None):
     """Sum of the prepared cone terms over the largest box ms^d, slab by slab,
@@ -295,6 +398,17 @@ def _box_pass(prepared, ms, axes, tables, mag_tables, raise_at_poles: bool, mirr
     both before the prefactor (-2 pi i)^-d.  A cone prepared with its
     per-axis pole entries on_pole, a coordinate cone whose products sum its
     other points, enters only at its pole points, with its Laurent rows.
+
+    Every slab-sized step (denominators, product, phase, terms, their
+    magnitudes and nearest-pole rows, the pole points' columns and Laurent
+    series, the gathered and scattered slabs and the first contraction
+    step) writes with out= into a ``_WorkArea``, the thread's own when the
+    slabs fit in CHUNK_LIMIT points: a repeated call allocates no slab-sized
+    array.  A cone prepared as pole-free (see ``_pole_free``: complex s, and
+    no generator orthogonal to Im s) forms det * phase / prod of its
+    denominators with one division and no pole search; every other cone
+    finds the points where some |<w_j, m+s>| <= POLE_GUARD, and raises
+    PoleHit there or hands them to the Laurent series.
 
     With mirror (s = 0 along a real direction) the tables are real and even,
     and every term, Laurent row and magnitude at -m is (-1)^d times the
@@ -305,96 +419,177 @@ def _box_pass(prepared, ms, axes, tables, mag_tables, raise_at_poles: bool, mirr
     p = 2 mirror pass, the terms are formed only at the points of
     ``_ball_points`` and scattered into the slab: every other point weighs
     less than e^-36 at every level and enters as 0."""
-    d = axes.shape[0]
+    d, dtype = axes.shape[0], axes.dtype
     value = np.zeros(tables[0].shape[0], dtype=complex)
     mags_sum = np.zeros(mag_tables[0].shape[0])
-    first, mag_first, start = tables[0], mag_tables[0], 0
-    if mirror:
-        half = np.where(ms == 0, 0.5, 1.0)
-        first, mag_first, start = first * half, mag_first * half, ms.size // 2
+    start = ms.size // 2 if mirror else 0
     slabs = tuple(_slabs(ms.size, d, start))
     kept = None if ball is None else _ball_points(ball, d, slabs)
+    work = _work_area(max(i1 - i0 for i0, i1 in slabs) * ms.size ** (d - 1))
     for (i0, i1), entry in zip(slabs, kept or (None,) * len(slabs)):
         grid = (i1 - i0,) + (ms.size,) * (d - 1)
-        size, at = _slab_points(grid, entry)
-        slab_axes = _rows(axes, i0, i1, at)
-        r = np.zeros(size, dtype=complex)
-        r_abs = np.zeros(size)
-        pole_cols = []  # per cone: (points, a, C, b, c) at its pole points
+        size, at, flat = _slab_points(grid, entry, work)
+        r = work.array("r", (size,), complex)
+        r_abs = work.array("r_abs", (size,))
+        r.fill(0.0)
+        r_abs.fill(0.0)
+        denoms = work.array("denominators", (d, size), dtype)
+        row = work.array("row", (size,))  # a real row: nearest poles, then magnitudes
+        n_poles = 0  # pole columns of the slab's cones so far (see _pole_columns)
         hyperplanes = {}  # per distinct on_pole: the slab's points on those hyperplanes
-        for det, modulus, W, phase, b, c, on_pole in prepared:
+        for det, modulus, spans, phase, b, c, on_pole, pole_free in prepared:
             if on_pole is not None:
                 # a coordinate cone whose products sum its points off the
                 # hyperplanes: only its pole points are formed
                 key = on_pole.tobytes()
                 if key not in hyperplanes:
-                    poles = np.flatnonzero(_spread(_rows(on_pole, i0, i1, at), np.logical_or, at))
-                    idx = _point_indices(grid, i0, poles, at)
-                    hyperplanes[key] = poles, idx, _rows(axes, i0, i1, idx)
-                poles, idx, coords = hyperplanes[key]
+                    hit = _spread(on_pole, np.logical_or, i0, at, work.array("hit", (size,), bool), work)
+                    poles = np.flatnonzero(hit)
+                    hyperplanes[key] = poles, _point_indices(grid, i0, poles, at)
+                poles, idx = hyperplanes[key]
                 if poles.size:
-                    a = _spread([w[:, None] * v for w, v in zip(W.T, coords)], np.add, idx)
-                    C = (np.full(poles.size, det, dtype=complex) if phase is None
-                         else det * _spread(_rows(phase, i0, i1, idx), np.multiply, idx))
-                    pole_cols.append((poles, a, C, np.broadcast_to(b[:, None], a.shape), np.full(poles.size, c)))
+                    a = _spread(spans, np.add, i0, idx, work.array("pole_rows", (d, poles.size), dtype), work)
+                    ph = (None if phase is None else
+                          _spread(phase, np.multiply, i0, idx, work.array("pole_phase", (poles.size,), complex), work))
+                    n_poles = _append_poles(work, n_poles, poles, a, ph, det, b, c)
                 continue
-            denoms = _spread([w[:, None] * v for w, v in zip(W.T, slab_axes)], np.add, at)
-            mags = np.abs(denoms)
-            nearest = mags.min(axis=0)
-            poles = np.flatnonzero(nearest <= POLE_GUARD)
+            _spread(spans, np.add, i0, at, denoms, work)
+            prod = np.prod(denoms, axis=0, out=work.array("product", (size,), dtype))
+            if pole_free:
+                if phase is None:
+                    term = np.divide(det, prod, out=prod)
+                else:
+                    term = _spread(phase, np.multiply, i0, at, work.array("phase", (size,), complex), work)
+                    term *= det
+                    term /= prod
+                r += term
+                r_abs += np.abs(term, out=row)
+                continue
+            mags = np.abs(denoms, out=work.array("magnitudes", (d, size)))
+            nearest = np.min(mags, axis=0, out=row)
+            poles = np.flatnonzero(np.less_equal(nearest, POLE_GUARD, out=work.array("hit", (size,), bool)))
             if poles.size and raise_at_poles:
-                row = int(np.argmin(nearest))
-                j = int(np.argmin(mags[:, row]))
-                m_bad = _lattice_point(ms, grid, i0, row, at)
+                at_min = int(np.argmin(nearest))
+                j = int(np.argmin(mags[:, at_min]))
+                m_bad = _lattice_point(ms, grid, i0, at_min, at)
                 raise PoleHit(
-                    f"pole at m={m_bad}: |<w_{j}, m+s>| = {mags[j, row]:.3e}",
+                    f"pole at m={m_bad}: |<w_{j}, m+s>| = {mags[j, at_min]:.3e}",
                     generator_index=j, lattice_point=m_bad,
                 )
-            del mags, nearest
-            prod = np.prod(denoms, axis=0)
             prod[poles] = 1.0
-            inv = det / prod
+            inv = np.divide(det, prod, out=prod)
             inv[poles] = 0.0
-            r_abs += modulus * np.abs(inv)
-            if phase is None:
-                r += inv
-                C = np.full(poles.size, det, dtype=complex)
-            else:
-                ph = _spread(_rows(phase, i0, i1, at), np.multiply, at)
-                r += inv * ph
-                C = det * ph[poles]
+            r_abs += np.multiply(modulus, np.abs(inv, out=row), out=row)
+            ph = None if phase is None else _spread(phase, np.multiply, i0, at, work.array("phase", (size,), complex), work)
             if poles.size:
-                pole_cols.append((poles, denoms[:, poles], C,
-                                  np.broadcast_to(b[:, None], (d, poles.size)), np.full(poles.size, c)))
-        if pole_cols:
-            points, a, C, b, c = (np.concatenate(v, axis=-1) for v in zip(*pole_cols))
-            series, majorant = _pole_terms(C, a, np.abs(a) <= POLE_GUARD, b, c, d)
+                a = np.take(denoms, poles, axis=1, out=work.array("pole_rows", (d, poles.size), dtype), mode="clip")
+                ph_poles = (None if ph is None else
+                            np.take(ph, poles, out=work.array("pole_phase", (poles.size,), complex), mode="clip"))
+                n_poles = _append_poles(work, n_poles, poles, a, ph_poles, det, b, c)
+            _add_terms(r, inv, ph)
+        if n_poles:
             # rows r_n summed per pole point over the cones: r_0 enters the
             # sum; summed over all vertex cones of a polytope the rows n >= 1
             # are rounding, at most 1.7e-16 of their majorant on exact
             # fixtures and about 7e-14 * t where float vertices tilt an edge
             # by an ulp (3.6e-12 at t = 25).  A missing cone leaves 0.29 or more.
-            points, where = np.unique(points, return_inverse=True)
-            flat = (where + points.size * np.arange(d + 1)[:, None]).ravel()
-            rows = np.zeros((d + 1, points.size), dtype=complex)
-            rows_abs = np.zeros((d + 1, points.size))
-            np.add.at(rows.reshape(-1), flat, series.reshape(-1))
-            np.add.at(rows_abs.reshape(-1), flat, majorant.reshape(-1))
-            r[points] += rows[0]
-            r_abs[points] += rows_abs[0]
-            bad = np.any(np.abs(rows[1:]) > 1e-6 * rows_abs[1:], axis=0)
-            if bad.any():
-                m_bad = _lattice_point(ms, grid, i0, points[np.argmax(bad)], at)
+            points, a, C, b, c = _pole_columns(work, n_poles, 0, d, dtype)
+            bad = _add_pole_rows(r, r_abs, points, C, a.T, b.T, c, work)
+            if bad >= 0:
+                m_bad = _lattice_point(ms, grid, i0, bad, at)
                 raise PoleHit(f"poles do not cancel across the cones at m={m_bad}", lattice_point=m_bad)
         if at is not None:
             formed, formed_abs = r, r_abs
-            r, r_abs = np.zeros(math.prod(grid), dtype=complex), np.zeros(math.prod(grid))
-            r[entry[0]], r_abs[entry[0]] = formed, formed_abs
-        value += _contract(r.reshape(grid), [first[:, i0:i1]] + tables[1:])
-        mags_sum += _contract(r_abs.reshape(grid), [mag_first[:, i0:i1]] + mag_tables[1:])
+            r, r_abs = work.array("r_slab", grid, complex), work.array("r_abs_slab", grid)
+            r.fill(0.0)
+            r_abs.fill(0.0)
+            r.reshape(-1)[flat], r_abs.reshape(-1)[flat] = formed, formed_abs
+        if mirror and i0 == start:  # the row m_1 = 0, its own mirror, at weight 1/2
+            r.reshape(grid)[0] *= 0.5
+            r_abs.reshape(grid)[0] *= 0.5
+        rest = math.prod(grid[1:])  # the two contractions take turns in one array
+        value += _contract(r.reshape(grid), [tables[0][:, i0:i1]] + tables[1:],
+                           work.array("contracted", (tables[0].shape[0], rest), complex))
+        mags_sum += _contract(r_abs.reshape(grid), [mag_tables[0][:, i0:i1]] + mag_tables[1:],
+                              work.array("contracted", (mag_tables[0].shape[0], rest)))
     if mirror:
         return value + (-1) ** d * value.conj(), 2.0 * mags_sum
     return value, mags_sum
+
+
+def _add_terms(r, inv, phase) -> None:
+    """r += inv * phase (inv where phase is None), in place in phase.  A
+    real inv enters the real and imaginary parts apart: numpy casts a mixed
+    real and complex operation through a newly allocated buffer."""
+    if inv.dtype.kind == "c":
+        r += inv if phase is None else np.multiply(inv, phase, out=phase)
+    elif phase is None:
+        np.add(r.real, inv, out=r.real)
+    else:
+        np.multiply(phase.real, inv, out=phase.real)
+        np.multiply(phase.imag, inv, out=phase.imag)
+        r += phase
+
+
+def _pole_columns(work: _WorkArea, used: int, count: int, d: int, dtype):
+    """A slab's pole columns in work, grown to used + count with the first
+    used kept: the pole points (flat slab indices), the denominators a_j
+    and the pairings b_j = <w_j, x> there (one row per column), and C and c
+    (see ``_pole_terms``)."""
+    n = used + count
+    return (work.array("pole_points", (n,), np.intp, keep=used),
+            work.array("pole_a", (n, d), dtype, keep=used),
+            work.array("pole_C", (n,), complex, keep=used),
+            work.array("pole_b", (n, d), keep=used),
+            work.array("pole_c", (n,), keep=used))
+
+
+def _append_poles(work: _WorkArea, used: int, poles, a, phase, det: float, b, c: float) -> int:
+    """Appends a cone's columns at its pole points poles (flat slab indices)
+    to the slab's ``_pole_columns``, given its denominators a there (one row
+    per generator) and its phase there (None for phase 1); returns the new
+    number of columns."""
+    points, a_cols, C, b_cols, c_cols = _pole_columns(work, used, poles.size, a.shape[0], a.dtype)
+    new = slice(used, used + poles.size)
+    points[new], a_cols[new], b_cols[new], c_cols[new] = poles, a.T, b, c
+    if phase is None:
+        C[new] = det
+    else:
+        np.multiply(phase, det, out=C[new])
+    return used + poles.size
+
+
+def _add_pole_rows(r, r_abs, points, C, a, b, c, work: _WorkArea) -> int:
+    """Adds to r and r_abs, at the pole points (flat indices into r, one
+    column per cone with a pole there), the constant Laurent rows r_0 summed
+    per point over the cones, and returns the smallest point where the
+    summed rows r_n, n >= 1, do not cancel, or -1.  The series is formed
+    POLE_CHUNK columns at a time, so its steps stay small."""
+    d, n = a.shape
+    slot = work.array("pole_slot", (r.size,), np.intp)
+    slot[points] = np.arange(n)
+    last = np.take(slot, points, out=work.array("pole_last", (n,), np.intp), mode="clip")  # each point's last column
+    sums, sums_abs = work.array("pole_sums", (d + 1, n), complex), work.array("pole_sums_abs", (d + 1, n))
+    sums.fill(0.0)
+    sums_abs.fill(0.0)
+    for j0 in range(0, n, POLE_CHUNK):
+        cols = slice(j0, j0 + POLE_CHUNK)
+        a_cols = a[:, cols]
+        mags = np.abs(a_cols, out=work.array("pole_mags", a_cols.shape))
+        zero = np.less_equal(mags, POLE_GUARD, out=work.array("pole_zero", a_cols.shape, bool))
+        series, majorant = _pole_terms(C[cols], a_cols, zero, b[:, cols], c[cols], d, work)
+        for total, total_abs, row, row_abs in zip(sums, sums_abs, series, majorant):
+            np.add.at(total, last[cols], row)
+            np.add.at(total_abs, last[cols], row_abs)
+    for x, total, dtype in ((r, sums[0], complex), (r_abs, sums_abs[0], float)):
+        at_points = np.take(x, points, out=work.array("pole_value", (n,), dtype), mode="clip")
+        at_points += np.take(total, last, out=work.array("pole_sum", (n,), dtype), mode="clip")
+        np.put(x, points, at_points)
+    mags, bounds = work.array("pole_mags", (d, n)), work.array("pole_bounds", (d, n))
+    above = np.greater(np.abs(sums[1:], out=mags), np.multiply(sums_abs[1:], 1e-6, out=bounds),
+                       out=work.array("pole_zero", (d, n), bool))
+    bad = np.any(above, axis=0, out=work.array("pole_bad", (n,), bool))
+    return int(points[bad].min()) if bad.any() else -1
 
 
 @lru_cache(maxsize=16)
@@ -435,33 +630,40 @@ def _ball_points(cfg: DampedSumConfig, d: int, slabs: tuple):
     return None if all(e is None for e in kept) else tuple(kept)
 
 
-def _slab_points(grid: tuple, entry):
+def _slab_points(grid: tuple, entry, work: _WorkArea):
     """The points of a slab of shape grid at which the box pass forms terms:
-    (number, at), with at None for every point of the slab in C order, else
-    the per-axis box indices of the points of a ``_ball_points`` entry."""
+    (number, at, flat), with at and flat None for every point of the slab in
+    C order, else the per-axis box indices and the flat slab indices of the
+    points of a ``_ball_points`` entry, copied into work as intp (take and
+    fancy indexing convert other index types into new arrays)."""
     if entry is None:
-        return math.prod(grid), None
-    return entry[0].size, [i.astype(np.intp) for i in entry[1]]
+        return math.prod(grid), None, None
+    flat = work.array("flat", entry[0].shape, np.intp)
+    at = work.array("at", (len(grid),) + entry[0].shape, np.intp)
+    np.copyto(flat, entry[0])
+    for row, idx in zip(at, entry[1]):
+        np.copyto(row, idx)
+    return flat.size, at, flat
 
 
-def _rows(table, i0: int, i1: int, at):
-    """Per-axis rows of table[k, i_k] for a slab's points: the slab's range of
-    the first axis and the others whole (at None), or the entries at the
-    points' indices at."""
+def _spread(tables, ufunc, i0: int, at, out: np.ndarray, work: _WorkArea) -> np.ndarray:
+    """ufunc-combination of per-axis tables, tables[k][..., i] the entry of
+    axis k at box index i (any leading axes shared), written into out over
+    a slab's points from the last axis back: over the grid of the slab that
+    starts at first-axis index i0 (at None, see ``_outer``), else point by
+    point at the per-axis box indices at.  Every denominator the box pass
+    forms is formed here."""
     if at is None:
-        return [table[0, i0:i1]] + list(table[1:])
-    return [row[i] for row, i in zip(table, at)]
-
-
-def _spread(vectors, ufunc, at):
-    """ufunc-combination of the per-axis rows ``_rows`` gives, from the last
-    axis back, flat over the slab's points: over the grid of the rows (at
-    None, see ``_outer``), else point by point, in place in the last row."""
-    if at is None:
-        return _outer(vectors, ufunc).reshape(vectors[0].shape[:-1] + (-1,))
-    out = vectors[-1]
-    for v in vectors[-2::-1]:
-        ufunc(v, out, out=out)
+        n = tables[0].shape[-1]
+        grid = (out.shape[-1] // n ** (len(tables) - 1),) + (n,) * (len(tables) - 1)
+        lead = tables[0].shape[:-1]
+        spare = work.array("spare", lead + grid[1:], out.dtype) if len(tables) > 2 else None
+        _outer([tables[0][..., i0:i0 + grid[0]]] + list(tables[1:]), ufunc, out.reshape(lead + grid), spare)
+        return out
+    spare = work.array("spare", out.shape, out.dtype)
+    np.take(tables[-1], at[-1], axis=-1, out=out, mode="clip")
+    for t, i in zip(tables[-2::-1], at[-2::-1]):
+        ufunc(np.take(t, i, axis=-1, out=spare, mode="clip"), out, out=out)
     return out
 
 

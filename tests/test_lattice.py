@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +174,32 @@ ENGINE_CASES = {
 }
 
 
+def count_formed(monkeypatch) -> list:
+    """Counts box-pass work at its one counting point, lattice._spread: for
+    every spread of denominators, the cone's per-axis denominator tables and
+    the number of points it forms them at (a slab's points, or a coordinate
+    cone's pole points in that slab)."""
+    calls = []
+    spread = lattice._spread
+
+    def counted(tables, ufunc, *args):
+        out = spread(tables, ufunc, *args)
+        if ufunc is np.add:
+            calls.append((tables, out.shape[-1]))
+        return out
+
+    monkeypatch.setattr(lattice, "_spread", counted)
+    return calls
+
+
+def points_per_cone(calls) -> list:
+    """The points counted by ``count_formed`` summed per cone, sorted."""
+    totals = {}
+    for tables, n in calls:
+        totals[id(tables)] = totals.get(id(tables), 0) + n
+    return sorted(totals.values())
+
+
 class TestLevelsEngine:
     @pytest.mark.parametrize("s", [(math.nan, 0.1), (0.3, complex(0.2, -math.inf))])
     def test_non_finite_s(self, quadrant_terms, s):
@@ -254,10 +283,10 @@ class TestLevelsEngine:
 
     @staticmethod
     def no_box_pass(monkeypatch):
-        def outer(*args):
+        def spread(*args):
             raise AssertionError("box pass entered")
 
-        monkeypatch.setattr(lattice, "_outer", outer)
+        monkeypatch.setattr(lattice, "_spread", spread)
 
     @pytest.mark.parametrize("name", ["segment", "square", "cube", "4-cube", "permuted"])
     def test_coordinate_cones_skip_box_pass(self, name, monkeypatch):
@@ -479,39 +508,27 @@ class TestHalfBox:
             got = damped_transform_levels(terms, np.zeros(3), FAST_3D, x)
             assert_same_levels(got, full_box_levels(terms, np.zeros(3), FAST_3D, x, monkeypatch))
 
-    @staticmethod
-    def count_points(monkeypatch) -> list:
-        """Numbers of points at which the box pass forms terms, per slab."""
-        sizes = []
-        slab_points = lattice._slab_points
-
-        def counted(*args):
-            size, at = slab_points(*args)
-            sizes.append(size)
-            return size, at
-
-        monkeypatch.setattr(lattice, "_slab_points", counted)
-        return sizes
-
     def test_volumes_form_terms_on_half_the_ball(self, tetrahedron, triangle, monkeypatch):
         # the half boxes hold 31 * 61^2 = 115,351 and 110 * 219 = 24,090
         # points, and the ball and shells keep 53,637 and 18,992 of them; at
         # the default 2-D config the slab m_1 <= 90 keeps 87% of its 91 rows
-        # and is formed whole, so 91 * 219 + 1,699 points form terms
+        # and is formed whole, so 91 * 219 + 1,699 points form terms; each
+        # general vertex cone forms its terms there, and the origin cone only
+        # at its 5,021 and 3 * 109 + 1 pole points (see TestHyperplanes)
         assert ball_count(FAST_3D, 3) == 53_637
         cfg_2d = ss.DampedSumConfig()
         assert ball_count(cfg_2d, 2) == 18_992
         assert ball_count(cfg_2d, 2) - ball_count(cfg_2d, 2, 91) > lattice.GATHER_LIMIT * 91 * 219
         assert ball_count(cfg_2d, 2, 91) == 1_699
-        sizes = self.count_points(monkeypatch)
+        calls = count_formed(monkeypatch)
         ss.macdonald_volume(tetrahedron, 2.0, cfg=FAST_3D)
-        assert sum(sizes) == 53_637
-        sizes.clear()
+        assert points_per_cone(calls) == [5_021] + 3 * [53_637]
+        calls.clear()
         ss.conjecture_check(triangle)
-        assert sum(sizes) == 91 * 219 + 1_699
-        sizes.clear()
+        assert points_per_cone(calls) == [328] + 2 * [91 * 219 + 1_699]
+        calls.clear()
         ss.macdonald_volume(triangle, 1.37)
-        assert sum(sizes) == 91 * 219 + 1_699
+        assert points_per_cone(calls) == [328] + 2 * [91 * 219 + 1_699]
 
     @pytest.mark.parametrize("cfg_kw, n_points", [
         (DIRECTION_CASES["2d"][1], 7 * 13),
@@ -520,21 +537,23 @@ class TestHalfBox:
     ])
     def test_no_cut_forms_the_whole_half_box(self, cfg_kw, n_points, triangle, monkeypatch):
         # R = 6 at eps_min = 0.1: the ball's radius 10.7 exceeds the corner's
-        # 6 sqrt(2); at p != 2 there is no ball
-        sizes = self.count_points(monkeypatch)
-        damped_transform_levels(shifted_vertex_terms(triangle, 1.37), np.zeros(2), ss.DampedSumConfig(**cfg_kw),
-                                (1.0, 0.7))
-        assert sum(sizes) == n_points
+        # 6 sqrt(2); at p != 2 there is no ball.  The origin cone forms its
+        # terms at the 3 R + 1 pole points of the half box only
+        calls = count_formed(monkeypatch)
+        cfg = ss.DampedSumConfig(**cfg_kw)
+        damped_transform_levels(shifted_vertex_terms(triangle, 1.37), np.zeros(2), cfg, (1.0, 0.7))
+        assert points_per_cone(calls) == [3 * cfg.truncation_radius + 1] + 2 * [n_points]
 
     def test_partial_cone_list_raises_on_the_ball(self, triangle, monkeypatch):
         # the cancellation test runs on the gathered points too, and reports
         # one of them
         cfg = ss.DampedSumConfig(eps_schedule=(0.5, 0.25, 0.125), truncation_radius=12)
         terms = shifted_vertex_terms(triangle, 1.37)[:-1]
-        sizes = self.count_points(monkeypatch)
+        calls = count_formed(monkeypatch)
         with pytest.raises(ss.PoleHit, match="do not cancel") as exc:
             damped_transform_levels(terms, np.zeros(2), cfg, (1.0, 0.7))
-        assert sizes == [ball_count(cfg, 2)] and sizes[0] < 13 * 25
+        # one slab: the origin cone's pole points, then the other cone's terms
+        assert [n for _, n in calls][1:] == [ball_count(cfg, 2)] and ball_count(cfg, 2) < 13 * 25
         m = exc.value.lattice_point
         assert len(m) == 2 and all(isinstance(v, int) for v in m) and m[0] >= 0
         assert math.pi * 0.125 * (m[0] ** 2 + m[1] ** 2) <= 36.0 or max(map(abs, m)) == 12
@@ -542,9 +561,9 @@ class TestHalfBox:
 
     def test_complex_s_walks_the_whole_box(self, triangle, monkeypatch):
         # two of the triangle's three vertex cones take the box pass
-        sizes = self.count_points(monkeypatch)
+        calls = count_formed(monkeypatch)
         ss.macdonald_sum(triangle, 1.37, np.array([0.21 + 0.13j, 0.37 - 0.08j]))
-        assert sum(sizes) == 2 * 219 ** 2
+        assert points_per_cone(calls) == 2 * [219 ** 2]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_mirror_identity(self, d, triangle, tetrahedron):
@@ -639,42 +658,23 @@ class TestHyperplanes:
         got = damped_transform_levels(terms, s, cfg, x)
         assert_same_levels(got, box_pass_levels(terms, s, cfg, x, monkeypatch))
 
-    @staticmethod
-    def count_formed(monkeypatch) -> tuple:
-        """Numbers of cone-points at which the box pass forms denominators,
-        and of pole points handed to the Laurent series, per call."""
-        denominators, pole_points = [], []
-        spread, pole_terms = lattice._spread, lattice._pole_terms
-
-        def counted_spread(vectors, ufunc, at):
-            out = spread(vectors, ufunc, at)
-            if ufunc is np.add:
-                denominators.append(out.shape[-1])
-            return out
-
-        def counted_pole_terms(C, *args):
-            pole_points.append(C.size)
-            return pole_terms(C, *args)
-
-        monkeypatch.setattr(lattice, "_spread", counted_spread)
-        monkeypatch.setattr(lattice, "_pole_terms", counted_pole_terms)
-        return denominators, pole_points
-
     def test_volumes_form_terms_on_the_hyperplanes_only(self, square, triangle, tetrahedron, monkeypatch):
         # the default 2-D half box has 219 pole points on the row m_1 = 0 and
         # 109 on the column m_2 = 0, m_1 > 0: the square's four cones form
         # denominators there and nowhere else; the triangle's origin cone
         # adds them to its two general cones' 21,628 points each, and the
         # 3-simplex's origin cone adds 5,021 to 3 * 53,637
-        denominators, pole_points = self.count_formed(monkeypatch)
+        calls, pole_points = count_formed(monkeypatch), []
+        pole_terms = lattice._pole_terms
+        monkeypatch.setattr(lattice, "_pole_terms", lambda C, *args: pole_points.append(C.size) or pole_terms(C, *args))
         ss.macdonald_volume(square, 1.37)
-        assert sum(denominators) == sum(pole_points) == 4 * 328
-        denominators.clear()
+        assert sum(n for _, n in calls) == sum(pole_points) == 4 * 328
+        calls.clear()
         ss.macdonald_volume(triangle, 1.37)
-        assert sum(denominators) == 2 * 21_628 + 328
-        denominators.clear()
+        assert sum(n for _, n in calls) == 2 * 21_628 + 328
+        calls.clear()
         ss.macdonald_volume(tetrahedron, 1.37, cfg=FAST_3D)
-        assert sum(denominators) == 3 * 53_637 + 5_021
+        assert sum(n for _, n in calls) == 3 * 53_637 + 5_021
 
     def test_partial_cone_list_raises(self, square):
         # three of the square's four coordinate cones: their Laurent rows on
@@ -686,6 +686,116 @@ class TestHyperplanes:
         m = exc.value.lattice_point
         assert len(m) == 2 and all(isinstance(v, int) for v in m) and 0 in m
         assert ss.pole_distance(terms, np.array(m, dtype=float)) <= lattice.POLE_GUARD
+
+
+def traced_peak(op) -> int:
+    """Bytes by which tracemalloc's traced memory peaks above its level
+    before op, over one call of op."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        op()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def forced_pole_search(terms, s, cfg, monkeypatch):
+    """The engine's levels with the pole-free certificate turned off: every
+    cone on the box pass searches its slabs for poles."""
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "_pole_free", lambda W, s: False)
+        return damped_transform_levels(terms, s, cfg)
+
+
+class TestWorkArea:
+    """The box pass writes its slab-sized steps into a work area that each
+    thread keeps between calls, and at complex s forms the terms of a cone
+    with no generator orthogonal to Im s without a pole search."""
+
+    @pytest.mark.parametrize("call", ["triangle sum", "triangle volume", "3-simplex volume"])
+    def test_repeated_call_allocates_less_than_a_slab(self, call, triangle, tetrahedron):
+        # after one warm-up call the repeated call allocates no slab-sized
+        # array: at the parent commit these peaked at 2.1 to 5.5 MB
+        op = {
+            "triangle sum": lambda: ss.macdonald_sum(triangle, 1.37, np.array([0.31 + 0.12j, 0.22 - 0.07j])),
+            "triangle volume": lambda: ss.macdonald_volume(triangle, 1.37),
+            "3-simplex volume": lambda: ss.macdonald_volume(tetrahedron, 2.0, cfg=FAST_3D),
+        }[call]
+        op()
+        assert traced_peak(op) < lattice.CHUNK_LIMIT * 16
+
+    @pytest.mark.parametrize("apex, generators, s, j", [
+        # the quadrant: Im s is orthogonal to e_1, and m_1 = 0 is a pole line
+        ([0.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], (0.0, 0.3 + 0.2j), 0),
+        # a general cone: Im s is orthogonal to w_0 = (1, 1), and Re s lies
+        # on its zero set, so every m with m_1 + m_2 = 0 is a pole
+        ([0.0, 0.0], [[1.0, 1.0], [1.0, -2.0]], (0.3 + 0.2j, -0.3 - 0.2j), 0),
+    ])
+    def test_orthogonal_im_s_keeps_the_pole_search(self, apex, generators, s, j):
+        cone = ss.simple_cone(apex, generators)
+        s = np.array(s)
+        assert not lattice._pole_free(cone.generators, s)
+        with pytest.raises(ss.PoleHit) as exc:
+            damped_transform_levels([cone], s, ss.DampedSumConfig(eps_schedule=(0.5, 0.25), truncation_radius=6))
+        assert exc.value.generator_index == j
+        assert ss.pole_distance([cone], np.array(exc.value.lattice_point) + s) <= lattice.POLE_GUARD
+
+    @pytest.mark.parametrize("case", [c for c, v in ENGINE_CASES.items() if v[3] == COMPLEX_S])
+    def test_certified_matches_the_pole_search(self, case, monkeypatch):
+        name, cfg_kw, chunk_limit, s = ENGINE_CASES[case]
+        if chunk_limit is not None:
+            monkeypatch.setattr(lattice, "CHUNK_LIMIT", chunk_limit)
+        cfg = ss.DampedSumConfig(**cfg_kw)
+        terms = ENGINE_TERMS[name]()
+        s = np.array(s[:terms[0].dim])
+        assert_same_levels(damped_transform_levels(terms, s, cfg), forced_pole_search(terms, s, cfg, monkeypatch))
+
+    def test_certified_3_simplex_matches_the_pole_search(self, tetrahedron, monkeypatch):
+        certified = []
+        pole_free = lattice._pole_free
+        monkeypatch.setattr(lattice, "_pole_free", lambda W, s: certified.append(pole_free(W, s)) or certified[-1])
+        s = np.array(COMPLEX_S[:3])
+        for t in (1.0, 1.37):
+            terms = shifted_vertex_terms(tetrahedron, t)
+            got = damped_transform_levels(terms, s, FAST_3D)
+            assert_same_levels(got, forced_pole_search(terms, s, FAST_3D, monkeypatch))
+        assert certified and all(certified)
+
+    def test_threads_get_the_sequential_levels(self, triangle, tetrahedron):
+        # four threads on two cores, each with its own work area, switching
+        # every microsecond: a shared or clobbered array would change a level
+        x = HALF_BOX_POLYTOPES["tetrahedron"][1]
+        calls = [
+            lambda: damped_transform_levels(shifted_vertex_terms(triangle, 1.37), np.array(COMPLEX_S[:2]),
+                                            ss.DampedSumConfig()),
+            lambda: damped_transform_levels(shifted_vertex_terms(tetrahedron, 2.0), np.zeros(3), FAST_3D, x),
+        ] * 2
+        want = [call() for call in calls]
+        got = [None] * len(calls)
+
+        def run(k):
+            for _ in range(3):
+                got[k] = calls[k]()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(calls))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.value, w.value) and np.array_equal(g.gross, w.gross)
+            assert np.array_equal(g.tail, w.tail)
 
 
 class TestDirectSum:
