@@ -33,28 +33,39 @@ class OracleResult:
     per_point_weights: tuple | None = None
 
 
+def _slacks(P: Polytope, t: float, pts: np.ndarray) -> np.ndarray:
+    """Facet slacks t b_i - <a_i, m> of the points pts in the dilate t*P, as
+    rows [facet, point]: each formed as t b_i minus pts[:, k] a_ik, k in
+    order, elementwise, so a point's slacks round the same alone as in any
+    batch (a matrix product picks its kernel by shape)."""
+    slack = np.empty((len(P.A), len(pts)))
+    term = np.empty_like(slack)
+    slack[:] = (t * P.b)[:, None]
+    for k in range(P.A.shape[1]):
+        slack -= np.multiply(P.A[:, k, None], pts[:, k], out=term)
+    return slack
+
+
 def _classify(P: Polytope, t: float, pts: np.ndarray, p: float) -> tuple:
     """Weights of the points ``pts`` in the dilate t*P from their facet
-    slacks, all from one matrix product: 0 outside, 1 with no tight facet,
-    1/2 with one (and at any boundary point in 1-D), and, in dim >= 3 at
-    p = 2, the exact wedge angle with exactly two.  Every other point, a
-    corner, gets nan.  Returns the weights, the tight mask and the facet
-    rows A.
+    slacks (``_slacks``): 0 outside, 1 with no tight facet, 1/2 with one
+    (and at any boundary point in 1-D), and, in dim >= 3 at p = 2, the exact
+    wedge angle with exactly two.  Every other point, a corner, gets nan.
+    Returns the weights, the tight mask [point, facet] and the facet rows A.
 
     The least slack and the tight count of each point are reduced over the
-    facets one column at a time, which is faster than along the short
-    rows."""
-    A, b = P.A, P.b
-    slack = pts @ A.T
-    np.subtract(t * b, slack, out=slack)
+    facets one row at a time."""
+    A = P.A
+    slack = _slacks(P, t, pts)
     tight = (slack <= BOUNDARY_TOL) & (slack >= -BOUNDARY_TOL)
-    low = slack[:, 0].copy()
-    n_tight = tight[:, 0].astype(np.intp)
+    low = slack[0].copy()
+    n_tight = tight[0].astype(np.intp)
     for i in range(1, len(A)):
-        np.minimum(low, slack[:, i], out=low)
-        n_tight += tight[:, i]
+        np.minimum(low, slack[i], out=low)
+        n_tight += tight[i]
     weights = np.array([1.0, 0.5, 0.5 if P.dim == 1 else np.nan])[np.minimum(n_tight, 2)]
     weights[low < -BOUNDARY_TOL] = 0.0
+    tight = tight.T
     if P.dim >= 3 and p == 2.0:
         wedge = (n_tight == 2) & np.isnan(weights)
         pairs = np.nonzero(tight[wedge])[1].reshape(-1, 2)
@@ -115,9 +126,9 @@ def lattice_weights(P: Polytope, t: float, p: float = 2.0, n_samples: int = 20_0
     """Lattice points of the dilate t*P with their solid-angle weights and
     standard errors, as arrays ``(points, weights, std_errors)``.
 
-    One matrix of facet slacks classifies every point (``_classify``, the
-    classifier ``point_weight`` uses), which settles all but the corners
-    with no error.  Each corner (a vertex point, in 3-D) goes through
+    One pass over the facet slacks classifies every point (``_classify``,
+    the classifier ``point_weight`` uses, rounding alike), which settles all
+    but the corners with no error.  Each corner (a vertex point, in 3-D) goes through
     ``point_weight``, which gives it the exact angle where one exists and a
     sampled one otherwise, with the same per-point seeds as a scalar loop.
     """

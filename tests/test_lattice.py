@@ -472,6 +472,26 @@ def ball_count(cfg, d, first=0) -> int:
     return int(np.sum(ball | np.isin(np.abs(M).max(axis=1), radii)))
 
 
+def formed_count(cfg, s, mirror=False) -> int:
+    """The points a p = 2 pass forms by the block rule (``lattice._pieces``
+    over ``lattice._block_radii``), checked by brute force over the box: no
+    point is formed twice, none below m_1 = 0 with mirror, and every point of
+    the ball pi eps_min |m + Re s|^2 <= 36 and of every level's shell is."""
+    s = np.asarray(s, dtype=complex)
+    d = s.size
+    radii = sorted({cfg.radius_for(e) for e in cfg.eps_schedule})
+    ms = np.arange(-radii[-1], radii[-1] + 1)
+    start = ms.size // 2 if mirror else 0
+    times = np.zeros((ms.size,) * d, dtype=int)
+    for piece in lattice._pieces(ms.size, d, start, lattice._block_radii(cfg, ms, ms + s[:, None])):
+        times[np.ix_(*piece)] += 1
+    M = np.stack(np.meshgrid(*([ms] * d), indexing="ij"), axis=-1)
+    must = ((math.pi * cfg.eps_schedule[-1] * ((M + s.real) ** 2).sum(axis=-1) <= 36.0)
+            | np.isin(np.abs(M).max(axis=-1), radii)) & (M[..., 0] >= ms[start])
+    assert times.max() == 1 and times[must].min() == 1 and not times[M[..., 0] < ms[start]].any()
+    return int(times.sum())
+
+
 class TestHalfBox:
     """At s = 0 along a real direction the tables are real and even, and
     r_n(-m) = (-1)^(d+n) conj(r_n(m)), so the box pass walks m_1 >= 0 only;
@@ -510,25 +530,26 @@ class TestHalfBox:
 
     def test_volumes_form_terms_on_half_the_ball(self, tetrahedron, triangle, monkeypatch):
         # the half boxes hold 31 * 61^2 = 115,351 and 110 * 219 = 24,090
-        # points, and the ball and shells keep 53,637 and 18,992 of them; at
-        # the default 2-D config the slab m_1 <= 90 keeps 87% of its 91 rows
-        # and is formed whole, so 91 * 219 + 1,699 points form terms; each
-        # general vertex cone forms its terms there, and the origin cone only
-        # at its 5,021 and 3 * 109 + 1 pole points (see TestHyperplanes)
+        # points, and the ball and shells 53,637 and 18,992 of them; the
+        # blocks around the ball and the shell faces form 79,695 of the
+        # first, and the default 2-D config forms its whole half box (its
+        # blocks and faces would cost more); each general vertex cone forms
+        # its terms there, and the origin cone only at its 6,351 and
+        # 3 * 109 + 1 pole points (see TestHyperplanes)
         assert ball_count(FAST_3D, 3) == 53_637
         cfg_2d = ss.DampedSumConfig()
         assert ball_count(cfg_2d, 2) == 18_992
-        assert ball_count(cfg_2d, 2) - ball_count(cfg_2d, 2, 91) > lattice.GATHER_LIMIT * 91 * 219
-        assert ball_count(cfg_2d, 2, 91) == 1_699
+        assert formed_count(FAST_3D, np.zeros(3), mirror=True) == 79_695
+        assert formed_count(cfg_2d, np.zeros(2), mirror=True) == 24_090
         calls = count_formed(monkeypatch)
         ss.macdonald_volume(tetrahedron, 2.0, cfg=FAST_3D)
-        assert points_per_cone(calls) == [5_021] + 3 * [53_637]
+        assert points_per_cone(calls) == [6_351] + 3 * [79_695]
         calls.clear()
         ss.conjecture_check(triangle)
-        assert points_per_cone(calls) == [328] + 2 * [91 * 219 + 1_699]
+        assert points_per_cone(calls) == [328] + 2 * [24_090]
         calls.clear()
         ss.macdonald_volume(triangle, 1.37)
-        assert points_per_cone(calls) == [328] + 2 * [91 * 219 + 1_699]
+        assert points_per_cone(calls) == [328] + 2 * [24_090]
 
     @pytest.mark.parametrize("cfg_kw, n_points", [
         (DIRECTION_CASES["2d"][1], 7 * 13),
@@ -552,18 +573,28 @@ class TestHalfBox:
         calls = count_formed(monkeypatch)
         with pytest.raises(ss.PoleHit, match="do not cancel") as exc:
             damped_transform_levels(terms, np.zeros(2), cfg, (1.0, 0.7))
-        # one slab: the origin cone's pole points, then the other cone's terms
-        assert [n for _, n in calls][1:] == [ball_count(cfg, 2)] and ball_count(cfg, 2) < 13 * 25
+        # the origin cone's pole points, and the other cone's terms on the
+        # half box: its block and shell faces would cost more
+        assert points_per_cone(calls) == [3 * 12 + 1, formed_count(cfg, np.zeros(2), mirror=True)]
+        assert formed_count(cfg, np.zeros(2), mirror=True) == 13 * 25
         m = exc.value.lattice_point
         assert len(m) == 2 and all(isinstance(v, int) for v in m) and m[0] >= 0
         assert math.pi * 0.125 * (m[0] ** 2 + m[1] ** 2) <= 36.0 or max(map(abs, m)) == 12
         assert ss.pole_distance(terms, np.array(m, dtype=float)) <= lattice.POLE_GUARD
 
-    def test_complex_s_walks_the_whole_box(self, triangle, monkeypatch):
-        # two of the triangle's three vertex cones take the box pass
+    def test_complex_s_forms_the_ball(self, triangle, tetrahedron, monkeypatch):
+        # two of the triangle's three vertex cones take the box pass, over its
+        # whole box: the ball about -Re s holds 96% of it; three of the
+        # 3-simplex's four form 161,381 of the 226,981 points of its FAST_3D box
+        s = np.array(COMPLEX_S[:3])
+        assert formed_count(ss.DampedSumConfig(), s[:2]) == 219 ** 2
+        assert formed_count(FAST_3D, s) == 161_381
         calls = count_formed(monkeypatch)
-        ss.macdonald_sum(triangle, 1.37, np.array([0.21 + 0.13j, 0.37 - 0.08j]))
+        ss.macdonald_sum(triangle, 1.37, s[:2])
         assert points_per_cone(calls) == 2 * [219 ** 2]
+        calls.clear()
+        damped_transform_levels(shifted_vertex_terms(tetrahedron, 1.37), s, FAST_3D)
+        assert points_per_cone(calls) == 3 * [161_381]
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_mirror_identity(self, d, triangle, tetrahedron):
@@ -593,6 +624,69 @@ class TestHalfBox:
             assert np.all(np.abs(rows_minus - signs * rows_plus.conj()) <= 1e-15 * major_plus)
             np.testing.assert_allclose(major_minus, major_plus, rtol=1e-15)
         assert n_poles > 0
+
+
+class TestBlocks:
+    """At p = 2 and every s the box pass forms dense blocks around the ball
+    pi eps_min |m + Re s|^2 <= 36 and the box's outer shell, and leaves out
+    points that weigh below e^-36 at every level."""
+
+    @pytest.mark.parametrize("s", [COMPLEX_S, REAL_S], ids=["complex-s", "real-s"])
+    @pytest.mark.parametrize("case", [c for c, v in ENGINE_CASES.items() if "p" not in v[1]])
+    def test_engine_cases_match_the_whole_box(self, case, s, monkeypatch):
+        name, cfg_kw, chunk_limit, _ = ENGINE_CASES[case]
+        if chunk_limit is not None:
+            monkeypatch.setattr(lattice, "CHUNK_LIMIT", chunk_limit)
+        cfg = ss.DampedSumConfig(**cfg_kw)
+        terms = ENGINE_TERMS[name]()
+        s = np.array(s[:terms[0].dim])
+        assert_same_levels(damped_transform_levels(terms, s, cfg), full_box_levels(terms, s, cfg, None, monkeypatch))
+
+    @pytest.mark.parametrize("s", [COMPLEX_S[:3], (0.93 + 0.11j, -0.87 - 0.2j, 0.6 + 0.05j)], ids=["complex-s", "far"])
+    def test_fast_3d_sums_match_the_whole_box(self, tetrahedron, s, monkeypatch):
+        # the ball about -Re s, |Re s_k| up to 0.93, and the shell faces
+        s = np.array(s)
+        for t in (1.0, 1.37):
+            terms = shifted_vertex_terms(tetrahedron, t)
+            got = damped_transform_levels(terms, s, FAST_3D)
+            assert_same_levels(got, full_box_levels(terms, s, FAST_3D, None, monkeypatch))
+        assert formed_count(FAST_3D, s) < 0.75 * 61 ** 3
+
+    def test_far_s_matches_the_whole_box_in_2d(self, triangle, monkeypatch):
+        # a box of 161^2 points around a ball of radius 9.6 about -Re s
+        cfg = ss.DampedSumConfig(eps_schedule=(0.5, 0.25, 0.125), truncation_radius=80)
+        s = np.array([0.93 + 0.11j, -0.87 - 0.2j])
+        terms = shifted_vertex_terms(triangle, 1.37)
+        assert formed_count(cfg, s) < 161 * 161 / 4
+        assert_same_levels(damped_transform_levels(terms, s, cfg), full_box_levels(terms, s, cfg, None, monkeypatch))
+
+    def test_work_area_holds_one_stage(self, tetrahedron):
+        # after a FAST_3D volume and a complex-s sum, the thread's area is at
+        # most half of the 6.96 MiB in 45 buffers it held with one buffer per
+        # named array
+        areas = []
+
+        def run():
+            ss.macdonald_volume(tetrahedron, 2.0, cfg=FAST_3D)
+            ss.macdonald_sum(tetrahedron, 1.37, np.array([0.31 + 0.12j, 0.22 - 0.07j, 0.17 + 0.05j]), cfg=FAST_3D)
+            areas.append(lattice._thread.work)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+        buffers = areas[0]._buffers.values()
+        assert len(buffers) <= 5 and sum(b.nbytes for b in buffers) <= 6.96e6 / 2
+
+    @pytest.mark.parametrize("s", [(0.0, 0.0, 0.0), COMPLEX_S[:3]], ids=["zero", "complex-s"])
+    @pytest.mark.parametrize("cfg", [ss.DampedSumConfig(), FAST_3D], ids=["default", "fast-3d"])
+    def test_value_tables_hold_no_tiny_entries(self, cfg, s):
+        # products of entries below 1e-150 are subnormal; the magnitude
+        # tables keep them, so gross and tails do not move
+        _, tables, mag_tables = lattice._level_tables(cfg, tuple(complex(v) for v in s))
+        for table, mags in zip(tables, mag_tables):
+            entries = np.abs(table)
+            assert not np.any((entries > 0.0) & (entries < 1e-150))
+            assert np.any((mags[0] > 0.0) & (mags[0] < 1e-150))
 
 
 def box_pass_levels(terms, s, cfg, x, monkeypatch):
@@ -662,8 +756,8 @@ class TestHyperplanes:
         # the default 2-D half box has 219 pole points on the row m_1 = 0 and
         # 109 on the column m_2 = 0, m_1 > 0: the square's four cones form
         # denominators there and nowhere else; the triangle's origin cone
-        # adds them to its two general cones' 21,628 points each, and the
-        # 3-simplex's origin cone adds 5,021 to 3 * 53,637
+        # adds them to its two general cones' 24,090 points each, and the
+        # 3-simplex's origin cone adds 6,351 to 3 * 79,695
         calls, pole_points = count_formed(monkeypatch), []
         pole_terms = lattice._pole_terms
         monkeypatch.setattr(lattice, "_pole_terms", lambda C, *args: pole_points.append(C.size) or pole_terms(C, *args))
@@ -671,10 +765,10 @@ class TestHyperplanes:
         assert sum(n for _, n in calls) == sum(pole_points) == 4 * 328
         calls.clear()
         ss.macdonald_volume(triangle, 1.37)
-        assert sum(n for _, n in calls) == 2 * 21_628 + 328
+        assert sum(n for _, n in calls) == 2 * 24_090 + 328
         calls.clear()
         ss.macdonald_volume(tetrahedron, 1.37, cfg=FAST_3D)
-        assert sum(n for _, n in calls) == 3 * 53_637 + 5_021
+        assert sum(n for _, n in calls) == 3 * 79_695 + 6_351
 
     def test_partial_cone_list_raises(self, square):
         # three of the square's four coordinate cones: their Laurent rows on

@@ -5,7 +5,7 @@ import pytest
 
 import solidsum as ss
 from solidsum.geometry import BOUNDARY_TOL
-from solidsum.oracle import _classify, lattice_weights
+from solidsum.oracle import _classify, _slacks, lattice_weights
 
 SQRT3 = math.sqrt(3.0)
 
@@ -357,6 +357,17 @@ def test_classify_matches_row_reduction(request, fixture, t):
     np.testing.assert_array_equal(weights, want)
     np.testing.assert_array_equal(tight, want_tight)
     assert (weights == 0.0).any()
+
+
+@pytest.mark.parametrize("polygon, t, n_points", [("triangle", 150.25, 19_757), ("irrational", 30.0, 6_831)])
+def test_one_point_slacks_match_the_batch(request, polygon, t, n_points):
+    # point_weight classifies one point, lattice_weights a batch: one-row and
+    # batched matrix products round differently on thousands of these points
+    P = request.getfixturevalue(polygon) if polygon == "triangle" else ss.load_polytope(2, IRRATIONAL)
+    pts = ss.lattice_points(P, t)
+    assert len(pts) == n_points
+    one = np.concatenate([_slacks(P, t, m[None, :]) for m in pts], axis=1)
+    np.testing.assert_array_equal(one, _slacks(P, t, pts))
 
 
 @pytest.mark.parametrize("n", [0, -5])
